@@ -3,14 +3,12 @@
 from .words import Alphabet, Word, concat, is_prefix, is_suffix, layer_words, rank, unrank
 from .sets import (
     Dfa,
-    LayerCount,
     LayeredSet,
     dfa_complement,
     dfa_concat,
     dfa_difference,
     dfa_intersect,
     dfa_is_empty,
-    dfa_layer_count,
     dfa_length_slice,
     dfa_truncate,
     dfa_union,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -30,8 +29,6 @@ from .sets import (
     write_dfa,
 )
 from .words import Alphabet, FormatError, read_word_list, write_word_list
-
-BUDGET_ENV = "PRODFREE_BUDGET"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -102,9 +99,8 @@ def cmd_density(args) -> int:
     elif args.format == "json":
         report = density.limits_report(prof, args.min_window)
         report["profile"] = [
-            {"n": c.n, "count": c.count, "total": c.total,
-             "density": frac_str(c.density)}
-            for c in prof.counts
+            {"n": n, "count": count, "total": total, "density": frac_str(d)}
+            for n, count, total, d in prof.rows()
         ]
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
@@ -220,11 +216,8 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     alphabet = Alphabet(args.alphabet)
-    budget = args.budget
-    if budget is None:
-        budget = int(float(os.environ.get(BUDGET_ENV, search.DEFAULT_NODE_BUDGET)))
     started = time.monotonic()
-    result = search.max_productfree(alphabet, args.horizon, args.objective, budget)
+    result = search.max_productfree(alphabet, args.horizon, args.objective, args.budget)
     elapsed = time.monotonic() - started
     payload = {
         "alphabet": alphabet.symbols,
@@ -327,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="ab")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--objective", choices=search.OBJECTIVES, default="mean")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"node budget (default from ${BUDGET_ENV} or built-in)")
+    p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
+                   help="search node budget (default %(default)s)")
     p.add_argument("--out", help="write the witness as a word list")
     p.add_argument("--stats", action="store_true",
                    help="print node count and timing to stderr")

@@ -18,11 +18,12 @@ from .sets import (
     DEFAULT_STATE_CAP,
     Dfa,
     LayeredSet,
+    _first_split,
     _minimized,
     dfa_complement,
     dfa_concat,
 )
-from .words import Alphabet, ENUMERATION_BUDGET, reversed_rank
+from .words import Alphabet, ENUMERATION_BUDGET, _over_budget, reversed_rank
 
 
 def odd_occurrence(alphabet: Alphabet, gamma: str) -> Dfa:
@@ -124,6 +125,9 @@ def asymmetric_triple(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     total = alphabet.layer_size(n)
+    # W's bitset holds q**n bits and X's automaton one state per proper prefix.
+    if _over_budget(alphabet.q**k for k in range(1, n + 1)):
+        raise ValueError(f"layer {n} over the enumeration budget")
     # Existence of an integer count within the open interval (phi +- eps/3) * total.
     upper = (PHI + eps / 3) * Fraction(total)
     lower = (PHI - eps / 3) * Fraction(total)
@@ -222,6 +226,8 @@ def greedy_random_productfree(
     odd-length truncation).
     """
     q = alphabet.q
+    if _over_budget(q**n for n in range(1, max_len + 1)):
+        raise ValueError(f"max length {max_len} over the enumeration budget")
     items = [(n, r) for n in range(1, max_len + 1) for r in range(q**n)]
     rng = random.Random(seed)
     if schedule == "uniform":
@@ -250,10 +256,8 @@ def _insertion_safe(
 ) -> bool:
     q = alphabet.q
     # w = x.y with both factors already in.
-    for m in range(1, n):
-        tail = q ** (n - m)
-        if (fwd[m] >> (r // tail)) & 1 and (fwd[n - m] >> (r % tail)) & 1:
-            return False
+    if _first_split(fwd, q, n, r, range(1, n)):
+        return False
     # w.w already in.
     if 2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1:
         return False

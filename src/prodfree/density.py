@@ -1,9 +1,10 @@
 """Exact density profiles and the three density notions.
 
-Layer density d(n) = |S ∩ F(n)| / q**n is computed with big integers and
-held as a Fraction; the asymptotic and Banach values over a finite horizon
-are honest estimates unless the profile is backed by an automaton and an
-eventually periodic pattern was detected, in which case the limit is exact.
+Layer density d(n) = |S ∩ F(n)| / q**n is computed from big-integer layer
+counts; the asymptotic and Banach values over a finite horizon are honest
+estimates unless the profile is backed by an automaton and an eventually
+periodic pattern was detected on enough layers to persist forever, in
+which case the limit is exact.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .sets import (
     Dfa,
-    LayerCount,
     LayeredSet,
     dfa_layer_counts,
     dfa_prefix_excluded_count,
@@ -51,29 +52,63 @@ class PeriodReport:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """d(1..horizon) as exact rationals, plus the underlying counts.
+    """Layer counts |S ∩ F(n)| for n = 1..horizon over a q-symbol alphabet.
 
-    extendable marks profiles backed by an automaton, whose layer counts
-    are determined at every length; explicit truncations are not, so no
-    limit claimed from them is ever flagged exact.
+    num_states is the size of the automaton behind the profile, or 0 for an
+    explicit truncation, whose counts say nothing past its horizon, so no
+    limit claimed from it is ever flagged exact.  Densities and prefix sums
+    are derived from the counts on first use and kept.
     """
 
-    horizon: int
-    counts: tuple[LayerCount, ...]
-    extendable: bool
+    q: int
+    counts: tuple[int, ...]
+    num_states: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 1 or len(self.counts) != self.horizon:
-            raise ValueError("profile must cover layers 1..horizon")
+        if not self.counts:
+            raise ValueError("profile must cover layers 1..horizon, horizon >= 1")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.counts)
+
+    @property
+    def extendable(self) -> bool:
+        """Backed by an automaton, so counts are determined at every length."""
+        return self.num_states > 0
 
     def density(self, n: int) -> Fraction:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"layer {n} outside profile horizon {self.horizon}")
-        return self.counts[n - 1].density
+        return self.densities[n - 1]
 
-    @property
+    @cached_property
     def densities(self) -> tuple[Fraction, ...]:
-        return tuple(c.density for c in self.counts)
+        return tuple(Fraction(c, t) for c, t in zip(self.counts, self.totals))
+
+    @cached_property
+    def totals(self) -> tuple[int, ...]:
+        """q**n for n = 1..horizon."""
+        return tuple(self.q**n for n in range(1, self.horizon + 1))
+
+    def rows(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """(n, count, q**n, d(n)) for n = 1..horizon."""
+        return zip(range(1, self.horizon + 1), self.counts, self.totals, self.densities)
+
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """prefix[n] = (d(1) + ... + d(n)) * q**horizon, an exact integer."""
+        out = [0]
+        scale = self.q**self.horizon
+        for count in self.counts:
+            scale //= self.q
+            out.append(out[-1] + count * scale)
+        return tuple(out)
+
+    def mean(self, window: WindowSpec) -> Fraction:
+        """Mean layer density over the window."""
+        total = self.prefix[window.end] - self.prefix[window.start - 1]
+        return Fraction(total, window.length * self.q**self.horizon)
 
 
 @dataclass(frozen=True)
@@ -94,27 +129,18 @@ class DensityLimit:
 def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
     """Exact density profile of s up to the horizon."""
     if isinstance(s, LayeredSet):
-        if horizon is None:
-            horizon = s.horizon
+        horizon = s.horizon if horizon is None else horizon
         if horizon > s.horizon:
             raise ValueError(
                 f"profile horizon {horizon} exceeds explicit horizon {s.horizon}"
             )
-        counts = tuple(
-            LayerCount(n, s.layer_count(n), s.alphabet.layer_size(n))
-            for n in range(1, horizon + 1)
-        )
-        return DensityProfile(horizon, counts, extendable=False)
-    if horizon is None:
-        horizon = DEFAULT_REGULAR_HORIZON
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    raw = dfa_layer_counts(s, horizon)
-    counts = tuple(
-        LayerCount(n, raw[n - 1], s.alphabet.layer_size(n))
-        for n in range(1, horizon + 1)
-    )
-    return DensityProfile(horizon, counts, extendable=True)
+        counts = [s.layer_count(n) for n in range(1, horizon + 1)]
+        num_states = 0
+    else:
+        horizon = DEFAULT_REGULAR_HORIZON if horizon is None else horizon
+        counts = dfa_layer_counts(s, horizon)
+        num_states = s.num_states
+    return DensityProfile(s.alphabet.q, tuple(counts), num_states)
 
 
 def refined_density(
@@ -130,16 +156,8 @@ def refined_density(
 
 def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
     """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
-    if isinstance(s, LayeredSet):
-        if n > s.horizon:
-            raise ValueError(f"ball radius {n} exceeds horizon {s.horizon}")
-        member = sum(s.layer_count(i) for i in range(1, n + 1))
-        q = s.alphabet.q
-    else:
-        member = sum(dfa_layer_counts(s, n))
-        q = s.alphabet.q
-    total = sum(q**i for i in range(1, n + 1))
-    return Fraction(member, total)
+    p = profile(s, n)
+    return Fraction(sum(p.counts), sum(p.totals))
 
 
 def detect_period(p: DensityProfile) -> PeriodReport:
@@ -160,53 +178,50 @@ def detect_period(p: DensityProfile) -> PeriodReport:
     return PeriodReport(0, 0, False)
 
 
-def _period_mean(p: DensityProfile, report: PeriodReport) -> Fraction:
-    start = report.preperiod
-    return Fraction(
-        sum(p.densities[start - 1 : start - 1 + report.period], Fraction(0)),
-        report.period,
-    )
+def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimit:
+    """The first window (start, end) of largest mean, and the limit it
+    estimates.
+
+    The limit is exact when an automaton backs the profile and the detected
+    period holds on at least num_states consecutive layers: the gap
+    d(n + period) - d(n) obeys a linear recurrence of order at most
+    num_states, so that many zeros in a row persist at every length.
+    """
+    prefix = p.prefix
+    # Means compared by cross-multiplication over the common q**horizon;
+    # the -1 start loses to every window.
+    best_sum, best_len, best = -1, 1, (1, 1)
+    for m, n in windows:
+        total = prefix[n] - prefix[m - 1]
+        if total * best_len > best_sum * (n - m + 1):
+            best_sum, best_len, best = total, n - m + 1, (m, n)
+    window = WindowSpec(*best)
+    finite_max = p.mean(window)
+    report = detect_period(p) if p.horizon >= 4 else PeriodReport(0, 0, False)
+    evidence = p.horizon - report.period - report.preperiod + 1
+    if p.extendable and report.holds and evidence >= p.num_states:
+        start = report.preperiod
+        value = p.mean(WindowSpec(start, start + report.period - 1))
+        return DensityLimit(value, True, finite_max, window, report)
+    return DensityLimit(finite_max, False, finite_max, window, report)
 
 
 def upper_asymptotic(p: DensityProfile) -> DensityLimit:
     """limsup of prefix averages: exact under detected periodicity."""
-    best = Fraction(-1)
-    best_n = 1
-    acc = Fraction(0)
-    for n in range(1, p.horizon + 1):
-        acc += p.densities[n - 1]
-        mean = acc / n
-        if mean > best:
-            best = mean
-            best_n = n
-    window = WindowSpec(1, best_n)
-    report = detect_period(p) if p.horizon >= 4 else PeriodReport(0, 0, False)
-    if p.extendable and report.holds:
-        return DensityLimit(_period_mean(p, report), True, best, window, report)
-    return DensityLimit(best, False, best, window, report)
+    return _limit(p, ((1, n) for n in range(1, p.horizon + 1)))
 
 
 def upper_banach(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> DensityLimit:
     """limsup of window means over windows of length >= min_window."""
-    if not 1 <= min_window <= p.horizon:
+    h = p.horizon
+    if not 1 <= min_window <= h:
         raise ValueError(
-            f"min window {min_window} outside 1..{p.horizon}"
+            f"min window {min_window} outside 1..{h}"
         )
-    prefix = [Fraction(0)]
-    for d in p.densities:
-        prefix.append(prefix[-1] + d)
-    best = Fraction(-1)
-    best_w = WindowSpec(1, min_window)
-    for m in range(1, p.horizon - min_window + 2):
-        for n in range(m + min_window - 1, p.horizon + 1):
-            mean = (prefix[n] - prefix[m - 1]) / (n - m + 1)
-            if mean > best:
-                best = mean
-                best_w = WindowSpec(m, n)
-    report = detect_period(p) if p.horizon >= 4 else PeriodReport(0, 0, False)
-    if p.extendable and report.holds:
-        return DensityLimit(_period_mean(p, report), True, best, best_w, report)
-    return DensityLimit(best, False, best, best_w, report)
+    return _limit(p, (
+        (m, n) for m in range(1, h - min_window + 2)
+        for n in range(m + min_window - 1, h + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +234,8 @@ def frac_str(x: Fraction) -> str:
 
 def profile_csv(p: DensityProfile) -> str:
     lines = ["n,count,total,density_num,density_den"]
-    for c in p.counts:
-        d = c.density
-        lines.append(f"{c.n},{c.count},{c.total},{d.numerator},{d.denominator}")
+    for n, count, total, d in p.rows():
+        lines.append(f"{n},{count},{total},{d.numerator},{d.denominator}")
     return "\n".join(lines) + "\n"
 
 

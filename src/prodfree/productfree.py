@@ -16,6 +16,8 @@ from .sets import (
     DEFAULT_STATE_CAP,
     Dfa,
     LayeredSet,
+    _first_split,
+    _iter_bits,
     dfa_concat,
     dfa_intersect,
     dfa_is_empty,
@@ -52,21 +54,15 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
         ]
         if not splits:
             continue
-        bits = layer
-        while bits:
-            low = bits & -bits
-            r = low.bit_length() - 1
-            bits ^= low
-            for m in splits:
+        for r in _iter_bits(layer):
+            m = _first_split(s.layers, q, n, r, splits)
+            if m:
                 tail = q ** (n - m)
-                if (s.layers[m] >> (r // tail)) & 1 and (
-                    s.layers[n - m] >> (r % tail)
-                ) & 1:
-                    return WitnessTriple(
-                        unrank(s.alphabet, m, r // tail),
-                        unrank(s.alphabet, n - m, r % tail),
-                        unrank(s.alphabet, n, r),
-                    )
+                return WitnessTriple(
+                    unrank(s.alphabet, m, r // tail),
+                    unrank(s.alphabet, n - m, r % tail),
+                    unrank(s.alphabet, n, r),
+                )
     return None
 
 

@@ -218,9 +218,6 @@ def extract_lsequence(
         raise ValueError(f"eps must be positive, got {eps}")
     prof = profile(s, horizon)
     dens = prof.densities
-    prefix = [Fraction(0)]
-    for d in dens:
-        prefix.append(prefix[-1] + d)
 
     policy = f"doubling windows, min length {min_window}, starts ascending"
     probes: list[WindowProbe] = []
@@ -250,7 +247,7 @@ def extract_lsequence(
         chosen: int | None = None
         chosen_term = Fraction(0)
         for window in _doubling_windows(lengths[-1] + 1, horizon, min_window):
-            mean = (prefix[window.end] - prefix[window.start - 1]) / window.length
+            mean = prof.mean(window)
             qualifies = mean > threshold
             picked: int | None = None
             if qualifies:
@@ -307,11 +304,7 @@ def window_bound_certificate(
     lk = lseq.lengths[-1]
     if window.start <= lk:
         raise ValueError(f"window must start above l_k = {lk}")
-    prof = profile(s, window.end)
-    mean = Fraction(
-        sum(prof.density(n) for n in range(window.start, window.end + 1)),
-        1,
-    ) / window.length
+    mean = profile(s, window.end).mean(window)
     bound = Fraction(2**k, 2 ** (k + 1) - 1) + Fraction(2 * (lk + 1), window.length)
     return WindowCertificate(window, k, lk, bound, mean, mean <= bound)
 

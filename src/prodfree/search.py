@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .sets import LayeredSet
-from .words import Alphabet
+from .sets import LayeredSet, _iter_bits
+from .words import ENUMERATION_BUDGET, Alphabet, _over_budget
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EXHAUSTIVE_ITEM_CAP = 22
@@ -52,6 +53,17 @@ def _universe(alphabet: Alphabet, horizon: int) -> list[tuple[int, int]]:
     ]
 
 
+def _as_layered(
+    alphabet: Alphabet, horizon: int, items: list[tuple[int, int]], chosen: Iterable[int]
+) -> LayeredSet:
+    """The set of universe words whose indices are chosen."""
+    layers = [0] * (horizon + 1)
+    for idx in chosen:
+        n, r = items[idx]
+        layers[n] |= 1 << r
+    return LayeredSet(alphabet, horizon, tuple(layers))
+
+
 def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
     """All (x, y, z) universe indices with x.y = z inside the ball."""
     q = alphabet.q
@@ -80,12 +92,13 @@ def exhaustive_max_productfree(
 ) -> SearchResult:
     """Brute-force reference: enumerate every subset of the ball."""
     _check_objective(objective)
-    items = _universe(alphabet, horizon)
-    if len(items) > EXHAUSTIVE_ITEM_CAP:
-        raise ValueError(
-            f"{len(items)} words exceed the exhaustive cap {EXHAUSTIVE_ITEM_CAP}"
-        )
     q = alphabet.q
+    if _over_budget((q**n for n in range(1, horizon + 1)), EXHAUSTIVE_ITEM_CAP):
+        raise ValueError(
+            f"F_<=({horizon}) has over {EXHAUSTIVE_ITEM_CAP} words: "
+            f"it would exceed the exhaustive cap"
+        )
+    items = _universe(alphabet, horizon)
     weights = [q ** (horizon - n) for n, _ in items]
     triple_masks = [
         (1 << x) | (1 << y) | (1 << z) for x, y, z in _triples(alphabet, horizon)
@@ -95,20 +108,11 @@ def exhaustive_max_productfree(
     for mask in range(1 << len(items)):
         if any(tm & mask == tm for tm in triple_masks):
             continue
-        w = 0
-        m = mask
-        while m:
-            low = m & -m
-            w += weights[low.bit_length() - 1]
-            m ^= low
+        w = sum(weights[i] for i in _iter_bits(mask))
         if w > best_weight:
             best_weight = w
             best_mask = mask
-    layers = [0] * (horizon + 1)
-    for i, (n, r) in enumerate(items):
-        if (best_mask >> i) & 1:
-            layers[n] |= 1 << r
-    best = LayeredSet(alphabet, horizon, tuple(layers))
+    best = _as_layered(alphabet, horizon, items, _iter_bits(best_mask))
     return SearchResult(
         horizon,
         objective,
@@ -133,7 +137,12 @@ def upper_bound(
     product constraint against the already included complementary layers.
     """
     _check_objective(objective)
-    q = alphabet.q
+    weight = _bound_weight(alphabet.q, horizon, included, undecided)
+    return _scale(weight, alphabet, horizon, objective)
+
+
+def _bound_weight(q: int, horizon: int, included: list[int], undecided: list[int]) -> int:
+    """upper_bound as an integer weight, q**(horizon - n) per word of length n."""
     total = 0
     for n in range(1, horizon + 1):
         cap = included[n] + undecided[n]
@@ -142,7 +151,7 @@ def upper_bound(
             cap = min(cap, size - included[m] * included[n - m])
         cap = max(cap, included[n])
         total += cap * q ** (horizon - n)
-    return _scale(total, alphabet, horizon, objective)
+    return total
 
 
 class _BudgetExceeded(Exception):
@@ -243,22 +252,6 @@ class _Search:
                 self.undecided[n] += 1
                 self.weight_open += self.weights[idx]
 
-    # -- bound -----------------------------------------------------------
-
-    def _bound_weight(self) -> int:
-        q = self.q
-        total = 0
-        included = self.included
-        undecided = self.undecided
-        for n in range(1, self.horizon + 1):
-            cap = included[n] + undecided[n]
-            size = q**n
-            for m in range(1, n):
-                cap = min(cap, size - included[m] * included[n - m])
-            cap = max(cap, included[n])
-            total += cap * q ** (self.horizon - n)
-        return total
-
     # -- search ----------------------------------------------------------
 
     def seed(self, status: list[int], value: int) -> None:
@@ -296,7 +289,7 @@ class _Search:
             # No triple can still fire: every open word is freely includable.
             self._record_completion(self.weight_open, open_all=True)
             return
-        if self._bound_weight() <= self.floor:
+        if _bound_weight(self.q, self.horizon, self.included, self.undecided) <= self.floor:
             return
         while cursor < self.nitems and self.status[cursor] != 0:
             cursor += 1
@@ -329,6 +322,13 @@ def max_productfree(
     _check_objective(objective)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # The search stores every triple x.y = z: (n - 1) * q**n of them per |z| = n.
+    q = alphabet.q
+    if _over_budget((n - 1) * q**n for n in range(2, horizon + 1)):
+        raise ValueError(
+            f"search horizon {horizon} has over {ENUMERATION_BUDGET} product "
+            f"triples, over the enumeration budget"
+        )
     search = _Search(alphabet, horizon, node_budget)
     # The odd-length truncation is always product-free (odd + odd = even),
     # so it makes a safe starting incumbent.
@@ -337,12 +337,8 @@ def max_productfree(
         _odd_truncation_weight(alphabet, horizon),
     )
     weight, status, proved = search.run()
-    layers = [0] * (horizon + 1)
-    for idx, st in enumerate(status):
-        if st == 1:
-            n, r = search.items[idx]
-            layers[n] |= 1 << r
-    best = LayeredSet(alphabet, horizon, tuple(layers))
+    chosen = (idx for idx, st in enumerate(status) if st == 1)
+    best = _as_layered(alphabet, horizon, search.items, chosen)
     return SearchResult(
         horizon,
         objective,

@@ -14,7 +14,6 @@ DFA is { w : |w| >= 1 and run(start, w) is accepting }.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
 from .words import (
@@ -32,23 +31,6 @@ DEFAULT_EXPLICIT_HORIZON = 16
 
 class StateBudgetError(RuntimeError):
     """An automaton construction exceeded the configured state cap."""
-
-
-@dataclass(frozen=True)
-class LayerCount:
-    """Exact member count of one layer."""
-
-    n: int
-    count: int
-    total: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.count <= self.total:
-            raise ValueError(f"layer {self.n}: count {self.count} > total {self.total}")
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.count, self.total)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +77,8 @@ class LayeredSet:
     def words(self) -> Iterator[Word]:
         """Members in (length, rank) order."""
         for n in range(1, self.horizon + 1):
-            bits = self.layers[n]
-            while bits:
-                low = bits & -bits
-                yield unrank(self.alphabet, n, low.bit_length() - 1)
-                bits ^= low
+            for r in _iter_bits(self.layers[n]):
+                yield unrank(self.alphabet, n, r)
 
     def is_empty(self) -> bool:
         return all(b == 0 for b in self.layers)
@@ -114,6 +93,28 @@ def _iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _spread(left: int, block: int, width: int) -> int:
+    """Ranks of x.y for x in left and y in block, where y ranges over a
+    layer of width words: rank(x.y) = rank(x)*width + rank(y), so each x
+    contributes block shifted to its own contiguous range."""
+    out = 0
+    for x in _iter_bits(left):
+        out |= block << (x * width)
+    return out
+
+
+def _first_split(
+    layers: list[int] | tuple[int, ...], q: int, n: int, r: int, splits: Iterable[int]
+) -> int:
+    """First m in splits that cuts the length-n word of rank r into x.y with
+    |x| = m and both factors in layers, or 0 when none does."""
+    for m in splits:
+        tail = q ** (n - m)
+        if (layers[m] >> (r // tail)) & 1 and (layers[n - m] >> (r % tail)) & 1:
+            return m
+    return 0
 
 
 def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
@@ -200,25 +201,15 @@ def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSe
         if not s1.layers[m]:
             continue
         for k in range(1, min(s2.horizon, horizon - m) + 1):
-            right = s2.layers[k]
-            if not right:
-                continue
-            width = q**k
-            for x in _iter_bits(s1.layers[m]):
-                # rank(x.y) = rank(x)*q**|y| + rank(y): a contiguous block.
-                layers[m + k] |= right << (x * width)
+            if s2.layers[k]:
+                layers[m + k] |= _spread(s1.layers[m], s2.layers[k], q**k)
     return LayeredSet(s1.alphabet, horizon, tuple(layers))
 
 
 def prefix_spread(s: LayeredSet, ell: int, n: int) -> int:
     """Bitset of layer n covered by S(ell) . F(n-ell)."""
-    q = s.alphabet.q
-    width = q ** (n - ell)
-    block = (1 << width) - 1
-    out = 0
-    for x in _iter_bits(s.layers[ell]):
-        out |= block << (x * width)
-    return out
+    width = s.alphabet.q ** (n - ell)
+    return _spread(s.layers[ell], (1 << width) - 1, width)
 
 
 def validate_ell_sequence(ells: tuple[int, ...], n: int) -> None:
@@ -502,26 +493,23 @@ def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
     return True, None
 
 
-def dfa_layer_count(d: Dfa, n: int) -> LayerCount:
-    """|L(d) ∩ F(n)| by iterating the per-state path-count vector."""
-    if n < 1:
-        raise ValueError(f"layer index must be >= 1, got {n}")
-    return LayerCount(n, dfa_layer_counts(d, n)[-1], d.alphabet.layer_size(n))
+def _step(d: Dfa, vec: list[int]) -> list[int]:
+    """One transfer-matrix step: per-state counts of runs one symbol longer."""
+    nxt = [0] * d.num_states
+    for s, cnt in enumerate(vec):
+        if cnt:
+            for t in d.delta[s]:
+                nxt[t] += cnt
+    return nxt
 
 
 def dfa_layer_counts(d: Dfa, horizon: int) -> list[int]:
     """[|L(d) ∩ F(n)| for n = 1..horizon] in one transfer-matrix sweep."""
-    q = d.alphabet.q
     vec = [0] * d.num_states
     vec[d.start] = 1
     out = []
     for _ in range(horizon):
-        nxt = [0] * d.num_states
-        for s, cnt in enumerate(vec):
-            if cnt:
-                for c in range(q):
-                    nxt[d.delta[s][c]] += cnt
-        vec = nxt
+        vec = _step(d, vec)
         out.append(sum(vec[s] for s in d.accepting))
     return out
 
@@ -536,19 +524,13 @@ def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
     ells = tuple(ells)
     validate_ell_sequence(ells, n)
     forbidden = set(ells)
-    q = d.alphabet.q
     vec = [0] * d.num_states
     vec[d.start] = 1
     for depth in range(1, n + 1):
-        nxt = [0] * d.num_states
-        for s, cnt in enumerate(vec):
-            if cnt:
-                for c in range(q):
-                    nxt[d.delta[s][c]] += cnt
+        vec = _step(d, vec)
         if depth in forbidden:
             for s in d.accepting:
-                nxt[s] = 0
-        vec = nxt
+                vec[s] = 0
     return sum(vec[s] for s in d.accepting)
 
 

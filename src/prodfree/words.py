@@ -18,6 +18,17 @@ MAX_SYMBOLS = 16
 ENUMERATION_BUDGET = 1 << 22
 
 
+def _over_budget(sizes: Iterable[int], budget: int = ENUMERATION_BUDGET) -> bool:
+    """Whether the sizes sum past the budget.  Stops at the first partial sum
+    over it, so a huge horizon is refused after a few terms."""
+    total = 0
+    for size in sizes:
+        total += size
+        if total > budget:
+            return True
+    return False
+
+
 class FormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -184,6 +186,20 @@ class TestCertify:
         assert capsys.readouterr().out == first
 
 
+class TestOversizedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--horizon", "40"],
+        ["construct", "random", "--seed", "1", "--max-len", "40"],
+        ["construct", "asymmetric", "--n", "40", "--eps", "1/10"],
+    ])
+    def test_refused_before_allocating(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        started = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - started < 1
+        assert "enumeration budget" in capsys.readouterr().err
+
+
 class TestSearch:
     def test_known_optimum_at_horizon_two(self, capsys):
         assert main(["search", "--alphabet", "ab", "--horizon", "2"]) == 0
@@ -241,3 +257,73 @@ class TestRoundTrips:
               "--out", str(out)])
         alphabet, horizon, words = read_word_list(out.read_text())
         assert write_word_list(words, alphabet, horizon) == out.read_text()
+
+
+# sha256 of (exit code, stdout) for each command, frozen from a reference
+# build: a refactor must leave every byte of the CLI's stdout unchanged.
+PINNED_COMMANDS = {
+    "density-csv": ["density"],
+    "density-json": ["density", "--format", "json"],
+    "density-text": ["density", "--format", "text"],
+    "certify": ["certify", "--min-window", "4"],
+    "phi-levelset": ["phi-levelset"],
+    "verify-prop": ["verify-prop", "--lengths", "1,2", "--n", "5"],
+}
+PINNED_DIGESTS = {
+    "odd_a/certify":
+        "2db725daeb7236f30cb2563519bad37b9f509dd908ea0032cae2560fe91e9444",
+    "odd_a/density-csv":
+        "90a611404650602c03d2f29a4450e9c88e58e338a32ce1d4f65234ea21822ff8",
+    "odd_a/density-json":
+        "703a00691865e13e6e81bcc94ab5f11047517d0d885dca418929ea02243b638c",
+    "odd_a/density-text":
+        "595a24e037becba7a8f18f32958b0460c536b5e60bd16c929b794676f8dd8e09",
+    "odd_a/phi-levelset":
+        "2fcf27400e4ac6d5e483d96966069b3bd27a1c4e70e7ceb4038472e39b1d78b6",
+    "odd_a/verify-prop":
+        "f2ead26bd8b082571a29e1110e55607ae0560a560e240a9e3b74fb71b0339ac6",
+    "random/certify":
+        "ea84c87fb186f84695ab0d70b678b86aa237768db60af2ca5d92db076aa56df2",
+    "random/construct":
+        "a2b008faf1d5fee9415480e51c454db28cd305e129b272a9693a70bed71bce08",
+    "random/density-csv":
+        "89c3f1c1c493213dfcc2657ce6609432dbb8dba271f8e49e96d901460e97e8cb",
+    "random/density-json":
+        "a8cda074d60f8149058fa20681a4d756205516e3bc90d6f22bc7eb364937cf2d",
+    "random/density-text":
+        "da3829caf3d090defaec0096413db5489cb69031f796d202a12beb7d02acce7b",
+    "random/phi-levelset":
+        "a6b36e944804df789ff1ff534b3b85a0b96e89fff8a618027ed1216fd15263d2",
+    "random/verify-prop":
+        "08717cf9197f1095100ec602b669cfb3dca00101af13f8562451e501cf70a54d",
+    "search":
+        "f7ea9192fc9b2e2bccbad1840182dcf1bdf859b751804165ba88445082526026",
+}
+
+
+def _pinned_digest(argv, capsys) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+class TestPinnedStdout:
+    @pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+    def test_odd_a_dfa(self, command, odd_a_file, capsys):
+        argv = [*PINNED_COMMANDS[command], "--dfa", str(odd_a_file)]
+        assert _pinned_digest(argv, capsys) == PINNED_DIGESTS[f"odd_a/{command}"]
+
+    @pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+    def test_random_fixture(self, command, tmp_path, capsys):
+        words = tmp_path / "random.words"
+        assert main(["construct", "random", "--seed", "7", "--max-len", "8",
+                     "--out", str(words)]) == 0
+        argv = [*PINNED_COMMANDS[command], "--words", str(words)]
+        assert _pinned_digest(argv, capsys) == PINNED_DIGESTS[f"random/{command}"]
+
+    def test_random_fixture_file(self, tmp_path, capsys):
+        assert _pinned_digest(["construct", "random", "--seed", "7",
+                               "--max-len", "8"], capsys) == PINNED_DIGESTS["random/construct"]
+
+    def test_search(self, capsys):
+        assert _pinned_digest(["search", "--horizon", "4"], capsys) == PINNED_DIGESTS["search"]

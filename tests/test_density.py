@@ -17,7 +17,9 @@ from prodfree.density import (
     upper_banach,
 )
 from prodfree.sets import (
+    Dfa,
     dfa_full,
+    dfa_layer_counts,
     dfa_truncate,
     explicit_empty,
     explicit_from_words,
@@ -49,8 +51,9 @@ class TestProfile:
 
     def test_counts_are_consistent(self):
         prof = profile(ODD_A, 12)
-        for c in prof.counts:
-            assert c.density * c.total == c.count
+        assert prof.counts == tuple(dfa_layer_counts(ODD_A, 12))
+        for n, count, total, d in prof.rows():
+            assert total == 2**n and d * total == count
 
     def test_horizon_exceeded(self):
         s = explicit_full(AB, 4)
@@ -193,6 +196,18 @@ class TestBallDensity:
 
 
 class TestExactness:
+    def test_periodic_evidence_must_cover_the_state_count(self):
+        # "Length >= 70" needs 71 states and has limit 1; at H = 64 every
+        # layer is empty, which looks periodic but proves nothing.
+        delta = tuple((min(k + 1, 70),) * 2 for k in range(71))
+        late = Dfa(AB, 71, 0, frozenset({70}), delta)
+        for limit in (upper_asymptotic(profile(late, 64)),
+                      upper_banach(profile(late, 64))):
+            assert limit.value == 0 and not limit.exact
+        for limit in (upper_asymptotic(profile(late, 256)),
+                      upper_banach(profile(late, 256))):
+            assert limit.value == 1 and limit.exact
+
     def test_summation_order_invariance(self):
         prof = profile(ODD_A, 20)
         forward = sum(prof.densities, Fraction(0))
