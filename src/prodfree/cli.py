@@ -189,11 +189,12 @@ def cmd_certify(args) -> int:
     all_hold = True
     if lseq.k >= 1:
         lk = lseq.lengths[-1]
+        prof = density.profile(s, horizon)
         for start in range(lk + 1, horizon - args.min_window + 2):
             window = density.WindowSpec(start, min(horizon, start + args.min_window - 1))
             if window.length < args.min_window:
                 continue
-            cert = proofkit.window_bound_certificate(s, window, lseq)
+            cert = proofkit.window_bound_certificate(prof, window, lseq)
             certificates.append({
                 "window": [window.start, window.end],
                 "bound": frac_str(cert.bound),

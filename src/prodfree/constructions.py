@@ -18,12 +18,13 @@ from .sets import (
     DEFAULT_STATE_CAP,
     Dfa,
     LayeredSet,
+    _check_horizon,
     _first_split,
     _minimized,
     dfa_complement,
     dfa_concat,
 )
-from .words import Alphabet, ENUMERATION_BUDGET, _over_budget, reversed_rank
+from .words import Alphabet, _over_budget, reversed_rank
 
 
 def odd_occurrence(alphabet: Alphabet, gamma: str) -> Dfa:
@@ -70,8 +71,7 @@ def counting_pathology(
         horizon = 2**c + c
     if horizon < 2**c + c:
         raise ValueError(f"horizon {horizon} below the first block end {2**c + c}")
-    if alphabet.q**horizon > ENUMERATION_BUDGET:
-        raise ValueError(f"horizon {horizon} over the enumeration budget")
+    _check_horizon(alphabet, horizon, "pathology")
     layers = [0] * (horizon + 1)
     for n in pathology_lengths(c, horizon):
         layers[n] = (1 << alphabet.layer_size(n)) - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .density import WindowSpec, profile, refined_density
+from .density import DensityProfile, WindowSpec, profile, refined_density
 from .sets import Dfa, LayeredSet, validate_ell_sequence
 
 HALF = Fraction(1, 2)
@@ -286,13 +286,15 @@ class WindowCertificate:
 
 
 def window_bound_certificate(
-    s: LayeredSet | Dfa, window: WindowSpec, lseq: LSequence
+    s: LayeredSet | Dfa | DensityProfile, window: WindowSpec, lseq: LSequence
 ) -> WindowCertificate:
     """Certified window bound 2^k/(2^(k+1)-1) + 2(l_k+1)/|I|.
 
     Requires the sequence's cumulative sum to have reached 1 - 1/2^k and the
     window to sit entirely above l_k; the verdict asserts the window's mean
-    layer density stays at or below the bound.
+    layer density stays at or below the bound.  s may also be the set's
+    profile up to any horizon reaching the window's end, so one profile
+    serves many windows.
     """
     k = lseq.k
     if k < 1:
@@ -304,7 +306,11 @@ def window_bound_certificate(
     lk = lseq.lengths[-1]
     if window.start <= lk:
         raise ValueError(f"window must start above l_k = {lk}")
-    mean = profile(s, window.end).mean(window)
+    if not isinstance(s, DensityProfile):
+        s = profile(s, window.end)
+    elif s.horizon < window.end:
+        raise ValueError(f"window ends past the profile horizon {s.horizon}")
+    mean = s.mean(window)
     bound = Fraction(2**k, 2 ** (k + 1) - 1) + Fraction(2 * (lk + 1), window.length)
     return WindowCertificate(window, k, lk, bound, mean, mean <= bound)
 

@@ -1,8 +1,9 @@
 """Exact maximum-density product-free subset search over a ball F_<=(N).
 
 Branch and bound over words in (length, rank) order, include-branch first,
-with incremental triple propagation and a per-layer relaxation bound built
-from the pairwise product constraint |S(n)| <= q**n - |S(m)||S(n-m)|.
+with triple propagation over a bitmask of live triples and a per-layer
+relaxation bound built from the pairwise product constraint
+|S(n)| <= q**n - |S(m)||S(n-m)|, kept up to date as words are included.
 Values are exact rationals; witnesses are deterministic (the first optimum
 in the fixed branching order, which greedily includes the earliest words).
 
@@ -17,10 +18,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .sets import LayeredSet, _iter_bits
-from .words import ENUMERATION_BUDGET, Alphabet, _over_budget
+from .words import Alphabet, _over_budget
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EXHAUSTIVE_ITEM_CAP = 22
+# Each universe word keeps a bitmask over all product triples, so the search
+# needs up to |F_<=(N)| * (number of triples) bits.
+_MASK_BIT_BUDGET = 1 << 28
 
 OBJECTIVES = ("mean", "total")
 
@@ -137,55 +141,89 @@ def upper_bound(
     product constraint against the already included complementary layers.
     """
     _check_objective(objective)
-    weight = _bound_weight(alphabet.q, horizon, included, undecided)
+    sizes = _layer_sizes(alphabet.q, horizon)
+    pair = _pair_caps(sizes, included)
+    weight = _bound_weight(included, undecided, pair, sizes[::-1])
     return _scale(weight, alphabet, horizon, objective)
 
 
-def _bound_weight(q: int, horizon: int, included: list[int], undecided: list[int]) -> int:
-    """upper_bound as an integer weight, q**(horizon - n) per word of length n."""
+def _layer_sizes(q: int, horizon: int) -> list[int]:
+    """q**n for n = 0..horizon; reversed, q**(horizon - n), the weight of a
+    length-n word."""
+    return [q**n for n in range(horizon + 1)]
+
+
+def _pair_caps(sizes: list[int], included: list[int]) -> list[int]:
+    """pair[n] = min over 0 < m < n of q**n - |S(m)||S(n-m)|, or q**n when
+    n has no split."""
+    return [
+        sizes[n] - max((included[m] * included[n - m] for m in range(1, n)), default=0)
+        for n in range(len(sizes))
+    ]
+
+
+def _bound_weight(
+    included: list[int], undecided: list[int], pair: list[int], layer_weight: list[int]
+) -> int:
+    """upper_bound as an integer weight, layer_weight[n] per word of length n:
+    layer n holds at most min(included + undecided, pair) words, and never
+    fewer than it already includes."""
     total = 0
-    for n in range(1, horizon + 1):
-        cap = included[n] + undecided[n]
-        size = q**n
-        for m in range(1, n):
-            cap = min(cap, size - included[m] * included[n - m])
-        cap = max(cap, included[n])
-        total += cap * q ** (horizon - n)
+    for n in range(1, len(pair)):
+        inc = included[n]
+        cap = inc + undecided[n]
+        if pair[n] < cap:
+            cap = pair[n] if pair[n] > inc else inc
+        total += cap * layer_weight[n]
     return total
+
+
+def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
+    """masks[idx] has bit t set when word idx is a member of triple t."""
+    rows = [bytearray((len(triples) + 7) // 8) for _ in range(nitems)]
+    for t, members in enumerate(triples):
+        byte, bit = t >> 3, 1 << (t & 7)
+        for member in members:
+            rows[member][byte] |= bit
+    # Replace each row in place, so only one row is held twice at a time.
+    for idx, row in enumerate(rows):
+        rows[idx] = int.from_bytes(row, "little")
+    return rows
 
 
 class _BudgetExceeded(Exception):
     pass
 
 
-# Undo-trail record tags: an exclusion of word idx is stored as idx, an
-# inclusion as NITEMS + idx, a killed triple t as 2*NITEMS + t.
-
-
 class _Search:
+    """Depth-first branch and bound with an undo trail.
+
+    Trail records are (idx, saved): an inclusion of idx saves the pair caps
+    above its length as they were before, an exclusion saves the bitmask of
+    the triples it killed.  The status of idx tells the two apart on undo.
+    """
+
     def __init__(self, alphabet: Alphabet, horizon: int, node_budget: int):
-        self.alphabet = alphabet
         self.horizon = horizon
-        self.q = alphabet.q
         self.node_budget = node_budget
         self.items = _universe(alphabet, horizon)
         self.nitems = len(self.items)
-        self.weights = [self.q ** (horizon - n) for n, _ in self.items]
-        triples = _triples(alphabet, horizon)
-        self.triples = triples
-        self.triples_of: list[list[int]] = [[] for _ in range(self.nitems)]
-        for idx, (x, y, z) in enumerate(triples):
-            for member in {x, y, z}:
-                self.triples_of[member].append(idx)
+        self.length = [n for n, _ in self.items]
+        self.sizes = _layer_sizes(alphabet.q, horizon)
+        self.layer_weight = self.sizes[::-1]
+        self.weights = [self.layer_weight[n] for n in self.length]
+        self.triples = _triples(alphabet, horizon)
+        self.masks = _member_masks(self.nitems, self.triples)
 
         # UNDECIDED=0, IN=1, OUT=2
         self.status = [0] * self.nitems
-        self.alive = [True] * len(triples)
-        self.live = len(triples)
+        # Bit t is set while triple t has no OUT member.
+        self.alive = (1 << len(self.triples)) - 1
         self.included = [0] * (horizon + 1)
         self.undecided = [0] * (horizon + 1)
-        for n, _ in self.items:
+        for n in self.length:
             self.undecided[n] += 1
+        self.pair = _pair_caps(self.sizes, self.included)
         self.weight_in = 0
         self.weight_open = sum(self.weights)
         self.nodes = 0
@@ -196,61 +234,63 @@ class _Search:
 
     # -- propagation with undo trail ------------------------------------
 
-    def _exclude(self, idx: int, trail: list[int]) -> None:
+    def _exclude(self, idx: int, trail: list) -> None:
         self.status[idx] = 2
-        n = self.items[idx][0]
-        self.undecided[n] -= 1
+        self.undecided[self.length[idx]] -= 1
         self.weight_open -= self.weights[idx]
-        trail.append(idx)
-        for t in self.triples_of[idx]:
-            if self.alive[t]:
-                self.alive[t] = False
-                self.live -= 1
-                trail.append(2 * self.nitems + t)
+        killed = self.alive & self.masks[idx]
+        self.alive ^= killed
+        trail.append((idx, killed))
 
-    def _include(self, idx: int, trail: list[int]) -> bool:
+    def _include(self, idx: int, trail: list) -> bool:
         """Mark idx in and propagate exclusions; False on contradiction."""
-        self.status[idx] = 1
-        n = self.items[idx][0]
+        status = self.status
+        status[idx] = 1
+        n = self.length[idx]
+        included = self.included
         self.undecided[n] -= 1
-        self.included[n] += 1
+        included[n] += 1
         self.weight_open -= self.weights[idx]
         self.weight_in += self.weights[idx]
-        trail.append(self.nitems + idx)
-        status = self.status
-        for t in self.triples_of[idx]:
-            if not self.alive[t]:
+        # The new |S(n)| enters only the terms q**L - |S(n)||S(L-n)| for
+        # L > n, and only lowers them, so each pair[L] takes the min with
+        # its new term.
+        pair = self.pair
+        sizes = self.sizes
+        count = included[n]
+        trail.append((idx, pair[n + 1:]))
+        for length in range(n + 1, self.horizon + 1):
+            term = sizes[length] - count * included[length - n]
+            if term < pair[length]:
+                pair[length] = term
+        triples = self.triples
+        for t in _iter_bits(self.alive & self.masks[idx]):
+            x, y, z = triples[t]
+            sx, sy, sz = status[x], status[y], status[z]
+            if sx == 2 or sy == 2 or sz == 2:
+                # Killed by an exclusion forced earlier in this loop.
                 continue
-            x, y, z = self.triples[t]
-            ins = (status[x] == 1) + (status[y] == 1) + (status[z] == 1)
+            ins = (sx == 1) + (sy == 1) + (sz == 1)
             if ins == 3:
                 return False
             if ins == 2:
-                forced = x if status[x] != 1 else (y if status[y] != 1 else z)
-                self._exclude(forced, trail)
+                self._exclude(x if sx != 1 else (y if sy != 1 else z), trail)
         return True
 
-    def _undo(self, trail: list[int]) -> None:
+    def _undo(self, trail: list) -> None:
+        status, length, weights = self.status, self.length, self.weights
         while trail:
-            rec = trail.pop()
-            if rec >= 2 * self.nitems:
-                t = rec - 2 * self.nitems
-                self.alive[t] = True
-                self.live += 1
-            elif rec >= self.nitems:
-                idx = rec - self.nitems
-                n = self.items[idx][0]
-                self.status[idx] = 0
-                self.undecided[n] += 1
+            idx, saved = trail.pop()
+            n = length[idx]
+            if status[idx] == 1:
                 self.included[n] -= 1
-                self.weight_open += self.weights[idx]
-                self.weight_in -= self.weights[idx]
+                self.pair[n + 1:] = saved
+                self.weight_in -= weights[idx]
             else:
-                idx = rec
-                n = self.items[idx][0]
-                self.status[idx] = 0
-                self.undecided[n] += 1
-                self.weight_open += self.weights[idx]
+                self.alive |= saved
+            status[idx] = 0
+            self.undecided[n] += 1
+            self.weight_open += weights[idx]
 
     # -- search ----------------------------------------------------------
 
@@ -285,11 +325,12 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
-        if self.live == 0:
+        if not self.alive:
             # No triple can still fire: every open word is freely includable.
             self._record_completion(self.weight_open, open_all=True)
             return
-        if _bound_weight(self.q, self.horizon, self.included, self.undecided) <= self.floor:
+        bound = _bound_weight(self.included, self.undecided, self.pair, self.layer_weight)
+        if bound <= self.floor:
             return
         while cursor < self.nitems and self.status[cursor] != 0:
             cursor += 1
@@ -297,7 +338,7 @@ class _Search:
             self._record_completion(0, open_all=False)
             return
 
-        trail: list[int] = []
+        trail: list = []
         if self._include(cursor, trail):
             self._dfs(cursor + 1)
         self._undo(trail)
@@ -322,13 +363,18 @@ def max_productfree(
     _check_objective(objective)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    # The search stores every triple x.y = z: (n - 1) * q**n of them per |z| = n.
+    # There are (n - 1) * q**n triples x.y = z per |z| = n.  Both factors of
+    # the mask size grow with the horizon, so stop at the first one over.
     q = alphabet.q
-    if _over_budget((n - 1) * q**n for n in range(2, horizon + 1)):
-        raise ValueError(
-            f"search horizon {horizon} has over {ENUMERATION_BUDGET} product "
-            f"triples, over the enumeration budget"
-        )
+    words = triples = 0
+    for n in range(1, horizon + 1):
+        words += q**n
+        triples += (n - 1) * q**n
+        if words * triples > _MASK_BIT_BUDGET:
+            raise ValueError(
+                f"search horizon {horizon} needs over {_MASK_BIT_BUDGET} "
+                f"triple-mask bits, over the enumeration budget"
+            )
     search = _Search(alphabet, horizon, node_budget)
     # The odd-length truncation is always product-free (odd + odd = even),
     # so it makes a safe starting incumbent.

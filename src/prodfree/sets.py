@@ -48,10 +48,7 @@ class LayeredSet:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.alphabet.q**self.horizon > ENUMERATION_BUDGET:
-            raise ValueError(
-                f"explicit horizon {self.horizon} over the enumeration budget"
-            )
+        _check_horizon(self.alphabet, self.horizon, "explicit")
         if len(self.layers) != self.horizon + 1 or self.layers[0] != 0:
             raise ValueError("layers must be indexed 1..horizon with layers[0] == 0")
         for n in range(1, self.horizon + 1):
@@ -82,6 +79,13 @@ class LayeredSet:
 
     def is_empty(self) -> bool:
         return all(b == 0 for b in self.layers)
+
+
+def _check_horizon(alphabet: Alphabet, horizon: int, what: str) -> None:
+    """Refuse a ball whose largest layer or whose number of layers passes
+    the enumeration budget; the second catches one-symbol alphabets."""
+    if horizon > ENUMERATION_BUDGET or alphabet.q**horizon > ENUMERATION_BUDGET:
+        raise ValueError(f"{what} horizon {horizon} over the enumeration budget")
 
 
 def _layer_mask(alphabet: Alphabet, n: int) -> int:
@@ -124,6 +128,7 @@ def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
         raise ValueError("cannot infer the alphabet from an empty word list; "
                          "use explicit_empty instead")
     alphabet = words[0].alphabet
+    _check_horizon(alphabet, horizon, "explicit")
     layers = [0] * (horizon + 1)
     for w in words:
         if w.alphabet != alphabet:
@@ -135,10 +140,12 @@ def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
 
 
 def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
+    _check_horizon(alphabet, horizon, "explicit")
     return LayeredSet(alphabet, horizon, tuple([0] * (horizon + 1)))
 
 
 def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
+    _check_horizon(alphabet, horizon, "explicit")
     layers = [0] + [_layer_mask(alphabet, n) for n in range(1, horizon + 1)]
     return LayeredSet(alphabet, horizon, tuple(layers))
 
@@ -195,6 +202,7 @@ def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSe
     """{ w1.w2 : w1 in s1, w2 in s2, |w1|+|w2| <= horizon }."""
     if s1.alphabet != s2.alphabet:
         raise ValueError("alphabet mismatch")
+    _check_horizon(s1.alphabet, horizon, "product")
     q = s1.alphabet.q
     layers = [0] * (horizon + 1)
     for m in range(1, min(s1.horizon, horizon - 1) + 1):
@@ -552,9 +560,8 @@ def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
     """Explicit membership of L(d) within the ball F_<=(horizon)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(d.alphabet, horizon, "truncation")
     q = d.alphabet.q
-    if q**horizon > ENUMERATION_BUDGET:
-        raise ValueError(f"truncation horizon {horizon} over the enumeration budget")
     layers = [0] * (horizon + 1)
     states = [d.start]
     for n in range(1, horizon + 1):

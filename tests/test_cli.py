@@ -191,6 +191,7 @@ class TestOversizedInputs:
         ["search", "--horizon", "40"],
         ["construct", "random", "--seed", "1", "--max-len", "40"],
         ["construct", "asymmetric", "--n", "40", "--eps", "1/10"],
+        ["search", "--horizon", "12", "--budget", "1"],
     ])
     def test_refused_before_allocating(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

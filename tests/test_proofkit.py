@@ -170,10 +170,19 @@ class TestWindowBound:
             if lseq.k < 1:
                 continue
             lk = lseq.lengths[-1]
+            prof = profile(s)
             for start in range(lk + 1, 12):
                 for end in range(start, 13):
-                    cert = window_bound_certificate(s, WindowSpec(start, end), lseq)
+                    window = WindowSpec(start, end)
+                    cert = window_bound_certificate(s, window, lseq)
                     assert cert.holds
+                    # One profile to the horizon gives every window's certificate.
+                    assert window_bound_certificate(prof, window, lseq) == cert
+
+    def test_profile_must_reach_the_window(self):
+        lseq, _ = extract_lsequence(ODD_LEN, Fraction(1, 16), 32)
+        with pytest.raises(ValueError, match="profile horizon"):
+            window_bound_certificate(profile(ODD_LEN, 16), WindowSpec(10, 20), lseq)
 
 
 class TestLevelSet:

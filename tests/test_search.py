@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from prodfree.productfree import check_explicit
 from prodfree.search import (
+    _pair_caps,
+    _Search,
     exhaustive_max_productfree,
     max_productfree,
     upper_bound,
@@ -117,3 +120,67 @@ class TestUpperBound:
         bound = upper_bound(AB, 2, included, undecided)
         # Best completion is {a} plus {ab, ba, bb}: value 5/8.
         assert bound >= Fraction(5, 8)
+
+
+def _state(search: _Search) -> tuple:
+    return (
+        list(search.status), search.alive, list(search.included),
+        list(search.undecided), list(search.pair), search.weight_in,
+        search.weight_open,
+    )
+
+
+class TestSearchState:
+    @pytest.mark.parametrize("alphabet,horizon,seed", [
+        (AB, 5, 1), (AB, 5, 2), (ABC, 3, 1), (ABC, 3, 2),
+    ])
+    def test_random_walk_keeps_the_invariants(self, alphabet, horizon, seed):
+        rng = random.Random(seed)
+        search = _Search(alphabet, horizon, node_budget=0)
+        initial = _state(search)
+        trails = []
+
+        def check():
+            assert search.pair == _pair_caps(search.sizes, search.included)
+            no_out = sum(
+                1 << t for t, members in enumerate(search.triples)
+                if all(search.status[i] != 2 for i in members)
+            )
+            assert search.alive == no_out
+
+        for _ in range(300):
+            open_words = [i for i, st in enumerate(search.status) if st == 0]
+            if open_words and (not trails or rng.random() < 0.6):
+                idx = rng.choice(open_words)
+                trail = []
+                if rng.random() < 0.5:
+                    search._include(idx, trail)
+                else:
+                    search._exclude(idx, trail)
+                trails.append(trail)
+            else:
+                search._undo(trails.pop())
+            check()
+        while trails:
+            search._undo(trails.pop())
+        assert _state(search) == initial
+
+    @pytest.mark.parametrize("alphabet,horizon,nodes", [
+        (AB, 4, 551), (AB, 5, 629), (ABC, 3, 71),
+    ])
+    def test_node_counts(self, alphabet, horizon, nodes):
+        assert max_productfree(alphabet, horizon).nodes == nodes
+
+    def test_mask_budget(self):
+        # ab N=12 would need 8190 words x 81924 triples > 2**28 mask bits.
+        with pytest.raises(ValueError, match="enumeration budget"):
+            max_productfree(AB, 12, node_budget=1)
+        assert not max_productfree(AB, 11, node_budget=1).proved
+
+
+def test_proved_optimum_at_horizon_seven():
+    r = max_productfree(AB, 7)
+    assert r.value == Fraction(4, 7)
+    assert r.proved
+    assert r.nodes == 394101
+    assert check_explicit(r.best) is None

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -426,3 +427,14 @@ class TestUnary:
         assert [t.layer_count(n) for n in range(1, 7)] == [1, 0, 1, 0, 1, 0]
         cc = dfa_concat(odd, odd)
         assert dfa_layer_counts(cc, 6) == [0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("build", [explicit_full, explicit_empty, "truncate"])
+    def test_horizon_past_the_budget_refused_at_once(self, unary, build):
+        # q**H is 1 for a one-symbol alphabet, so only H itself can say no.
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            if build == "truncate":
+                dfa_truncate(odd_occurrence(unary, "a"), 2**22 + 1)
+            else:
+                build(unary, 2**22 + 1)
+        assert time.monotonic() - started < 1
