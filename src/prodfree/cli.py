@@ -23,12 +23,12 @@ from .sets import (
     Dfa,
     LayeredSet,
     StateBudgetError,
-    explicit_empty,
-    explicit_from_words,
     read_dfa,
+    read_explicit,
     write_dfa,
+    write_explicit,
 )
-from .words import Alphabet, FormatError, read_word_list, write_word_list
+from .words import Alphabet, FormatError
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -49,12 +49,7 @@ def _load_set(args) -> LayeredSet | Dfa:
     if getattr(args, "dfa", None):
         return read_dfa(Path(args.dfa).read_text())
     if getattr(args, "words", None):
-        alphabet, horizon, words = read_word_list(Path(args.words).read_text())
-        if horizon is None:
-            horizon = max((len(w) for w in words), default=1)
-        if not words:
-            return explicit_empty(alphabet, horizon)
-        return explicit_from_words(words, horizon)
+        return read_explicit(Path(args.words).read_text())
     raise ValueError("provide --dfa FILE or --words FILE")
 
 
@@ -132,14 +127,12 @@ def cmd_construct(args) -> int:
         return 0
     if args.mode == "pathology":
         s = constructions.counting_pathology(alphabet, args.c, args.horizon)
-        _emit(write_word_list(s.words(), alphabet, s.horizon), args.out)
+        _emit(write_explicit(s), args.out)
         return 0
     if args.mode == "asymmetric":
         triple = constructions.asymmetric_triple(alphabet, args.n, _parse_fraction(args.eps))
         prefix = args.out or "asymmetric"
-        Path(f"{prefix}.w.words").write_text(
-            write_word_list(triple.w_set.words(), alphabet, triple.w_set.horizon)
-        )
+        Path(f"{prefix}.w.words").write_text(write_explicit(triple.w_set))
         for tag, dfa in (("x", triple.x), ("y", triple.y), ("z", triple.z)):
             Path(f"{prefix}.{tag}.dfa").write_text(write_dfa(dfa))
         print(f"wrote {prefix}.w.words and {prefix}.{{x,y,z}}.dfa")
@@ -148,7 +141,7 @@ def cmd_construct(args) -> int:
         s = constructions.greedy_random_productfree(
             alphabet, args.max_len, args.seed, args.schedule
         )
-        _emit(write_word_list(s.words(), alphabet, s.horizon), args.out)
+        _emit(write_explicit(s), args.out)
         return 0
     raise ValueError(f"unknown construct mode {args.mode!r}")
 
@@ -232,9 +225,7 @@ def cmd_search(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     if args.out:
-        Path(args.out).write_text(
-            write_word_list(result.best.words(), alphabet, result.horizon)
-        )
+        Path(args.out).write_text(write_explicit(result.best))
     if args.stats:
         print(f"nodes={result.nodes} seconds={elapsed:.3f}", file=sys.stderr)
     return 0

@@ -14,13 +14,15 @@ DFA is { w : |w| >= 1 and run(start, w) is accepting }.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from itertools import product
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .words import (
     Alphabet,
     ENUMERATION_BUDGET,
     FormatError,
     Word,
+    _scan_word_list,
     rank,
     unrank,
 )
@@ -121,6 +123,31 @@ def _first_split(
     return 0
 
 
+def _from_ranks(
+    alphabet: Alphabet, horizon: int, members: Iterable[tuple[int, int]]
+) -> LayeredSet:
+    """The explicit set whose members are the given (length, rank) pairs.
+
+    Bits are set in one bytearray per nonempty layer, so a member costs O(1)
+    instead of a shift of the whole layer.
+    """
+    _check_horizon(alphabet, horizon, "explicit")
+    q = alphabet.q
+    buffers: dict[int, bytearray] = {}
+    for n, r in members:
+        if n > horizon:
+            text = unrank(alphabet, n, r).text
+            raise ValueError(f"word {text!r} longer than horizon {horizon}")
+        buf = buffers.get(n)
+        if buf is None:
+            buf = buffers[n] = bytearray((q**n + 7) >> 3)
+        buf[r >> 3] |= 1 << (r & 7)
+    layers = [0] * (horizon + 1)
+    for n, buf in buffers.items():
+        layers[n] = int.from_bytes(buf, "little")
+    return LayeredSet(alphabet, horizon, tuple(layers))
+
+
 def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
     """Build the explicit set with exactly the given members."""
     words = list(words)
@@ -128,20 +155,18 @@ def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
         raise ValueError("cannot infer the alphabet from an empty word list; "
                          "use explicit_empty instead")
     alphabet = words[0].alphabet
-    _check_horizon(alphabet, horizon, "explicit")
-    layers = [0] * (horizon + 1)
-    for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError("alphabet mismatch in word list")
-        if len(w) > horizon:
-            raise ValueError(f"word {w.text!r} longer than horizon {horizon}")
-        layers[len(w)] |= 1 << rank(w)
-    return LayeredSet(alphabet, horizon, tuple(layers))
+
+    def members() -> Iterator[tuple[int, int]]:
+        for w in words:
+            if w.alphabet != alphabet:
+                raise ValueError("alphabet mismatch in word list")
+            yield len(w), rank(w)
+
+    return _from_ranks(alphabet, horizon, members())
 
 
 def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
-    _check_horizon(alphabet, horizon, "explicit")
-    return LayeredSet(alphabet, horizon, tuple([0] * (horizon + 1)))
+    return _from_ranks(alphabet, horizon, ())
 
 
 def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
@@ -592,6 +617,65 @@ def prefix_excluded(
 
 def same_language(d1: Dfa, d2: Dfa) -> bool:
     return _minimized(d1) == _minimized(d2)
+
+
+# ---------------------------------------------------------------------------
+# Word-list text format at rank level (the format is parsed by
+# words._scan_word_list; only the conversion of a word line differs)
+
+class _DigitTable(dict):
+    """str.translate table from alphabet symbols to base-q digits.  Any
+    other character becomes '!', which int() refuses in every base."""
+
+    def __missing__(self, key: int) -> str:
+        return "!"
+
+
+def _rank_reader(alphabet: Alphabet) -> Callable[[str], tuple[int, int]]:
+    """Converter from a word line to its (length, rank).  A one-symbol
+    alphabet reads in base 2, where its symbol is the digit 0."""
+    table = _DigitTable((ord(c), f"{i:x}") for i, c in enumerate(alphabet.symbols))
+    base = max(alphabet.q, 2)
+
+    def convert(text: str) -> tuple[int, int]:
+        try:
+            return len(text), int(text.translate(table), base)
+        except ValueError:
+            # A symbol outside the alphabet, or more digits than int() takes
+            # in a base that is not a power of two: the Word path raises the
+            # usual message or ranks the long word.
+            return len(text), rank(alphabet.word(text))
+
+    return convert
+
+
+def read_explicit(source: str | TextIO) -> LayeredSet:
+    """Parse a word list straight into a LayeredSet, without Word objects.
+
+    The horizon defaults to the longest word's length (1 for no words).
+    """
+    alphabet, horizon, members = _scan_word_list(source, _rank_reader)
+    if horizon is None:
+        horizon = max((n for n, _ in members), default=1)
+    return _from_ranks(alphabet, horizon, members)
+
+
+def write_explicit(s: LayeredSet) -> str:
+    """Word-list text of s: the headers, then the members in (length, rank)
+    order, each formatted from its rank without a Word object."""
+    symbols = s.alphabet.symbols
+    # A word is two table lookups, the high and the low k digits of its
+    # rank, with k = ceil(H/2); as q**H is within the enumeration budget,
+    # the table holds at most a few thousand strings.
+    k = (s.horizon + 1) // 2
+    block = s.alphabet.q**k
+    table = ["".join(p) for p in product(symbols, repeat=k)]
+    lines = [f"alphabet: {symbols}", f"horizon: {s.horizon}"]
+    for n in range(1, s.horizon + 1):
+        high, low = 2 * k - n, max(k - n, 0)
+        lines.extend(table[r // block][high:] + table[r % block][low:]
+                     for r in _iter_bits(s.layers[n]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ only materialises Word objects at the edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO, TypeVar
+
+_T = TypeVar("_T")
 
 DEFAULT_ALPHABET = "ab"
 MAX_SYMBOLS = 16
@@ -50,6 +52,12 @@ class Alphabet:
             )
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"alphabet symbols must be distinct: {self.symbols!r}")
+        # '#' starts a comment and whitespace separates fields in both file
+        # formats, so such a symbol could not be written and read back.
+        if any(c == "#" or c.isspace() for c in self.symbols):
+            raise ValueError(
+                f"alphabet symbols cannot be '#' or whitespace: {self.symbols!r}"
+            )
 
     @property
     def q(self) -> int:
@@ -176,42 +184,56 @@ def reversed_rank(alphabet: Alphabet, n: int, r: int) -> int:
 # 'horizon: N' header, then one word per line.
 
 
-def write_word_list(words: Iterable[Word], alphabet: Alphabet, horizon: int) -> str:
-    lines = [f"alphabet: {alphabet.symbols}", f"horizon: {horizon}"]
-    lines.extend(w.text for w in words)
-    return "\n".join(lines) + "\n"
+def _scan_word_list(
+    source: str | TextIO, leaf: Callable[[Alphabet], Callable[[str], _T]]
+) -> tuple[Alphabet, int | None, list[_T]]:
+    """The one parser of the word-list format.
 
-
-def read_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, list[Word]]:
-    """Parse a word list; returns (alphabet, declared horizon or None, words)."""
+    Handles comments, headers and line numbers; each word line goes through
+    leaf(alphabet), whose ValueError becomes a FormatError naming the line.
+    Returns (alphabet, declared horizon or None, converted words).
+    """
     text = source if isinstance(source, str) else source.read()
     alphabet: Alphabet | None = None
+    convert: Callable[[str], _T] | None = None
     horizon: int | None = None
-    words: list[Word] = []
+    words: list[_T] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # Same as raw.split("#", 1)[0].strip(), cheaper on plain word lines.
+        line = raw.strip()
+        if "#" in line:
+            line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("alphabet:"):
-            if alphabet is not None:
-                raise FormatError(f"line {lineno}: duplicate alphabet header")
-            try:
-                alphabet = Alphabet(line.split(":", 1)[1].strip())
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            continue
-        if line.startswith("horizon:"):
-            try:
-                horizon = int(line.split(":", 1)[1].strip())
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad horizon") from exc
-            continue
-        if alphabet is None:
+        if ":" in line:  # a header, unless ':' is a symbol
+            if line.startswith("alphabet:"):
+                if alphabet is not None:
+                    raise FormatError(f"line {lineno}: duplicate alphabet header")
+                try:
+                    alphabet = Alphabet(line.split(":", 1)[1].strip())
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from exc
+                convert = leaf(alphabet)
+                continue
+            if line.startswith("horizon:"):
+                if horizon is not None:
+                    raise FormatError(f"line {lineno}: duplicate horizon header")
+                try:
+                    horizon = int(line.split(":", 1)[1].strip())
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: bad horizon") from exc
+                continue
+        if convert is None:
             raise FormatError(f"line {lineno}: word before 'alphabet:' header")
         try:
-            words.append(alphabet.word(line))
+            words.append(convert(line))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if alphabet is None:
         raise FormatError("missing 'alphabet:' header")
     return alphabet, horizon, words
+
+
+def read_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, list[Word]]:
+    """Parse a word list; returns (alphabet, declared horizon or None, words)."""
+    return _scan_word_list(source, lambda alphabet: alphabet.word)

@@ -8,7 +8,9 @@ from prodfree.cli import main
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.productfree import check_explicit
 from prodfree.sets import dfa_full, explicit_from_words, read_dfa, write_dfa
-from prodfree.words import Alphabet, read_word_list, write_word_list
+from prodfree.words import Alphabet, read_word_list
+
+from conftest import write_word_list
 
 AB = Alphabet("ab")
 
@@ -199,6 +201,31 @@ class TestOversizedInputs:
         assert main(argv) == 2
         assert time.monotonic() - started < 1
         assert "enumeration budget" in capsys.readouterr().err
+
+
+class TestWordListErrors:
+    @pytest.mark.parametrize("mode", [
+        ["random", "--seed", "1", "--max-len", "3"],
+        ["odd-occurrence", "--gamma", "a"],
+    ])
+    def test_alphabet_a_file_cannot_carry(self, mode, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["construct", *mode, "--alphabet", "a#", "--out", str(out)]) == 2
+        assert "'#' or whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["1_0", "+1", "a b"])
+    def test_characters_int_accepts_exit_two(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.words"
+        path.write_text(f"alphabet: ab\nab\n{line}\n")
+        assert main(["check", "--words", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: symbol ")
+
+    def test_duplicate_horizon_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "twice.words"
+        path.write_text("alphabet: ab\nhorizon: 3\nhorizon: 1\naaa\n")
+        assert main(["density", "--words", str(path)]) == 2
+        assert "line 3: duplicate horizon header" in capsys.readouterr().err
 
 
 class TestSearch:

@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prodfree.constructions import odd_occurrence
 from prodfree.sets import (
@@ -35,10 +36,22 @@ from prodfree.sets import (
     prefix_excluded,
     minkowski_product,
     read_dfa,
+    read_explicit,
     same_language,
     write_dfa,
+    write_explicit,
 )
-from prodfree.words import Alphabet, Word, concat, layer_words, rank, unrank
+from prodfree.words import (
+    Alphabet,
+    Word,
+    concat,
+    layer_words,
+    rank,
+    read_word_list,
+    unrank,
+)
+
+from conftest import write_word_list
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -417,6 +430,151 @@ class TestDfaFormat:
         )
         with pytest.raises(FormatError, match="duplicate"):
             read_dfa(text)
+
+
+# Word lists at rank level: read_explicit and write_explicit against the
+# Word-object path (read_word_list plus explicit_from_words, and the
+# write_word_list oracle).  Longest word per alphabet size; q**len stays
+# inside the enumeration budget.
+TEXT_ALPHABETS = [Alphabet(s) for s in ("a", "ab", "abc", "0123456789abcdef")]
+TEXT_MAX_LEN = {1: 30, 2: 14, 3: 9, 16: 4}
+# Characters int() tolerates in some position; none is a symbol of "ab".
+INT_TOLERATED = ["1", "_", "+", "-", " "]
+
+
+def read_via_words(text: str) -> LayeredSet:
+    """The Word-object path from a word list to its set."""
+    alphabet, horizon, words = read_word_list(text)
+    if horizon is None:
+        horizon = max((len(w) for w in words), default=1)
+    if not words:
+        return explicit_empty(alphabet, horizon)
+    return explicit_from_words(words, horizon)
+
+
+def outcome(read, text: str):
+    """The set read, or the type and message of the error raised."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def layered_sets(draw) -> LayeredSet:
+    alphabet = draw(st.sampled_from(TEXT_ALPHABETS))
+    q = alphabet.q
+    horizon = draw(st.integers(1, TEXT_MAX_LEN[q]))
+    layers = [0]
+    for n in range(1, horizon + 1):
+        ranks = draw(st.sets(st.integers(0, q**n - 1), max_size=5))
+        layers.append(sum(1 << r for r in ranks))
+    return LayeredSet(alphabet, horizon, tuple(layers))
+
+
+@st.composite
+def word_list_texts(draw) -> tuple[str, set[str]]:
+    """A word list with comments, blank lines, padding, duplicate words and
+    headers anywhere (so some texts are malformed), and its word set."""
+    alphabet = draw(st.sampled_from(TEXT_ALPHABETS))
+    max_len = TEXT_MAX_LEN[alphabet.q]
+    words = draw(st.lists(
+        st.text(alphabet=alphabet.symbols, min_size=1, max_size=max_len),
+        max_size=10))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=3))
+    if draw(st.booleans()):
+        # One line int() may take, if the alphabet does not.
+        words.append(draw(st.text(alphabet=alphabet.symbols, max_size=2))
+                     + draw(st.sampled_from(INT_TOLERATED))
+                     + draw(st.text(alphabet=alphabet.symbols, min_size=1, max_size=2)))
+    words = draw(st.permutations(words))
+    lines = []
+    for w in words:
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "  #"]),
+                               max_size=1))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        note = draw(st.sampled_from(["", "  # note", "#"]))
+        lines.append(pad + w + pad + note)
+    first_word = next((i for i, l in enumerate(lines) if l.strip(" \t#")), len(lines))
+    lines.insert(draw(st.integers(0, first_word)), f"alphabet: {alphabet.symbols}")
+    if draw(st.booleans()):
+        horizon = draw(st.integers(0, max_len + 1))
+        lines.insert(draw(st.integers(0, len(lines))), f"horizon: {horizon}")
+    return "\n".join(lines) + "\n", {w.strip() for w in words}
+
+
+class TestWordListText:
+    @given(s=layered_sets())
+    def test_write_matches_the_word_path(self, s):
+        text = write_explicit(s)
+        assert text == write_word_list(s.words(), s.alphabet, s.horizon)
+        assert read_explicit(text) == s
+
+    @given(case=word_list_texts())
+    def test_read_matches_the_word_path(self, case):
+        text, words = case
+        got = outcome(read_explicit, text)
+        assert got == outcome(read_via_words, text)
+        if isinstance(got, LayeredSet):
+            assert explicit_members(got) == words
+
+    def test_examples(self, unary):
+        assert read_explicit("alphabet: ab\n") == explicit_empty(AB, 1)
+        assert read_explicit("alphabet: a\nhorizon: 5\naaa\n").layers == (0, 0, 0, 1, 0, 0)
+        text = "alphabet: ab\nab\n# x\nbb  # y\nab\nhorizon: 3\n"
+        assert explicit_members(read_explicit(text)) == {"ab", "bb"}
+        assert write_explicit(read_explicit(text)) == "alphabet: ab\nhorizon: 3\nab\nbb\n"
+        assert write_explicit(explicit_full(unary, 3)) == "alphabet: a\nhorizon: 3\na\naa\naaa\n"
+
+    @pytest.mark.parametrize("line", ["1", "_", "+", "-", "a b", "1_0", "+a", "-b",
+                                      "a_b", "b1", "a\u0661"])
+    def test_characters_int_accepts_are_refused(self, line):
+        # int('1_0', 2) == 2 and int('+1', 2) == 1; '\u0661' is an Arabic-Indic 1.
+        text = f"alphabet: ab\nhorizon: 3\na\n{line}\nb\n"
+        with pytest.raises(FormatError, match="line 4: symbol .* not in alphabet"):
+            read_explicit(text)
+        assert outcome(read_explicit, text) == outcome(read_via_words, text)
+
+    @pytest.mark.parametrize("text", [
+        "a\nalphabet: ab\n",
+        "alphabet: ab\nalphabet: ab\n",
+        "# no header\na\n",
+        "alphabet: aa\n",
+        "alphabet: ab\nhorizon: x\n",
+        "alphabet: ab\nhorizon: 2\nb\nhorizon: 2\n",
+        "alphabet: ab\nhorizon: 0\n",
+        "alphabet: ab\nhorizon: 2\nabc\n",
+        "alphabet: ab\nbab\nhorizon: 2\n",
+    ])
+    def test_format_errors_match(self, text):
+        got = outcome(read_explicit, text)
+        assert not isinstance(got, LayeredSet)
+        assert got == outcome(read_via_words, text)
+
+    @pytest.mark.parametrize("header", ["", "horizon: 5\n"])
+    def test_word_past_the_int_digit_limit(self, header):
+        # Base 3 is not a power of two, so int() refuses 5000 digits where
+        # the Word path does not; both must still agree.
+        text = f"alphabet: abc\n{header}a\n{'b' * 5000}\n"
+        got = outcome(read_explicit, text)
+        assert got == outcome(read_via_words, text)
+        assert got[0] is ValueError
+
+    def test_duplicate_horizon_header(self):
+        text = "alphabet: ab\nhorizon: 3\nhorizon: 1\naaa\n"
+        with pytest.raises(FormatError, match="line 3: duplicate horizon header"):
+            read_explicit(text)
+        with pytest.raises(FormatError, match="line 3: duplicate horizon header"):
+            read_word_list(text)
+
+    def test_budget_checked_before_any_layer(self):
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            read_explicit("alphabet: ab\nhorizon: 23\na\n")
+        with pytest.raises(ValueError, match="enumeration budget"):
+            read_explicit(f"alphabet: ab\n{'a' * 200}\n")
+        assert time.monotonic() - started < 1
 
 
 class TestUnary:

@@ -13,8 +13,9 @@ from prodfree.words import (
     read_word_list,
     reversed_rank,
     unrank,
-    write_word_list,
 )
+
+from conftest import write_word_list
 
 
 def base_q_digits(r: int, q: int, n: int) -> list[int]:
@@ -141,6 +142,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Alphabet("abcdefghijklmnopq")  # 17 symbols
 
+    @pytest.mark.parametrize("symbols", ["a#", "#", "a b", "ab\t", "a\n", "a\x1c"])
+    def test_symbols_the_file_formats_cannot_carry(self, symbols):
+        # '#' starts a comment and whitespace separates fields or lines.
+        with pytest.raises(ValueError, match="'#' or whitespace"):
+            Alphabet(symbols)
+
     def test_q16_supported(self):
         wide = Alphabet("0123456789abcdef")
         assert wide.q == 16
@@ -169,3 +176,7 @@ class TestWordListFormat:
     def test_bad_symbol_reports_line(self):
         with pytest.raises(FormatError, match="line 3"):
             read_word_list("alphabet: ab\na\nxy\n")
+
+    def test_duplicate_horizon_header(self):
+        with pytest.raises(FormatError, match="line 3: duplicate horizon header"):
+            read_word_list("alphabet: ab\nhorizon: 3\nhorizon: 1\naaa\n")
