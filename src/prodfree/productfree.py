@@ -12,17 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .density import profile
-from .sets import (
-    DEFAULT_STATE_CAP,
-    Dfa,
-    LayeredSet,
-    _first_split,
-    _iter_bits,
-    dfa_concat,
-    dfa_intersect,
-    dfa_is_empty,
-)
-from .words import Word, concat, unrank
+from .sets import Dfa, LayeredSet, _first_split, _iter_bits, _start_normalized
+from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
 
 
 @dataclass(frozen=True)
@@ -66,23 +57,91 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     return None
 
 
-def check_regular(d: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> WitnessTriple | None:
+def check_regular(d: Dfa) -> WitnessTriple | None:
     """None iff (L.L) ∩ L is empty, over all lengths.
 
     Otherwise returns a shortest z in the intersection (lex-least among the
     shortest) with its earliest split into two members.
+
+    z is searched for on a pair automaton of at most n + n**2 states, with
+    n counted after start normalisation so that x is nonempty.  Phase-1
+    state p reads z from the start.  From an accepting p, symbol c also
+    enters the phase-2 state (delta(p, c), delta(start, c)), which goes on
+    reading z in its first component and the suffix y in its second; the
+    pair is final when both are accepting.
+
+    The search is breadth first over groups of states that share one
+    lex-least shortest word.  The groups of one length are expanded in
+    order and symbols in ascending order, so the groups of the next length
+    come out sorted by word, each state joins a group the first time it is
+    reached, and the first final state reached ends the lex-least shortest
+    z.  Each state is expanded once, so the search takes O((n + n**2) q)
+    steps, and its marks take n + n**2 bytes.
     """
-    bad = dfa_intersect(dfa_concat(d, d, state_cap), d)
-    empty, z = dfa_is_empty(bad)
-    if empty:
-        return None
-    assert z is not None
+    d = _start_normalized(d)
+    n, q = d.num_states, d.alphabet.q
+    if n + n * n > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"product-free check of a {n}-state automaton: {n + n * n} pair "
+            "states would exceed the enumeration budget"
+        )
+    delta = d.delta
+    accepting = [s in d.accepting for s in range(n)]
+    entry = delta[d.start]
+    # Phase-1 state p is p and phase-2 state (p, r) is n + p*n + r.  Group
+    # g's word is group links[g] // q's word followed by symbol links[g] % q;
+    # only the groups of the current length are kept.
+    seen = bytearray(n + n * n)
+    seen[d.start] = 1
+    links = [-1]
+    level = [(0, [d.start])]
+    while level:
+        deeper = []
+        for g, members in level:
+            for c in range(q):
+                found = []
+                for s in members:
+                    if s < n:
+                        u = delta[s][c]
+                        if not seen[u]:
+                            seen[u] = 1
+                            found.append(u)
+                        if not accepting[s]:
+                            continue
+                        v = entry[c]
+                    else:
+                        p, r = divmod(s - n, n)
+                        u, v = delta[p][c], delta[r][c]
+                    t = n + u * n + v
+                    if not seen[t]:
+                        if accepting[u] and accepting[v]:
+                            return _earliest_split(d, _group_word(d.alphabet, links, g, c))
+                        seen[t] = 1
+                        found.append(t)
+                if found:
+                    deeper.append((len(links), found))
+                    links.append(g * q + c)
+        level = deeper
+    return None
+
+
+def _group_word(alphabet: Alphabet, links: list[int], g: int, c: int) -> Word:
+    """Group g's word followed by symbol c."""
+    indices = [c]
+    while g:
+        g, c = divmod(links[g], alphabet.q)
+        indices.append(c)
+    return Word(alphabet, tuple(reversed(indices)))
+
+
+def _earliest_split(d: Dfa, z: Word) -> WitnessTriple:
+    """z = x.y with x and y in L(d) and |x| least."""
     for m in range(1, len(z)):
         x = Word(d.alphabet, z.indices[:m])
         y = Word(d.alphabet, z.indices[m:])
         if d.accepts(x) and d.accepts(y):
             return WitnessTriple(x, y, z)
-    raise AssertionError("witness from (L.L) ∩ L has no split; automaton bug")
+    raise AssertionError("witness from the pair automaton has no split")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class LayeredSet:
     def words(self) -> Iterator[Word]:
         """Members in (length, rank) order."""
         for n in range(1, self.horizon + 1):
-            for r in _iter_bits(self.layers[n]):
+            for r in _iter_bits_linear(self.layers[n]):
                 yield unrank(self.alphabet, n, r)
 
     def is_empty(self) -> bool:
@@ -95,10 +95,23 @@ def _layer_mask(alphabet: Alphabet, n: int) -> int:
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
+    """Set bits in ascending order.  Each step copies the remaining bits, so
+    the walk costs O(members x width): quick on the sparse sets and short
+    layers of the search and the product checks."""
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _iter_bits_linear(bits: int) -> Iterator[int]:
+    """Set bits in ascending order in time linear in the width: one
+    reversed bin() string scanned with str.find, for dense wide layers."""
+    text = bin(bits)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
 
 
 def _spread(left: int, block: int, width: int) -> int:
@@ -674,7 +687,7 @@ def write_explicit(s: LayeredSet) -> str:
     for n in range(1, s.horizon + 1):
         high, low = 2 * k - n, max(k - n, 0)
         lines.extend(table[r // block][high:] + table[r % block][low:]
-                     for r in _iter_bits(s.layers[n]))
+                     for r in _iter_bits_linear(s.layers[n]))
     return "\n".join(lines) + "\n"
 
 

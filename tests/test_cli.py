@@ -7,7 +7,7 @@ import pytest
 from prodfree.cli import main
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.productfree import check_explicit
-from prodfree.sets import dfa_full, explicit_from_words, read_dfa, write_dfa
+from prodfree.sets import Dfa, dfa_full, explicit_from_words, read_dfa, write_dfa
 from prodfree.words import Alphabet, read_word_list
 
 from conftest import write_word_list
@@ -194,9 +194,14 @@ class TestOversizedInputs:
         ["construct", "random", "--seed", "1", "--max-len", "40"],
         ["construct", "asymmetric", "--n", "40", "--eps", "1/10"],
         ["search", "--horizon", "12", "--budget", "1"],
+        ["check", "--dfa", "cycle.dfa"],
     ])
     def test_refused_before_allocating(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        # A 2,100-state cycle: pair automata pass the budget from 2,048 states.
+        cycle = tuple((s + 1) % 2100 for s in range(2100))
+        (tmp_path / "cycle.dfa").write_text(
+            write_dfa(Dfa(AB, 2100, 0, frozenset({1}), tuple(zip(cycle, cycle)))))
         started = time.monotonic()
         assert main(argv) == 2
         assert time.monotonic() - started < 1
@@ -326,6 +331,12 @@ PINNED_DIGESTS = {
         "08717cf9197f1095100ec602b669cfb3dca00101af13f8562451e501cf70a54d",
     "search":
         "f7ea9192fc9b2e2bccbad1840182dcf1bdf859b751804165ba88445082526026",
+    "asymmetric/check-x":
+        "a122bd84d63b750f0f815ed9a507dd16dd2bdbd1ba74cf059c9edb7e79d154e2",
+    "asymmetric/check-y":
+        "a122bd84d63b750f0f815ed9a507dd16dd2bdbd1ba74cf059c9edb7e79d154e2",
+    "asymmetric/check-z":
+        "0e80af334000773459f5c5b2a4411f2153e884f68f2382038cc5c72f896aba5e",
 }
 
 
@@ -355,3 +366,12 @@ class TestPinnedStdout:
 
     def test_search(self, capsys):
         assert _pinned_digest(["search", "--horizon", "4"], capsys) == PINNED_DIGESTS["search"]
+
+    @pytest.mark.parametrize("tag", ["x", "y", "z"])
+    def test_asymmetric_check(self, tag, tmp_path, capsys):
+        prefix = tmp_path / "tri"
+        assert main(["construct", "asymmetric", "--alphabet", "ab", "--n", "5",
+                     "--eps", "1/10", "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        argv = ["check", "--dfa", f"{prefix}.{tag}.dfa"]
+        assert _pinned_digest(argv, capsys) == PINNED_DIGESTS[f"asymmetric/check-{tag}"]

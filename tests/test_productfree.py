@@ -3,8 +3,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from prodfree.constructions import greedy_random_productfree, odd_occurrence
+from prodfree.constructions import (
+    asymmetric_triple,
+    greedy_random_productfree,
+    odd_occurrence,
+)
 from prodfree.productfree import (
     WitnessTriple,
     check_explicit,
@@ -12,8 +17,11 @@ from prodfree.productfree import (
     pairwise_inequality,
 )
 from prodfree.sets import (
+    Dfa,
     dfa_concat,
     dfa_full,
+    dfa_intersect,
+    dfa_is_empty,
     dfa_length_slice,
     dfa_truncate,
     dfa_union,
@@ -121,6 +129,68 @@ class TestCheckRegular:
             assert check_regular(d) is None
             for horizon in (4, 8, 12):
                 assert check_explicit(dfa_truncate(d, horizon)) is None
+
+
+def subset_construction_check(d: Dfa) -> WitnessTriple | None:
+    """Independent oracle for check_regular: the lex-least shortest z of the
+    determinised (L.L) ∩ L, split at the least |x| with x and y in L."""
+    empty, z = dfa_is_empty(dfa_intersect(dfa_concat(d, d), d))
+    if empty:
+        return None
+    for m in range(1, len(z)):
+        x = Word(d.alphabet, z.indices[:m])
+        y = Word(d.alphabet, z.indices[m:])
+        if d.accepts(x) and d.accepts(y):
+            return WitnessTriple(x, y, z)
+    raise AssertionError("z has no split into two members")
+
+
+@st.composite
+def complete_dfas(draw) -> Dfa:
+    """1-7 states over 1-3 symbols; any start state, accepting or not, and
+    unreachable states are allowed."""
+    alphabet = Alphabet(draw(st.sampled_from(["a", "ab", "abc"])))
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    delta = tuple(tuple(draw(state) for _ in range(alphabet.q)) for _ in range(n))
+    return Dfa(alphabet, n, draw(state), frozenset(draw(st.sets(state))), delta)
+
+
+class TestCheckRegularOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(d=complete_dfas())
+    # After aa, phase 1 in state 1 and phase 2 in (1, 2) share one word; a
+    # search expanding them one after the other finds aaba before aaab.
+    @example(d=Dfa(AB, 4, 0, frozenset({2, 3}), ((2, 2), (0, 3), (1, 0), (2, 3))))
+    def test_same_triple_as_the_subset_construction(self, d):
+        assert check_regular(d) == subset_construction_check(d)
+
+    @pytest.mark.parametrize("symbols, n", [
+        ("ab", 4), ("ab", 5), ("ab", 6), ("abc", 3), ("abc", 4),
+    ])
+    def test_asymmetric_triples(self, symbols, n):
+        triple = asymmetric_triple(Alphabet(symbols), n, Fraction(1, 10))
+        for d in (triple.x, triple.y, triple.z):
+            expected = subset_construction_check(d)
+            assert expected is not None
+            assert check_regular(d) == expected
+
+
+class TestCheckRegularBudget:
+    @staticmethod
+    def cycle(n: int, accepting: frozenset[int]) -> Dfa:
+        """Lengths modulo n, accepted at the given residues."""
+        row = tuple((s + 1) % n for s in range(n))
+        return Dfa(AB, n, 0, accepting, tuple(zip(row, row)))
+
+    def test_largest_automaton_within_the_budget(self):
+        # Lengths 1 mod 2047 are product-free: a product has length 2.
+        assert check_regular(self.cycle(2047, frozenset({1}))) is None
+
+    def test_start_normalisation_counts(self):
+        # An accepting start is cloned, so these 2,047 states count as 2,048.
+        with pytest.raises(ValueError, match="2048-state automaton.*enumeration budget"):
+            check_regular(self.cycle(2047, frozenset({0, 1})))
 
 
 class TestPairwise:

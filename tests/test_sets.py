@@ -10,6 +10,8 @@ from prodfree.sets import (
     FormatError,
     LayeredSet,
     StateBudgetError,
+    _iter_bits,
+    _iter_bits_linear,
     dfa_complement,
     dfa_concat,
     dfa_difference,
@@ -575,6 +577,18 @@ class TestWordListText:
         with pytest.raises(ValueError, match="enumeration budget"):
             read_explicit(f"alphabet: ab\n{'a' * 200}\n")
         assert time.monotonic() - started < 1
+
+    @given(bits=st.integers(0, 1 << 300))
+    def test_linear_bit_walk(self, bits):
+        assert list(_iter_bits_linear(bits)) == list(_iter_bits(bits))
+
+    def test_full_ball_written_in_linear_time(self):
+        # 524,286 words; a walk that copies the layer per member took ~7.5 s.
+        s = explicit_full(AB, 18)
+        started = time.monotonic()
+        text = write_explicit(s)
+        assert time.monotonic() - started < 2
+        assert text.count("\n") == 2 + 2**19 - 2
 
 
 class TestUnary:
