@@ -14,7 +14,6 @@ from .sets import (
     dfa_union,
     explicit_from_words,
     minkowski_product,
-    prefix_excluded,
 )
 from .density import (
     DensityProfile,
@@ -28,13 +27,10 @@ from .density import (
 from .productfree import WitnessTriple, check_explicit, check_regular, pairwise_inequality
 from .proofkit import (
     LSequence,
-    PHI,
-    Surd,
     exceeds_phi,
     extract_lsequence,
     phi_level_set,
     chained_inequality_check,
-    simple_bound_estimate,
     window_bound_certificate,
 )
 from .constructions import (

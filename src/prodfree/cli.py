@@ -10,6 +10,7 @@ stderr under --stats so stdout stays deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -256,7 +257,10 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--words", help="word-list file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once on first use: building the tree of
+    subcommands costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="prodfree",
         description="Exact analysis of product-free subsets of the free semigroup",

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .proofkit import PHI, Surd
+from .proofkit import exceeds_phi
 from .sets import (
-    DEFAULT_STATE_CAP,
     Dfa,
     LayeredSet,
     _check_horizon,
+    _explore,
     _first_split,
     _minimized,
     dfa_complement,
@@ -100,27 +100,15 @@ def phi_floor(total: int) -> int:
     return (isqrt(5 * total * total) - total) // 2
 
 
-def _surd_floor(x: Surd) -> int:
-    k = int(float(x))
-    while Surd.of(k + 1) <= x:
-        k += 1
-    while Surd.of(k) > x:
-        k -= 1
-    return k
-
-
-def asymmetric_triple(
-    alphabet: Alphabet,
-    n: int,
-    eps: Fraction,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> AsymmetricTriple:
+def asymmetric_triple(alphabet: Alphabet, n: int, eps: Fraction) -> AsymmetricTriple:
     """The no-solution triple for x.y = z with x in X, y in Y, z in Z.
 
     W is the lexicographically first floor(phi * q**n) words of F(n); X is
     every word with a prefix in W (the word itself counts), Y mirrors with
-    suffixes, and Z is the complement of X.Y.  Errors when q**n is too small
-    for any member count within eps/3 of phi.
+    suffixes, and Z is the complement of X.Y.  From length n on, X and Y
+    have layer density |W|/q**n; Z holds every word shorter than 2n and has
+    layer density 1 - (|W|/q**n)**2 >= phi from length 2n on.  Errors unless
+    the density of X and Y is above phi - eps.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -128,15 +116,13 @@ def asymmetric_triple(
     # W's bitset holds q**n bits and X's automaton one state per proper prefix.
     if _over_budget(alphabet.q**k for k in range(1, n + 1)):
         raise ValueError(f"layer {n} over the enumeration budget")
-    # Existence of an integer count within the open interval (phi +- eps/3) * total.
-    upper = (PHI + eps / 3) * Fraction(total)
-    lower = (PHI - eps / 3) * Fraction(total)
-    candidate = _surd_floor(upper)
-    if not Surd.of(candidate) > lower:
-        raise ValueError(
-            f"no member count within eps/3 = {eps / 3} of phi at layer size {total}"
-        )
     size = phi_floor(total)
+    density = Fraction(size, total)
+    if not exceeds_phi(density + eps):
+        raise ValueError(
+            f"W holds {size} of the {total} words of layer {n}: density "
+            f"{density} is not above phi - {eps}"
+        )
 
     layers = [0] * (n + 1)
     layers[n] = (1 << size) - 1
@@ -144,66 +130,43 @@ def asymmetric_triple(
 
     x = _prefix_set_dfa(alphabet, n, size)
     y = _suffix_set_dfa(alphabet, n, size)
-    xy = dfa_concat(x, y, state_cap)
-    z = dfa_complement(xy)
+    z = dfa_complement(dfa_concat(x, y))
     return AsymmetricTriple(n, eps, w_set, x, y, z)
 
 
 def _prefix_set_dfa(alphabet: Alphabet, n: int, size: int) -> Dfa:
     """Words whose length-n prefix has rank < size (non-strict prefix)."""
     q = alphabet.q
-    # States: one per proper prefix, identified by (depth, rank), plus an
-    # accepting sink and a dead sink.
-    index: dict[tuple[int, int], int] = {(0, 0): 0}
-    order = [(0, 0)]
-    for depth in range(1, n):
-        for r in range(q**depth):
-            index[(depth, r)] = len(order)
-            order.append((depth, r))
-    accept_sink = len(order)
-    dead_sink = accept_sink + 1
-    rows = []
-    for depth, r in order:
-        row = []
-        for c in range(q):
-            nr = r * q + c
-            if depth + 1 < n:
-                row.append(index[(depth + 1, nr)])
-            else:
-                row.append(accept_sink if nr < size else dead_sink)
-        rows.append(tuple(row))
-    rows.append((accept_sink,) * q)
-    rows.append((dead_sink,) * q)
-    return _minimized(
-        Dfa(alphabet, dead_sink + 1, 0, frozenset({accept_sink}), tuple(rows))
-    )
+    # A state is (depth, rank) of the prefix read so far; after n symbols it
+    # becomes the sink (n, 1) when that rank is below size, else (n, 0).
+
+    def step(state: tuple[int, int], c: int) -> tuple[int, int]:
+        depth, r = state
+        if depth == n:
+            return state
+        if depth + 1 == n:
+            return (n, int(r * q + c < size))
+        return (depth + 1, r * q + c)
+
+    return _minimized(_explore(alphabet, (0, 0), step, lambda s: s == (n, 1)))
 
 
 def _suffix_set_dfa(alphabet: Alphabet, n: int, size: int) -> Dfa:
     """Words whose final n symbols form a word of rank < size."""
     q = alphabet.q
-    # States track the last min(len, n) symbols read.
-    index: dict[tuple[int, int], int] = {(0, 0): 0}
-    order = [(0, 0)]
-    rows = []
-    for depth, r in order:
-        row = []
-        for c in range(q):
-            if depth < n:
-                t = (depth + 1, r * q + c)
-            else:
-                t = (n, (r % q ** (n - 1)) * q + c)
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            row.append(index[t])
-        rows.append(tuple(row))
-    accepting = frozenset(
-        i for i, (depth, r) in enumerate(order) if depth == n and r < size
-    )
-    return _minimized(
-        Dfa(alphabet, len(order), 0, accepting, tuple(rows))
-    )
+    high = q ** (n - 1)
+    # A state is (min(len, n), rank) of the last min(len, n) symbols read.
+
+    def step(state: tuple[int, int], c: int) -> tuple[int, int]:
+        depth, r = state
+        if depth < n:
+            return (depth + 1, r * q + c)
+        return (n, (r % high) * q + c)
+
+    def accept(state: tuple[int, int]) -> bool:
+        return state[0] == n and state[1] < size
+
+    return _minimized(_explore(alphabet, (0, 0), step, accept))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ which case the limit is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -260,7 +259,3 @@ def limits_report(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> di
         "asymptotic": limit_dict(upper_asymptotic(p)),
         "banach": dict(limit_dict(upper_banach(p, min_window)), min_window=min_window),
     }
-
-
-def limits_json(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> str:
-    return json.dumps(limits_report(p, min_window), indent=2) + "\n"

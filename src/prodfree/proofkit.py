@@ -3,9 +3,9 @@
 Implements the chained refined-density inequality, the greedy extraction of
 an increasing length sequence whose refined densities accumulate toward 1,
 the resulting window bound, and the golden-ratio level-set argument.  The
-threshold phi = (sqrt(5)-1)/2 is never touched as a float: comparisons of a
-rational d against phi use the algebraic rule d > phi <=> (2d+1)^2 > 5, and
-quantities mixing phi are carried symbolically as a + b*sqrt(5).
+threshold phi = (sqrt(5)-1)/2 is never touched as a float: every comparison
+of a rational d against phi is exceeds_phi, the algebraic rule
+d > phi <=> (2d+1)^2 > 5.
 """
 
 from __future__ import annotations
@@ -21,87 +21,7 @@ HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic in Q[sqrt(5)]
-
-
-@dataclass(frozen=True)
-class Surd:
-    """The real number a + b*sqrt(5) with rational a, b."""
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(x: "Surd | Fraction | int") -> "Surd":
-        if isinstance(x, Surd):
-            return x
-        return Surd(Fraction(x), Fraction(0))
-
-    def __add__(self, other: "Surd | Fraction | int") -> "Surd":
-        o = Surd.of(other)
-        return Surd(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b)
-
-    def __sub__(self, other: "Surd | Fraction | int") -> "Surd":
-        return self + (-Surd.of(other))
-
-    def __rsub__(self, other: "Surd | Fraction | int") -> "Surd":
-        return Surd.of(other) + (-self)
-
-    def __mul__(self, other: "Surd | Fraction | int") -> "Surd":
-        o = Surd.of(other)
-        return Surd(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Fraction | int") -> "Surd":
-        return Surd(self.a / other, self.b / other)
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with 5 b^2 on the side of the larger term.
-        lhs, rhs = a * a, 5 * b * b
-        if a > 0:  # b < 0: positive iff a^2 > 5 b^2
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
-
-    def __lt__(self, other) -> bool:
-        return (self - Surd.of(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - Surd.of(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - Surd.of(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - Surd.of(other)).sign() >= 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 5 ** 0.5
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt(5)"
-
-
-#: (sqrt(5) - 1) / 2, the positive root of x^2 + x = 1.
-PHI = Surd(Fraction(-1, 2), Fraction(1, 2))
-
-#: (1 + PHI) / 2 = (1 + sqrt(5)) / 4.
-PHI_BOUND_CONSTANT = Surd(Fraction(1, 4), Fraction(1, 4))
+# The golden-ratio threshold
 
 
 def exceeds_phi(d: Fraction) -> bool:
@@ -340,30 +260,3 @@ def phi_level_set(s: LayeredSet | Dfa, horizon: int) -> LevelSetReport:
             if a + b in members:
                 return LevelSetReport(horizon, level, False, (a, b, a + b))
     return LevelSetReport(horizon, level, True, None)
-
-
-@dataclass(frozen=True)
-class SimpleBoundReport:
-    """Finite-scale form of the level-set density bound.
-
-    implied_bound is (t + (H - t) * phi) / H where t counts layers <= H
-    with density above phi; the limiting constant is (1 + phi)/2.
-    """
-
-    horizon: int
-    level_set: tuple[int, ...]
-    implied_bound: Surd
-    raw_estimate: Fraction
-    bound_constant: Surd
-
-
-def simple_bound_estimate(s: LayeredSet | Dfa, horizon: int) -> SimpleBoundReport:
-    from .density import upper_asymptotic
-
-    report = phi_level_set(s, horizon)
-    t = len(report.level_set)
-    implied = (Surd.of(Fraction(t)) + PHI * Fraction(horizon - t)) / horizon
-    raw = upper_asymptotic(profile(s, horizon))
-    return SimpleBoundReport(
-        horizon, report.level_set, implied, raw.value, PHI_BOUND_CONSTANT
-    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .words import (
     Alphabet,
@@ -360,20 +360,40 @@ def _start_normalized(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, d.num_states + 1, clone, d.accepting, delta)
 
 
+def _explore(
+    alphabet: Alphabet,
+    start: Hashable,
+    step: Callable[[Any, int], Hashable],
+    accept: Callable[[Any], bool],
+) -> Dfa:
+    """The automaton on the states reachable from start under step.
+
+    States are numbered in breadth-first order, symbols ascending, so start
+    is state 0; a state accepts when accept(state) holds.
+    """
+    q = alphabet.q
+    order = [start]
+    index = {start: 0}
+    rows: list[tuple[int, ...]] = []
+    for s in order:
+        row = []
+        for c in range(q):
+            t = step(s, c)
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, s in enumerate(order) if accept(s))
+    return Dfa(alphabet, len(order), 0, accepting, tuple(rows))
+
+
 def _reachable(d: Dfa) -> Dfa:
     """Restrict to states reachable from the start (keeps completeness)."""
-    order: list[int] = [d.start]
-    index = {d.start: 0}
-    for s in order:
-        for t in d.delta[s]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    delta = tuple(
-        tuple(index[d.delta[s][c]] for c in range(d.alphabet.q)) for s in order
+    return _explore(
+        d.alphabet, d.start, lambda s, c: d.delta[s][c], d.accepting.__contains__
     )
-    accepting = frozenset(index[s] for s in d.accepting if s in index)
-    return Dfa(d.alphabet, len(order), 0, accepting, delta)
 
 
 def _moore_blocks(d: Dfa) -> list[int]:
@@ -398,59 +418,27 @@ def _minimized(d: Dfa) -> Dfa:
     """
     d = _reachable(_start_normalized(d))
     block = _moore_blocks(d)
-    q = d.alphabet.q
-    # Quotient automaton on blocks.
-    nblocks = max(block) + 1
-    qdelta: list[tuple[int, ...] | None] = [None] * nblocks
-    qacc = set()
+    # The quotient automaton, explored from one representative per block.
+    rep: dict[int, int] = {}
     for s in range(d.num_states):
-        b = block[s]
-        if qdelta[b] is None:
-            qdelta[b] = tuple(block[d.delta[s][c]] for c in range(q))
-        if s in d.accepting:
-            qacc.add(b)
-    # Canonical numbering by BFS in symbol order.
-    start = block[d.start]
-    order = [start]
-    number = {start: 0}
-    for b in order:
-        row = qdelta[b]
-        assert row is not None
-        for t in row:
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    delta = tuple(
-        tuple(number[qdelta[b][c]] for c in range(q))  # type: ignore[index]
-        for b in order
+        rep.setdefault(block[s], s)
+    return _explore(
+        d.alphabet,
+        rep[block[d.start]],
+        lambda s, c: rep[block[d.delta[s][c]]],
+        d.accepting.__contains__,
     )
-    accepting = frozenset(number[b] for b in qacc if b in number)
-    return Dfa(d.alphabet, len(order), 0, accepting, delta)
 
 
-def _product(d1: Dfa, d2: Dfa, accept) -> Dfa:
+def _product(d1: Dfa, d2: Dfa, accept: Callable[[bool, bool], bool]) -> Dfa:
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
-    q = d1.alphabet.q
-    start = (d1.start, d2.start)
-    index = {start: 0}
-    order = [start]
-    delta_rows: list[tuple[int, ...]] = []
-    for s1, s2 in order:
-        row = []
-        for c in range(q):
-            t = (d1.delta[s1][c], d2.delta[s2][c])
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            row.append(index[t])
-        delta_rows.append(tuple(row))
-    accepting = frozenset(
-        i
-        for i, (s1, s2) in enumerate(order)
-        if accept(s1 in d1.accepting, s2 in d2.accepting)
-    )
-    return _minimized(Dfa(d1.alphabet, len(order), 0, accepting, tuple(delta_rows)))
+    return _minimized(_explore(
+        d1.alphabet,
+        (d1.start, d2.start),
+        lambda p, c: (d1.delta[p[0]][c], d2.delta[p[1]][c]),
+        lambda p: accept(p[0] in d1.accepting, p[1] in d2.accepting),
+    ))
 
 
 def dfa_union(d1: Dfa, d2: Dfa) -> Dfa:
@@ -471,11 +459,13 @@ def dfa_complement(d: Dfa) -> Dfa:
     return _minimized(Dfa(d.alphabet, d.num_states, d.start, flipped, d.delta))
 
 
-def dfa_concat(d1: Dfa, d2: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def dfa_concat(d1: Dfa, d2: Dfa) -> Dfa:
     """Exact concatenation { w1.w2 : w1 in L(d1), w2 in L(d2) }.
 
     Epsilon-bridges accepting states of d1 into d2's start and determinises
-    on the fly; both factors are forced nonempty by the run semantics.
+    on the fly; both factors are forced nonempty by the run semantics.  The
+    subset construction may grow exponentially, so it raises
+    StateBudgetError past DEFAULT_STATE_CAP states.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
@@ -494,9 +484,9 @@ def dfa_concat(d1: Dfa, d2: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
                 tpart |= {d2.start}
             t = (t1, tpart)
             if t not in index:
-                if len(order) >= state_cap:
+                if len(order) >= DEFAULT_STATE_CAP:
                     raise StateBudgetError(
-                        f"concatenation exceeded the state cap {state_cap}"
+                        f"concatenation exceeded the state cap {DEFAULT_STATE_CAP}"
                     )
                 index[t] = len(order)
                 order.append(t)
@@ -580,16 +570,13 @@ def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
     return sum(vec[s] for s in d.accepting)
 
 
-def dfa_prefix_excluded(d: Dfa, n: int, ells: Iterable[int],
-                        state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def dfa_prefix_excluded(d: Dfa, n: int, ells: Iterable[int]) -> Dfa:
     """S(n; l1,...,lk) as an automaton: slice minus Union S(li).F(n-li)."""
     ells = tuple(ells)
     validate_ell_sequence(ells, n)
     result = dfa_length_slice(d, n)
     for ell in ells:
-        covered = dfa_concat(
-            dfa_length_slice(d, ell), dfa_layer(d.alphabet, n - ell), state_cap
-        )
+        covered = dfa_concat(dfa_length_slice(d, ell), dfa_layer(d.alphabet, n - ell))
         result = dfa_difference(result, covered)
     return result
 
@@ -617,19 +604,6 @@ def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
                 bits |= 1 << r
         layers[n] = bits
     return LayeredSet(d.alphabet, horizon, tuple(layers))
-
-
-def prefix_excluded(
-    s: LayeredSet | Dfa, n: int, ells: Iterable[int]
-) -> LayeredSet | Dfa:
-    """S(n; l1,...,lk) for either representation (layer-n restriction)."""
-    if isinstance(s, LayeredSet):
-        return explicit_prefix_excluded(s, n, ells)
-    return dfa_prefix_excluded(s, n, ells)
-
-
-def same_language(d1: Dfa, d2: Dfa) -> bool:
-    return _minimized(d1) == _minimized(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ from prodfree.density import (
 )
 from prodfree.productfree import check_explicit, check_regular
 from prodfree.proofkit import (
-    PHI,
-    Surd,
     exceeds_phi,
     extract_lsequence,
     phi_level_set,
@@ -209,7 +207,7 @@ def test_criterion_6_asymmetric_triple():
     for n in range(4, 21):
         assert Fraction(xc[n - 1], 2**n) == target
         assert Fraction(yc[n - 1], 2**n) == target
-    assert Surd.of(target) > PHI - eps
+    assert exceeds_phi(target + eps)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     _report(6, f"asymmetric triple n=4: (X.Y) ∩ Z empty, X and Y layer "

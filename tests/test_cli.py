@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+from prodfree import cli
 from prodfree.cli import main
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.productfree import check_explicit
@@ -141,6 +144,16 @@ class TestConstruct:
         _, _, words = read_word_list((tmp_path / "tri.w.words").read_text())
         assert len(words) == 9
 
+    def test_asymmetric_gate_exit_two(self, tmp_path, monkeypatch, capsys):
+        # floor(8 phi) = 4 words of 8 give X and Y density 1/2 < phi - 1/10.
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "construct", "asymmetric", "--n", "3", "--eps", "1/10",
+            "--out", str(tmp_path / "tri"),
+        ]) == 2
+        assert "not above phi - 1/10" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_eps_exit_two(self, tmp_path, capsys):
         assert main([
             "construct", "asymmetric", "--n", "4", "--eps", "zero",
@@ -186,6 +199,23 @@ class TestCertify:
         first = capsys.readouterr().out
         main(["certify", "--dfa", str(odd_a_file), "--horizon", "32"])
         assert capsys.readouterr().out == first
+
+
+class TestParser:
+    def test_built_once(self, monkeypatch, capsys):
+        getattr(cli.build_parser, "cache_clear", lambda: None)()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "prodfree":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["search", "--horizon", "1"]) == 0
+        assert main(["search", "--horizon", "2"]) == 0
+        assert len(built) == 1
 
 
 class TestOversizedInputs:
@@ -337,6 +367,42 @@ PINNED_DIGESTS = {
         "a122bd84d63b750f0f815ed9a507dd16dd2bdbd1ba74cf059c9edb7e79d154e2",
     "asymmetric/check-z":
         "0e80af334000773459f5c5b2a4411f2153e884f68f2382038cc5c72f896aba5e",
+    "odd-occurrence/ab/a":
+        "d970982e259ab3a0fce212bb32f5b2d53440f33876d5cb72eb239874c65a9447",
+    "odd-occurrence/ab/b":
+        "fffe7962bb992ba173c9c7650d7555ba9d9b004579d0f1b96e3b0e540171cb12",
+    "odd-occurrence/ab/ab":
+        "ac40236622f7634ff5e73fc458260ba460db425655fb1306562b629c3e5e5be6",
+    "odd-occurrence/abc/a":
+        "e8d01922f1dc8d3d47fbb11ff21320116e156660310034a811a072c8e13ef79d",
+    "odd-occurrence/abc/b":
+        "194a62e145a78661280cf1a03f3c924a21852b54e11f01bfff4640831e3e6450",
+    "odd-occurrence/abc/c":
+        "8ffbeb94c0c74a5e37b1877f9e41745f499d1a0788965de4d9887aeb3fbe8bb5",
+    "odd-occurrence/abc/ab":
+        "53129076c61cbfa33cd8c3575f65e8ab8787c86f0b6b7720d3f6366c944e408f",
+    "odd-occurrence/abc/ac":
+        "11713d059f32cfc40886e5fe819ecf01daa95a065b5cb627200d461196c028ca",
+    "odd-occurrence/abc/bc":
+        "c71b2d8993721f32f2488645a951634d20ed36aa5647a0829bf3131abda5b4f3",
+    "odd-occurrence/abc/abc":
+        "42875432b791a54290a209fb7ff60228506723770e0500baee7b775e6ba6b983",
+    "asymmetric/ab-n5/w.words":
+        "be35cf5ea56d6333df8e443cfb9afd14daf9e6f1d172364438732f8359cfabec",
+    "asymmetric/ab-n5/x.dfa":
+        "bfb97397d868891b78f1dca07604aae246dcafb4b44775c15f22e9ef006af729",
+    "asymmetric/ab-n5/y.dfa":
+        "bb778d1d5302b6fff4e5b2e59c6fab1a2b02f378cceb20f850df08b82b59ff9a",
+    "asymmetric/ab-n5/z.dfa":
+        "ed9d3a41c11d1a95b1ae4510167acf4fbf7c632931eaf9fcfa46d07bd8134d38",
+    "asymmetric/abc-n3/w.words":
+        "9d2e69340073080b956a45eeabf369170630b5986b4cb6eea707bbab4ff3cf8e",
+    "asymmetric/abc-n3/x.dfa":
+        "8d9be615919279b22ab218bfa4f85c5429bce3f7238bce9af955ba197366275a",
+    "asymmetric/abc-n3/y.dfa":
+        "e5d244d0fa62a64d4b4545991f02516aaa52c7eb34f8097bc51b4cbd27735b6a",
+    "asymmetric/abc-n3/z.dfa":
+        "dd12483e10a795faa480e68331f979d354e54415e8f23cabbdb7789d01a640c3",
 }
 
 
@@ -375,3 +441,24 @@ class TestPinnedStdout:
         capsys.readouterr()
         argv = ["check", "--dfa", f"{prefix}.{tag}.dfa"]
         assert _pinned_digest(argv, capsys) == PINNED_DIGESTS[f"asymmetric/check-{tag}"]
+
+    @pytest.mark.parametrize("alphabet, gamma", [
+        (alphabet, gamma)
+        for alphabet, gammas in (("ab", ["a", "b", "ab"]),
+                                 ("abc", ["a", "b", "c", "ab", "ac", "bc", "abc"]))
+        for gamma in gammas
+    ])
+    def test_odd_occurrence(self, alphabet, gamma, capsys):
+        argv = ["construct", "odd-occurrence", "--alphabet", alphabet, "--gamma", gamma]
+        digest = PINNED_DIGESTS[f"odd-occurrence/{alphabet}/{gamma}"]
+        assert _pinned_digest(argv, capsys) == digest
+
+    @pytest.mark.parametrize("alphabet, n", [("ab", 5), ("abc", 3)])
+    def test_asymmetric_files(self, alphabet, n, tmp_path, capsys):
+        # Pins the automata byte for byte, not only their check verdicts.
+        prefix = tmp_path / "tri"
+        assert main(["construct", "asymmetric", "--alphabet", alphabet, "--n", str(n),
+                     "--eps", "1/10", "--out", str(prefix)]) == 0
+        for tag in ("w.words", "x.dfa", "y.dfa", "z.dfa"):
+            digest = hashlib.sha256(Path(f"{prefix}.{tag}").read_bytes()).hexdigest()
+            assert digest == PINNED_DIGESTS[f"asymmetric/{alphabet}-n{n}/{tag}"], tag

@@ -14,14 +14,13 @@ from prodfree.constructions import (
 )
 from prodfree.density import ball_density, profile, upper_banach
 from prodfree.productfree import check_explicit, check_regular
-from prodfree.proofkit import PHI, Surd
+from prodfree.proofkit import exceeds_phi
 from prodfree.sets import (
     dfa_concat,
     dfa_intersect,
     dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
-    same_language,
 )
 from prodfree.words import Alphabet, layer_words
 
@@ -133,8 +132,8 @@ class TestAsymmetricTriple:
             assert Fraction(yc[n - 1], 2**n) == Fraction(9, 16)
         for n in range(1, 4):
             assert xc[n - 1] == 0 and yc[n - 1] == 0
-        # Exceeds phi - eps under the exact surd comparison.
-        assert Surd.of(Fraction(9, 16)) > PHI - Fraction(1, 10)
+        # Exceeds phi - eps under the exact (2d+1)^2 > 5 comparison.
+        assert exceeds_phi(Fraction(9, 16) + Fraction(1, 10))
 
     def test_x_contains_w_itself(self):
         triple = asymmetric_triple(AB, 4, Fraction(1, 10))
@@ -171,8 +170,37 @@ class TestAsymmetricTriple:
             assert Fraction(zc[n - 1], 2**n) == 1
 
     def test_eps_gap_error(self):
-        with pytest.raises(ValueError, match="eps/3"):
+        with pytest.raises(ValueError, match="not above phi - 1/10"):
             asymmetric_triple(AB, 1, Fraction(1, 10))
+
+    def test_gate_checks_the_count_it_builds(self):
+        # floor(8 phi) = 4 words: density 1/2 is below phi - 1/10 ~ 0.518,
+        # although 5 lies within eps/3 of 8 phi ~ 4.94.
+        assert phi_floor(8) == 4
+        with pytest.raises(ValueError, match="W holds 4 of the 8 words of layer 3"):
+            asymmetric_triple(AB, 3, Fraction(1, 10))
+        assert asymmetric_triple(AB, 3, Fraction(1, 8)).w_set.layer_count(3) == 4
+
+    def test_gate_matches_decimal_oracle(self):
+        from decimal import Decimal, getcontext
+
+        getcontext().prec = 60
+        phi_hp = (Decimal(5).sqrt() - 1) / 2
+        for q in (2, 3, 4):
+            alphabet = Alphabet("abcd"[:q])
+            for n in range(1, 5):
+                total = q**n
+                density = Decimal(phi_floor(total)) / Decimal(total)
+                for d in range(2, 40):
+                    expected = density + 1 / Decimal(d) > phi_hp
+                    try:
+                        triple = asymmetric_triple(alphabet, n, Fraction(1, d))
+                    except ValueError as exc:
+                        assert not expected, (q, n, d, exc)
+                        continue
+                    assert expected, (q, n, d)
+                    counts = dfa_layer_counts(triple.x, n)
+                    assert counts[-1] == phi_floor(total)
 
     def test_unary_rejected_by_gap(self):
         with pytest.raises(ValueError):

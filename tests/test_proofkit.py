@@ -6,14 +6,10 @@ import pytest
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.density import WindowSpec, profile
 from prodfree.proofkit import (
-    PHI,
-    PHI_BOUND_CONSTANT,
-    Surd,
     exceeds_phi,
     extract_lsequence,
     phi_level_set,
     chained_inequality_check,
-    simple_bound_estimate,
     window_bound_certificate,
 )
 from prodfree.sets import dfa_full, dfa_truncate
@@ -22,24 +18,10 @@ from prodfree.words import Alphabet
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
 ODD_LEN = odd_occurrence(AB, "ab")
-PHI_FLOAT = (5**0.5 - 1) / 2
 
 
 class TestSurd:
-    def test_phi_satisfies_its_equation(self):
-        assert PHI * PHI + PHI == Surd.of(1)
-
-    def test_bound_constant(self):
-        assert (Surd.of(1) + PHI) / 2 == PHI_BOUND_CONSTANT
-        assert abs(float(PHI_BOUND_CONSTANT) - 0.8090169943749475) < 1e-12
-
-    def test_sign_cases(self):
-        assert Surd(Fraction(0), Fraction(1)).sign() == 1
-        assert Surd(Fraction(-2), Fraction(1)).sign() == 1   # sqrt5 > 2
-        assert Surd(Fraction(-3), Fraction(1)).sign() == -1  # sqrt5 < 3
-        assert Surd(Fraction(3), Fraction(-1)).sign() == 1
-        assert Surd(Fraction(2), Fraction(-1)).sign() == -1
-        assert Surd(Fraction(0), Fraction(0)).sign() == 0
+    """Comparisons of rationals against the surd phi = (sqrt(5)-1)/2."""
 
     def test_comparison_matches_high_precision_oracle(self):
         from decimal import Decimal, getcontext
@@ -50,7 +32,6 @@ class TestSurd:
         for _ in range(1000):
             d = Fraction(rng.randrange(0, 10**9 + 1), 10**9)
             oracle = Decimal(d.numerator) / Decimal(d.denominator) > phi_hp
-            assert (Surd.of(d) > PHI) == oracle
             assert exceeds_phi(d) == oracle
 
 
@@ -206,17 +187,3 @@ class TestLevelSet:
         for seed in range(10):
             s = greedy_random_productfree(AB, 10, seed)
             assert phi_level_set(s, 10).sum_free
-
-
-class TestSimpleBound:
-    def test_constant(self):
-        report = simple_bound_estimate(ODD_LEN, 16)
-        assert report.bound_constant == PHI_BOUND_CONSTANT
-
-    def test_odd_length_below_bound(self):
-        report = simple_bound_estimate(ODD_LEN, 16)
-        # Exactly half the layers exceed phi, so the implied bound hits the
-        # limiting constant, and the measured value 1/2 stays under it.
-        assert report.implied_bound == PHI_BOUND_CONSTANT
-        assert report.raw_estimate == Fraction(1, 2)
-        assert Surd.of(report.raw_estimate) < report.implied_bound

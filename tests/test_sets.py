@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from prodfree import sets
 from prodfree.constructions import odd_occurrence
 from prodfree.sets import (
     Dfa,
@@ -35,11 +36,9 @@ from prodfree.sets import (
     explicit_layer_slice,
     explicit_prefix_excluded,
     explicit_union,
-    prefix_excluded,
     minkowski_product,
     read_dfa,
     read_explicit,
-    same_language,
     write_dfa,
     write_explicit,
 )
@@ -138,7 +137,7 @@ class TestDfaBooleanOps:
         assert empty and witness is None
 
     def test_union_of_parities_is_full(self):
-        assert same_language(dfa_union(ODD_LEN, EVEN_NONEMPTY), dfa_full(AB))
+        assert dfa_union(ODD_LEN, EVEN_NONEMPTY) == dfa_full(AB)
 
     def test_minimized_canonical(self):
         # Two different constructions of the same language minimize to the
@@ -152,7 +151,7 @@ class TestDfaBooleanOps:
 class TestDfaConcat:
     def test_odd_concat_odd_is_even(self):
         cc = dfa_concat(ODD_LEN, ODD_LEN)
-        assert same_language(cc, EVEN_NONEMPTY)
+        assert cc == EVEN_NONEMPTY
 
     def test_single_letter_concat_full(self):
         a_only = dfa_length_slice(
@@ -180,9 +179,10 @@ class TestDfaConcat:
                 oracle += 1
         assert dfa_layer_counts(cc, 4)[-1] == oracle == 7
 
-    def test_state_budget(self):
-        with pytest.raises(StateBudgetError):
-            dfa_concat(ODD_A, ODD_A, state_cap=2)
+    def test_state_budget(self, monkeypatch):
+        monkeypatch.setattr(sets, "DEFAULT_STATE_CAP", 2)
+        with pytest.raises(StateBudgetError, match="state cap 2"):
+            dfa_concat(ODD_A, ODD_A)
 
 
 class TestDfaSliceAndCounts:
@@ -190,8 +190,8 @@ class TestDfaSliceAndCounts:
         sliced = dfa_length_slice(dfa_full(AB), 2)
         counts = dfa_layer_counts(sliced, 4)
         assert counts == [0, 4, 0, 0]
-        assert same_language(dfa_length_slice(ODD_A, 1),
-                             dfa_length_slice(dfa_intersect(ODD_A, dfa_layer(AB, 1)), 1))
+        assert dfa_length_slice(ODD_A, 1) == dfa_length_slice(
+            dfa_intersect(ODD_A, dfa_layer(AB, 1)), 1)
         empty, _ = dfa_is_empty(dfa_length_slice(ODD_LEN, 2))
         assert empty
 
@@ -381,8 +381,9 @@ class TestPrefixExcluded:
             assert dfa_truncate(reg, n).layers[n] == exp.layers[n]
 
     def test_dispatcher_handles_both_representations(self):
-        explicit = prefix_excluded(dfa_truncate(ODD_A, 5), 5, (1, 3))
-        regular = prefix_excluded(ODD_A, 5, (1, 3))
+        # The explicit and the regular S(n; ls) agree on layer n.
+        explicit = explicit_prefix_excluded(dfa_truncate(ODD_A, 5), 5, (1, 3))
+        regular = dfa_prefix_excluded(ODD_A, 5, (1, 3))
         assert isinstance(explicit, LayeredSet)
         assert isinstance(regular, Dfa)
         assert dfa_truncate(regular, 5).layers[5] == explicit.layers[5]
