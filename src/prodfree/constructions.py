@@ -24,7 +24,7 @@ from .sets import (
     dfa_complement,
     dfa_concat,
 )
-from .words import Alphabet, _over_budget, reversed_rank
+from .words import Alphabet, _over_budget, _relabel_tables
 
 
 def odd_occurrence(alphabet: Alphabet, gamma: str) -> Dfa:
@@ -204,27 +204,30 @@ def greedy_random_productfree(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
 
+    # reversal[n][r] is the rank of the reversal of the length-n word of rank r.
+    reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
     fwd = [0] * (max_len + 1)
     rev = [0] * (max_len + 1)
     for n, r in items:
-        if not _insertion_safe(alphabet, fwd, rev, max_len, n, r):
+        rr = reversal[n][r]
+        if not _insertion_safe(q, fwd, rev, max_len, n, r, rr):
             continue
         fwd[n] |= 1 << r
-        rev[n] |= 1 << reversed_rank(alphabet, n, r)
+        rev[n] |= 1 << rr
     return LayeredSet(alphabet, max_len, tuple(fwd))
 
 
 def _insertion_safe(
-    alphabet: Alphabet, fwd: list[int], rev: list[int], max_len: int, n: int, r: int
+    q: int, fwd: list[int], rev: list[int], max_len: int, n: int, r: int, rr: int
 ) -> bool:
-    q = alphabet.q
+    """Whether adding the length-n word of rank r (reversed rank rr) keeps
+    the set product-free; rev holds the reversals of the members."""
     # w = x.y with both factors already in.
     if _first_split(fwd, q, n, r, range(1, n)):
         return False
     # w.w already in.
     if 2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1:
         return False
-    rr = reversed_rank(alphabet, n, r)
     for m in range(1, max_len - n + 1):
         width = q**m
         mask = (1 << width) - 1

@@ -7,6 +7,18 @@ relaxation bound built from the pairwise product constraint
 Values are exact rationals; witnesses are deterministic (the first optimum
 in the fixed branching order, which greedily includes the earliest words).
 
+Symmetries of the ball are broken lex-leader style: read an assignment as
+a word over {OUT < IN} in universe order.  Each adjacent letter swap, the
+reversal, and each swap followed by the reversal keeps lengths and maps
+product triples to product triples, so it maps a feasible assignment to a
+feasible one of the same value.  A subtree is cut once, for one of these
+maps, every completion is lexicographically smaller than its image.  The
+include-first search meets completions in decreasing lexicographic order,
+so its witness is the lexicographically greatest optimum.  No map can send
+that optimum to a greater one, so it is never cut, and a proved run
+returns the same value and witness as it would without the cut; only the
+node count changes.
+
 The optima beyond the exhaustively checkable sizes are artifact-generated
 ground truth, not published values.
 """
@@ -18,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .sets import LayeredSet, _iter_bits
-from .words import Alphabet, _over_budget
+from .words import Alphabet, _over_budget, _relabel_tables
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EXHAUSTIVE_ITEM_CAP = 22
@@ -68,13 +80,19 @@ def _as_layered(
     return LayeredSet(alphabet, horizon, tuple(layers))
 
 
-def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
-    """All (x, y, z) universe indices with x.y = z inside the ball."""
-    q = alphabet.q
-    # offset[n] is the universe index of the first length-n word.
+def _layer_offsets(q: int, horizon: int) -> list[int]:
+    """offset[n] is the universe index of the first length-n word, for
+    n = 1..horizon + 1."""
     offset = [0] * (horizon + 2)
     for n in range(1, horizon + 1):
         offset[n + 1] = offset[n] + q**n
+    return offset
+
+
+def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
+    """All (x, y, z) universe indices with x.y = z inside the ball."""
+    q = alphabet.q
+    offset = _layer_offsets(q, horizon)
     out = []
     for m in range(1, horizon):
         for k in range(1, horizon - m + 1):
@@ -191,6 +209,32 @@ def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]
     return rows
 
 
+def _symmetry_maps(q: int, horizon: int) -> list[list[list[int]]]:
+    """Per-layer rank tables (see words._relabel_tables) of the symmetries
+    the search breaks: each adjacent letter swap, the reversal, and each
+    swap followed by the reversal, leaving out any that acts on the ball as
+    the identity or as an earlier map.
+
+    Each is an involution that keeps lengths and sends every product triple
+    to a product triple, a swap as (x, y, z) -> (x', y', z') and the
+    reversal as (x, y, z) -> (y', x', z').
+    """
+    identity = list(range(q))
+    swaps = []
+    for c in range(q - 1):
+        perm = list(identity)
+        perm[c], perm[c + 1] = perm[c + 1], perm[c]
+        swaps.append(perm)
+    candidates = [(perm, False) for perm in swaps]
+    candidates += [(perm, True) for perm in [identity] + swaps]
+    seen = [_relabel_tables(q, horizon, identity, False)]
+    for perm, reverse in candidates:
+        tables = _relabel_tables(q, horizon, perm, reverse)
+        if tables not in seen:
+            seen.append(tables)
+    return seen[1:]
+
+
 class _BudgetExceeded(Exception):
     pass
 
@@ -201,6 +245,13 @@ class _Search:
     Trail records are (idx, saved): an inclusion of idx saves the pair caps
     above its length as they were before, an exclusion saves the bitmask of
     the triples it killed.  The status of idx tells the two apart on undo.
+
+    The lex-leader state is passed down the recursion instead: one
+    (pairs, pos, a, b) per symmetry that may still beat the assignment,
+    pairs being the index swaps (a, b) with a < b that the symmetry makes,
+    pos the first of them not yet known to agree and (a, b) = pairs[pos].
+    A node only rebuilds the state once both a and b of some entry are
+    decided.
     """
 
     def __init__(self, alphabet: Alphabet, horizon: int, node_budget: int):
@@ -214,6 +265,16 @@ class _Search:
         self.weights = [self.layer_weight[n] for n in self.length]
         self.triples = _triples(alphabet, horizon)
         self.masks = _member_masks(self.nitems, self.triples)
+        offset = _layer_offsets(alphabet.q, horizon)
+        self.lex_pairs = [
+            [
+                (offset[n] + r, offset[n] + t)
+                for n in range(1, horizon + 1)
+                for r, t in enumerate(tables[n])
+                if r < t
+            ]
+            for tables in _symmetry_maps(alphabet.q, horizon)
+        ]
 
         # UNDECIDED=0, IN=1, OUT=2
         self.status = [0] * self.nitems
@@ -302,8 +363,9 @@ class _Search:
         self.floor = value - 1
 
     def run(self) -> tuple[int, list[int], bool]:
+        lex = [(pairs, 0) + pairs[0] for pairs in self.lex_pairs]
         try:
-            self._dfs(0)
+            self._dfs(0, lex)
             proved = True
         except _BudgetExceeded:
             proved = False
@@ -321,18 +383,60 @@ class _Search:
                         snapshot[i] = 1
             self.best_status = snapshot
 
-    def _dfs(self, cursor: int) -> None:
+    def _lex_advance(self, maps: list) -> list | None:
+        """The lex-leader state after some map's current pair was decided,
+        or None when some symmetry maps every completion to a
+        lexicographically greater one (IN above OUT).
+
+        A map's image at index a is the assignment at b, so the comparison
+        runs over its pairs in order of a.  As each map is an involution,
+        a pair with a > b would repeat a pair already known to agree.
+        """
+        status = self.status
+        kept = []
+        for pairs, pos, a, b in maps:
+            if not (status[a] and status[b]):
+                kept.append((pairs, pos, a, b))
+                continue
+            for pos in range(pos, len(pairs)):
+                a, b = pairs[pos]
+                sa, sb = status[a], status[b]
+                if sa != sb or not sa:
+                    break
+            else:
+                # Every pair agrees: the image is the assignment itself.
+                continue
+            if not sa or not sb:
+                kept.append((pairs, pos, a, b))
+            elif sa == 2:
+                # a OUT, b IN: the image wins on every completion.
+                return None
+            # Otherwise a IN, b OUT: the assignment wins on every completion.
+        return kept
+
+    def _dfs(self, cursor: int, lex: list) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
+        bound = _bound_weight(self.included, self.undecided, self.pair, self.layer_weight)
+        if bound <= self.floor:
+            return
+        # The bound is admissible, so a node it cuts has no completion to
+        # record, the all-open one below included; only the nodes it keeps
+        # need their lex-leader state.
+        status = self.status
+        for _, _, a, b in lex:
+            if status[a] and status[b]:
+                advanced = self._lex_advance(lex)
+                if advanced is None:
+                    return
+                lex = advanced
+                break
         if not self.alive:
             # No triple can still fire: every open word is freely includable.
             self._record_completion(self.weight_open, open_all=True)
             return
-        bound = _bound_weight(self.included, self.undecided, self.pair, self.layer_weight)
-        if bound <= self.floor:
-            return
-        while cursor < self.nitems and self.status[cursor] != 0:
+        while cursor < self.nitems and status[cursor] != 0:
             cursor += 1
         if cursor == self.nitems:
             self._record_completion(0, open_all=False)
@@ -340,12 +444,12 @@ class _Search:
 
         trail: list = []
         if self._include(cursor, trail):
-            self._dfs(cursor + 1)
+            self._dfs(cursor + 1, lex)
         self._undo(trail)
 
         trail = []
         self._exclude(cursor, trail)
-        self._dfs(cursor + 1)
+        self._dfs(cursor + 1, lex)
         self._undo(trail)
 
 

@@ -179,6 +179,28 @@ def reversed_rank(alphabet: Alphabet, n: int, r: int) -> int:
     return out
 
 
+def _relabel_tables(
+    q: int, horizon: int, perm: list[int], reverse: bool
+) -> list[list[int]]:
+    """tables[n][r] is the rank of the image of the length-n word of rank r
+    when each symbol c becomes perm[c] and, if reverse, the word is then
+    read backwards; tables[0] is [0].
+
+    Layer n follows from layer n - 1: the word w.c maps to image(w).perm[c],
+    or reversed to perm[c].image(w).
+    """
+    tables = [[0]]
+    for n in range(1, horizon + 1):
+        prev = tables[-1]
+        if reverse:
+            high = q ** (n - 1)
+            shifts = [p * high for p in perm]
+            tables.append([v + s for v in prev for s in shifts])
+        else:
+            tables.append([v * q + p for v in prev for p in perm])
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # Word-list file format: '#' comments, a header 'alphabet: ab', an optional
 # 'horizon: N' header, then one word per line.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,11 +8,15 @@ from prodfree.productfree import check_explicit
 from prodfree.search import (
     _pair_caps,
     _Search,
+    _symmetry_maps,
+    _triples,
+    _universe,
     exhaustive_max_productfree,
     max_productfree,
     upper_bound,
 )
-from prodfree.words import Alphabet
+from prodfree.sets import write_explicit
+from prodfree.words import Alphabet, Word, rank, reversed_rank, unrank
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -165,9 +170,10 @@ class TestSearchState:
             search._undo(trails.pop())
         assert _state(search) == initial
 
+    # Named ids, so that re-pinning a count does not rename the test.
     @pytest.mark.parametrize("alphabet,horizon,nodes", [
-        (AB, 4, 551), (AB, 5, 629), (ABC, 3, 71),
-    ])
+        (AB, 4, 343), (AB, 5, 397), (ABC, 3, 31),
+    ], ids=["ab-4", "ab-5", "abc-3"])
     def test_node_counts(self, alphabet, horizon, nodes):
         assert max_productfree(alphabet, horizon).nodes == nodes
 
@@ -182,5 +188,111 @@ def test_proved_optimum_at_horizon_seven():
     r = max_productfree(AB, 7)
     assert r.value == Fraction(4, 7)
     assert r.proved
-    assert r.nodes == 394101
+    assert r.nodes == 150097
     assert check_explicit(r.best) is None
+
+
+# sha256 of write_explicit(best), with the value, of every proved run,
+# frozen from the search before it broke symmetries: the cut must leave
+# the DFS-first optimum where it was.
+FROZEN_WITNESSES = [
+    ("ab", 1, "1", "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
+    ("ab", 2, "5/8", "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
+    ("ab", 3, "2/3", "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
+    ("ab", 4, "9/16", "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
+    ("ab", 5, "3/5", "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
+    ("ab", 6, "13/24", "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
+    ("ab", 7, "4/7", "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
+    ("abc", 1, "1", "a5168015dc1d0d71e454d3e8540e8fb5e65beabd7b2d413d4de4fb0f37f2cb09"),
+    ("abc", 2, "11/18", "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
+    ("abc", 3, "2/3", "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
+    ("abcd", 2, "5/8", "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
+    ("a", 6, "1/2", "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
+]
+
+
+@pytest.mark.parametrize(
+    "symbols,horizon,value,digest", FROZEN_WITNESSES,
+    ids=[f"{symbols}-{horizon}" for symbols, horizon, _, _ in FROZEN_WITNESSES],
+)
+def test_proved_witnesses_are_frozen(symbols, horizon, value, digest):
+    r = max_productfree(Alphabet(symbols), horizon)
+    assert r.proved
+    assert r.value == Fraction(value)
+    assert hashlib.sha256(write_explicit(r.best).encode()).hexdigest() == digest
+
+
+def _word_map(alphabet, horizon, perm, reverse):
+    """A symmetry as per-layer rank tables, through Word objects."""
+    tables = [[0]]
+    for n in range(1, horizon + 1):
+        row = []
+        for r in range(alphabet.q**n):
+            digits = [perm[c] for c in unrank(alphabet, n, r).indices]
+            if reverse:
+                digits.reverse()
+            row.append(rank(Word(alphabet, tuple(digits))))
+        tables.append(row)
+    return tables
+
+
+class TestSymmetryMaps:
+    @pytest.mark.parametrize("symbols,horizon", [
+        ("a", 1), ("a", 5), ("ab", 1), ("ab", 2), ("ab", 4), ("abc", 1),
+        ("abc", 3), ("abcd", 1), ("abcd", 2),
+    ])
+    def test_maps_are_the_distinct_nontrivial_swaps_and_reversals(
+        self, symbols, horizon
+    ):
+        alphabet = Alphabet(symbols)
+        q = alphabet.q
+        maps = _symmetry_maps(q, horizon)
+        identity = list(range(q))
+        swaps = []
+        for c in range(q - 1):
+            perm = list(identity)
+            perm[c], perm[c + 1] = perm[c + 1], perm[c]
+            swaps.append(perm)
+        expected = []
+        for perm, reverse in [(p, False) for p in swaps] + [
+            (p, True) for p in [identity] + swaps
+        ]:
+            tables = _word_map(alphabet, horizon, perm, reverse)
+            if tables != _word_map(alphabet, horizon, identity, False) and (
+                tables not in expected
+            ):
+                expected.append(tables)
+        assert maps == expected
+        for i, tables in enumerate(maps):
+            assert tables not in maps[:i]
+            assert any(row != list(range(len(row))) for row in tables)
+        # One letter: no swaps, and the reversal is the identity.  On the
+        # first layer the reversal is the identity too; past it, all 2q - 1
+        # candidates differ.
+        assert len(maps) == (2 * q - 1 if q >= 2 and horizon >= 2 else q - 1)
+
+    @pytest.mark.parametrize("symbols,horizon", [
+        ("ab", 4), ("abc", 3), ("abcd", 2),
+    ])
+    def test_bijections_of_the_ball_that_keep_products(self, symbols, horizon):
+        alphabet = Alphabet(symbols)
+        items = _universe(alphabet, horizon)
+        index = {item: i for i, item in enumerate(items)}
+        triples = _triples(alphabet, horizon)
+        triple_set = set(triples)
+        for tables in _symmetry_maps(alphabet.q, horizon):
+            image = [index[(n, tables[n][r])] for n, r in items]
+            assert sorted(image) == list(range(len(items)))
+            assert all(items[image[i]][0] == n for i, (n, _) in enumerate(items))
+            for x, y, z in triples:
+                x2, y2, z2 = image[x], image[y], image[z]
+                assert (x2, y2, z2) in triple_set or (y2, x2, z2) in triple_set
+
+    @pytest.mark.parametrize("symbols,horizon", [("ab", 5), ("abc", 3), ("abcd", 3)])
+    def test_reversal_agrees_with_reversed_rank(self, symbols, horizon):
+        alphabet = Alphabet(symbols)
+        reversal = [[0]] + [
+            [reversed_rank(alphabet, n, r) for r in range(alphabet.q**n)]
+            for n in range(1, horizon + 1)
+        ]
+        assert reversal in _symmetry_maps(alphabet.q, horizon)
