@@ -97,15 +97,11 @@ def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
     for m in range(1, horizon):
         for k in range(1, horizon - m + 1):
             width = q**k
-            for x in range(q**m):
-                for y in range(width):
-                    out.append(
-                        (
-                            offset[m] + x,
-                            offset[k] + y,
-                            offset[m + k] + x * width + y,
-                        )
-                    )
+            out += [
+                (offset[m] + x, offset[k] + y, offset[m + k] + x * width + y)
+                for x in range(q**m)
+                for y in range(width)
+            ]
     return out
 
 
@@ -190,22 +186,25 @@ def _bound_weight(
     for n in range(1, len(pair)):
         inc = included[n]
         cap = inc + undecided[n]
-        if pair[n] < cap:
-            cap = pair[n] if pair[n] > inc else inc
+        top = pair[n]
+        if top < cap:
+            cap = top if top > inc else inc
         total += cap * layer_weight[n]
     return total
 
 
 def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
-    """masks[idx] has bit t set when word idx is a member of triple t."""
+    """keep[idx] has bit t clear when word idx is a member of triple t, and
+    every other bit below len(triples) set."""
     rows = [bytearray((len(triples) + 7) // 8) for _ in range(nitems)]
     for t, members in enumerate(triples):
         byte, bit = t >> 3, 1 << (t & 7)
         for member in members:
             rows[member][byte] |= bit
-    # Replace each row in place, so only one row is held twice at a time.
+    # Replace rows in place: only one row is held more than once at a time.
+    full = (1 << len(triples)) - 1
     for idx, row in enumerate(rows):
-        rows[idx] = int.from_bytes(row, "little")
+        rows[idx] = full ^ int.from_bytes(row, "little")
     return rows
 
 
@@ -242,9 +241,12 @@ class _BudgetExceeded(Exception):
 class _Search:
     """Depth-first branch and bound with an undo trail.
 
-    Trail records are (idx, saved): an inclusion of idx saves the pair caps
-    above its length as they were before, an exclusion saves the bitmask of
-    the triples it killed.  The status of idx tells the two apart on undo.
+    Each branch pushes one trail record.  An exclusion of idx pushes
+    (idx, alive, weight_open) as they were before it; an inclusion pushes
+    (idx, alive, weight_open, pair tail, forced): the pair caps above its
+    length as they were before, and the list of open words it forced out.
+    Undo assigns alive, weight_open and the pair tail back and reopens idx
+    and every forced word.
 
     The lex-leader state is passed down the recursion instead: one
     (pairs, pos, a, b) per symmetry that may still beat the assignment,
@@ -264,7 +266,7 @@ class _Search:
         self.layer_weight = self.sizes[::-1]
         self.weights = [self.layer_weight[n] for n in self.length]
         self.triples = _triples(alphabet, horizon)
-        self.masks = _member_masks(self.nitems, self.triples)
+        self.keep = _member_masks(self.nitems, self.triples)
         offset = _layer_offsets(alphabet.q, horizon)
         self.lex_pairs = [
             [
@@ -296,62 +298,74 @@ class _Search:
     # -- propagation with undo trail ------------------------------------
 
     def _exclude(self, idx: int, trail: list) -> None:
+        trail.append((idx, self.alive, self.weight_open))
         self.status[idx] = 2
         self.undecided[self.length[idx]] -= 1
         self.weight_open -= self.weights[idx]
-        killed = self.alive & self.masks[idx]
-        self.alive ^= killed
-        trail.append((idx, killed))
+        self.alive &= self.keep[idx]
 
     def _include(self, idx: int, trail: list) -> bool:
-        """Mark idx in and propagate exclusions; False on contradiction."""
-        status = self.status
+        """Mark idx in and exclude the words it forces; False on contradiction."""
+        status, length, weights = self.status, self.length, self.weights
+        included, undecided = self.included, self.undecided
+        alive, weight_open, pair = self.alive, self.weight_open, self.pair
+        n, sizes = length[idx], self.sizes
+        forced: list[int] = []
+        trail.append((idx, alive, weight_open, pair[n + 1:], forced))
         status[idx] = 1
-        n = self.length[idx]
-        included = self.included
-        self.undecided[n] -= 1
+        undecided[n] -= 1
         included[n] += 1
-        self.weight_open -= self.weights[idx]
-        self.weight_in += self.weights[idx]
+        weight_open -= weights[idx]
+        self.weight_in += weights[idx]
         # The new |S(n)| enters only the terms q**L - |S(n)||S(L-n)| for
         # L > n, and only lowers them, so each pair[L] takes the min with
         # its new term.
-        pair = self.pair
-        sizes = self.sizes
         count = included[n]
-        trail.append((idx, pair[n + 1:]))
-        for length in range(n + 1, self.horizon + 1):
-            term = sizes[length] - count * included[length - n]
-            if term < pair[length]:
-                pair[length] = term
-        triples = self.triples
-        for t in _iter_bits(self.alive & self.masks[idx]):
+        for top in range(n + 1, self.horizon + 1):
+            term = sizes[top] - count * included[top - n]
+            if term < pair[top]:
+                pair[top] = term
+        triples, keep = self.triples, self.keep
+        ins = 0
+        hits = alive ^ (alive & keep[idx])
+        # The walk runs from the top bit down; in any order, it forces out
+        # the open member of each triple with two members in.
+        while hits:
+            t = hits.bit_length() - 1
+            hits ^= 1 << t
             x, y, z = triples[t]
             sx, sy, sz = status[x], status[y], status[z]
-            if sx == 2 or sy == 2 or sz == 2:
+            if (sx | sy | sz) & 2:
                 # Killed by an exclusion forced earlier in this loop.
                 continue
-            ins = (sx == 1) + (sy == 1) + (sz == 1)
+            # No member is OUT, so the statuses count the members in.
+            ins = sx + sy + sz
             if ins == 3:
-                return False
+                break
             if ins == 2:
-                self._exclude(x if sx != 1 else (y if sy != 1 else z), trail)
-        return True
+                out = z if sx and sy else (y if sx else x)
+                status[out] = 2
+                undecided[length[out]] -= 1
+                weight_open -= weights[out]
+                alive &= keep[out]
+                forced.append(out)
+        self.alive, self.weight_open = alive, weight_open
+        return ins != 3
 
     def _undo(self, trail: list) -> None:
-        status, length, weights = self.status, self.length, self.weights
+        status, length, undecided = self.status, self.length, self.undecided
         while trail:
-            idx, saved = trail.pop()
+            idx, self.alive, self.weight_open, *inclusion = trail.pop()
             n = length[idx]
-            if status[idx] == 1:
+            if inclusion:
+                self.pair[n + 1:], forced = inclusion
+                for out in forced:
+                    status[out] = 0
+                    undecided[length[out]] += 1
                 self.included[n] -= 1
-                self.pair[n + 1:] = saved
-                self.weight_in -= weights[idx]
-            else:
-                self.alive |= saved
+                self.weight_in -= self.weights[idx]
             status[idx] = 0
-            self.undecided[n] += 1
-            self.weight_open += weights[idx]
+            undecided[n] += 1
 
     # -- search ----------------------------------------------------------
 
@@ -371,17 +385,12 @@ class _Search:
             proved = False
         return self.best_value, self.best_status, proved
 
-    def _record_completion(self, extra_weight: int, open_all: bool) -> None:
-        value = self.weight_in + extra_weight
+    def _record_completion(self) -> None:
+        """Take the assignment with every open word in, if it beats the floor."""
+        value = self.weight_in + self.weight_open
         if value > self.floor:
-            self.floor = value
-            self.best_value = value
-            snapshot = list(self.status)
-            if open_all:
-                for i, st in enumerate(snapshot):
-                    if st == 0:
-                        snapshot[i] = 1
-            self.best_status = snapshot
+            self.floor = self.best_value = value
+            self.best_status = [st or 1 for st in self.status]
 
     def _lex_advance(self, maps: list) -> list | None:
         """The lex-leader state after some map's current pair was decided,
@@ -434,20 +443,17 @@ class _Search:
                 break
         if not self.alive:
             # No triple can still fire: every open word is freely includable.
-            self._record_completion(self.weight_open, open_all=True)
+            self._record_completion()
             return
-        while cursor < self.nitems and status[cursor] != 0:
+        # A live triple has an open member, as all three in would have been
+        # a contradiction, so the scan stops before the end.
+        while status[cursor]:
             cursor += 1
-        if cursor == self.nitems:
-            self._record_completion(0, open_all=False)
-            return
 
         trail: list = []
         if self._include(cursor, trail):
             self._dfs(cursor + 1, lex)
         self._undo(trail)
-
-        trail = []
         self._exclude(cursor, trail)
         self._dfs(cursor + 1, lex)
         self._undo(trail)
@@ -467,6 +473,8 @@ def max_productfree(
     _check_objective(objective)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     # There are (n - 1) * q**n triples x.y = z per |z| = n.  Both factors of
     # the mask size grow with the horizon, so stop at the first one over.
     q = alphabet.q
@@ -481,11 +489,10 @@ def max_productfree(
             )
     search = _Search(alphabet, horizon, node_budget)
     # The odd-length truncation is always product-free (odd + odd = even),
-    # so it makes a safe starting incumbent.
-    search.seed(
-        [1 if n % 2 == 1 else 2 for n, _ in search.items],
-        _odd_truncation_weight(alphabet, horizon),
-    )
+    # so it makes a safe starting incumbent; each of its (horizon + 1) // 2
+    # layers is full and weighs q**horizon.
+    odd_weight = (horizon + 1) // 2 * alphabet.layer_size(horizon)
+    search.seed([2 - n % 2 for n, _ in search.items], odd_weight)
     weight, status, proved = search.run()
     chosen = (idx for idx, st in enumerate(status) if st == 1)
     best = _as_layered(alphabet, horizon, search.items, chosen)
@@ -496,11 +503,4 @@ def max_productfree(
         best,
         search.nodes,
         proved,
-    )
-
-
-def _odd_truncation_weight(alphabet: Alphabet, horizon: int) -> int:
-    q = alphabet.q
-    return sum(
-        q**n * q ** (horizon - n) for n in range(1, horizon + 1, 2)
     )

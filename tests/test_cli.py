@@ -285,6 +285,12 @@ class TestSearch:
         assert "nodes=" in captured.err
         assert "nodes" not in captured.out
 
+    def test_negative_budget_exit_two(self, capsys):
+        assert main(["search", "--horizon", "2", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "node budget must be >= 0" in captured.err
+        assert captured.out == ""
+
 
 class TestPhiLevelSet:
     def test_odd_length_sum_free(self, tmp_path, capsys):

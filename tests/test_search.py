@@ -152,6 +152,16 @@ class TestSearchState:
                 if all(search.status[i] != 2 for i in members)
             )
             assert search.alive == no_out
+            # Every count, recomputed from the statuses.
+            counts = {st: [0] * (horizon + 1) for st in (0, 1, 2)}
+            weights = {st: 0 for st in (0, 1, 2)}
+            for st, n, w in zip(search.status, search.length, search.weights):
+                counts[st][n] += 1
+                weights[st] += w
+            assert search.included == counts[1]
+            assert search.undecided == counts[0]
+            assert search.weight_in == weights[1]
+            assert search.weight_open == weights[0]
 
         for _ in range(300):
             open_words = [i for i, st in enumerate(search.status) if st == 0]
@@ -159,7 +169,13 @@ class TestSearchState:
                 idx = rng.choice(open_words)
                 trail = []
                 if rng.random() < 0.5:
-                    search._include(idx, trail)
+                    ok = search._include(idx, trail)
+                    # False exactly when some triple through idx now has
+                    # every member in (x.x = z with z in, when x comes in).
+                    assert ok == all(
+                        any(search.status[i] != 1 for i in members)
+                        for members in search.triples if idx in members
+                    )
                 else:
                     search._exclude(idx, trail)
                 trails.append(trail)
@@ -169,6 +185,11 @@ class TestSearchState:
         while trails:
             search._undo(trails.pop())
         assert _state(search) == initial
+
+    def test_square_of_an_included_word_is_a_contradiction(self):
+        search = _Search(AB, 2, node_budget=0)
+        assert search._include(2, [])  # aa
+        assert not search._include(0, [])  # a, and a.a = aa
 
     # Named ids, so that re-pinning a count does not rename the test.
     @pytest.mark.parametrize("alphabet,horizon,nodes", [
@@ -194,30 +215,52 @@ def test_proved_optimum_at_horizon_seven():
 
 # sha256 of write_explicit(best), with the value, of every proved run,
 # frozen from the search before it broke symmetries: the cut must leave
-# the DFS-first optimum where it was.
+# the DFS-first optimum where it was.  Node counts are those of the search
+# with symmetry breaking.
 FROZEN_WITNESSES = [
-    ("ab", 1, "1", "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
-    ("ab", 2, "5/8", "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
-    ("ab", 3, "2/3", "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
-    ("ab", 4, "9/16", "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
-    ("ab", 5, "3/5", "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
-    ("ab", 6, "13/24", "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
-    ("ab", 7, "4/7", "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
-    ("abc", 1, "1", "a5168015dc1d0d71e454d3e8540e8fb5e65beabd7b2d413d4de4fb0f37f2cb09"),
-    ("abc", 2, "11/18", "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
-    ("abc", 3, "2/3", "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
-    ("abcd", 2, "5/8", "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
-    ("a", 6, "1/2", "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
+    ("ab", 1, "1", 1, "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
+    ("ab", 2, "5/8", 7, "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
+    ("ab", 3, "2/3", 9, "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
+    ("ab", 4, "9/16", 343, "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
+    ("ab", 5, "3/5", 397, "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
+    ("ab", 6, "13/24", 322459, "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
+    ("ab", 7, "4/7", 150097, "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
+    ("abc", 1, "1", 1, "a5168015dc1d0d71e454d3e8540e8fb5e65beabd7b2d413d4de4fb0f37f2cb09"),
+    ("abc", 2, "11/18", 13, "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
+    ("abc", 3, "2/3", 31, "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
+    ("abcd", 2, "5/8", 19, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
+    ("a", 6, "1/2", 13, "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
 ]
 
 
 @pytest.mark.parametrize(
-    "symbols,horizon,value,digest", FROZEN_WITNESSES,
-    ids=[f"{symbols}-{horizon}" for symbols, horizon, _, _ in FROZEN_WITNESSES],
+    "symbols,horizon,value,nodes,digest", FROZEN_WITNESSES,
+    ids=[f"{symbols}-{horizon}" for symbols, horizon, _, _, _ in FROZEN_WITNESSES],
 )
-def test_proved_witnesses_are_frozen(symbols, horizon, value, digest):
+def test_proved_witnesses_are_frozen(symbols, horizon, value, nodes, digest):
     r = max_productfree(Alphabet(symbols), horizon)
     assert r.proved
+    assert r.value == Fraction(value)
+    assert hashlib.sha256(write_explicit(r.best).encode()).hexdigest() == digest
+    assert r.nodes == nodes
+
+
+# The same for runs the node budget stops: the anytime result depends on
+# the exact order in which nodes are met, not only on the optimum.
+FROZEN_CAPPED = [
+    ("ab", 8, 30_000, "1/2", "9dfd2e1d3270dd1c9abd9bc1f401d36ab94a2e3bd440ac7f7a82d523e8ec7ba9"),
+    ("abc", 4, 20_000, "1/2", "69f8b3243ad794827b6a0afbbde31d2c896f3745eabd03d7738e9c691f73893c"),
+]
+
+
+@pytest.mark.parametrize(
+    "symbols,horizon,budget,value,digest", FROZEN_CAPPED,
+    ids=[f"{s}-{h}-b{b}" for s, h, b, *_ in FROZEN_CAPPED],
+)
+def test_capped_results_are_frozen(symbols, horizon, budget, value, digest):
+    r = max_productfree(Alphabet(symbols), horizon, node_budget=budget)
+    assert not r.proved
+    assert r.nodes == budget + 1
     assert r.value == Fraction(value)
     assert hashlib.sha256(write_explicit(r.best).encode()).hexdigest() == digest
 
