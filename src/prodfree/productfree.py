@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .density import profile
-from .sets import Dfa, LayeredSet, _first_split, _iter_bits, _start_normalized
+from .sets import (
+    Dfa, LayeredSet, _first_split, _iter_bits_linear, _spread, _start_normalized,
+)
 from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
 
 
@@ -32,28 +34,36 @@ class WitnessTriple:
 def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     """None if product-free within the horizon, else the least witness.
 
-    The witness minimises (|z|, rank(z), |x|): scan products by their
-    target layer, then by the target's rank, then by the split point.
+    The witness minimises (|z|, rank(z), |x|): z is the least member of the
+    first layer S(n) that meets a product S(m).S(n-m), split at the least m.
+    A layer's products are one spread per split, a pass over q**n characters
+    each; a layer with under q**n / 64 members probes each member's splits
+    instead, at one Python step, some 64 characters of a pass, per split.
     """
     q = s.alphabet.q
+    layers = s.layers
     for n in range(2, s.horizon + 1):
-        layer = s.layers[n]
-        if not layer:
+        target = layers[n]
+        splits = [m for m in range(1, n) if layers[m] and layers[n - m]]
+        if not target or not splits:
             continue
-        splits = [
-            m for m in range(1, n) if s.layers[m] and s.layers[n - m]
-        ]
-        if not splits:
-            continue
-        for r in _iter_bits(layer):
-            m = _first_split(s.layers, q, n, r, splits)
-            if m:
-                tail = q ** (n - m)
-                return WitnessTriple(
-                    unrank(s.alphabet, m, r // tail),
-                    unrank(s.alphabet, n - m, r % tail),
-                    unrank(s.alphabet, n, r),
-                )
+        if 64 * target.bit_count() < q**n:
+            z = next((r for r in _iter_bits_linear(target)
+                      if _first_split(layers, q, n, r, splits)), -1)
+        else:
+            products = 0
+            for m in splits:
+                products |= _spread(layers[m], layers[n - m], q ** (n - m))
+            hits = products & target
+            z = (hits & -hits).bit_length() - 1
+        if z >= 0:
+            m = _first_split(layers, q, n, z, splits)
+            tail = q ** (n - m)
+            return WitnessTriple(
+                unrank(s.alphabet, m, z // tail),
+                unrank(s.alphabet, n - m, z % tail),
+                unrank(s.alphabet, n, z),
+            )
     return None
 
 

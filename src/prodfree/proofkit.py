@@ -136,6 +136,8 @@ def extract_lsequence(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if min_window < 1:
+        raise ValueError(f"min window {min_window} outside 1..{horizon}")
     prof = profile(s, horizon)
     dens = prof.densities
 

@@ -14,7 +14,7 @@ DFA is { w : |w| >= 1 and run(start, w) is accepting }.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .words import (
@@ -97,7 +97,7 @@ def _layer_mask(alphabet: Alphabet, n: int) -> int:
 def _iter_bits(bits: int) -> Iterator[int]:
     """Set bits in ascending order.  Each step copies the remaining bits, so
     the walk costs O(members x width): quick on the sparse sets and short
-    layers of the search and the product checks."""
+    layers of the search."""
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -117,11 +117,19 @@ def _iter_bits_linear(bits: int) -> Iterator[int]:
 def _spread(left: int, block: int, width: int) -> int:
     """Ranks of x.y for x in left and y in block, where y ranges over a
     layer of width words: rank(x.y) = rank(x)*width + rank(y), so each x
-    contributes block shifted to its own contiguous range."""
-    out = 0
-    for x in _iter_bits(left):
-        out |= block << (x * width)
-    return out
+    contributes block shifted to its own contiguous range.
+
+    Linear in the width of the result.  If left has at most width bits,
+    one translate of bin(left) writes block's digits or zeros into every
+    range; otherwise a strided copy puts left's bits width apart, and a
+    product by the narrower block, which cannot carry, fills the ranges.
+    """
+    digits = bin(left)[2:]
+    if len(digits) <= width:
+        return int(digits.translate({48: "0" * width, 49: f"{block:0{width}b}"}), 2)
+    rows = bytearray(b"0") * (len(digits) * width)
+    rows[width - 1 :: width] = digits.encode()
+    return int(rows, 2) * block
 
 
 def _first_split(
@@ -136,28 +144,36 @@ def _first_split(
     return 0
 
 
-def _from_ranks(
-    alphabet: Alphabet, horizon: int, members: Iterable[tuple[int, int]]
-) -> LayeredSet:
-    """The explicit set whose members are the given (length, rank) pairs.
+def _from_lines(alphabet: Alphabet, horizon: int | None, lines: str) -> LayeredSet:
+    """The explicit set of the words in lines, one per line, blank lines
+    aside; the horizon defaults to the longest word's length (1 for none).
 
-    Bits are set in one bytearray per nonempty layer, so a member costs O(1)
-    instead of a shift of the whole layer.
+    No per-word Python step: symbols become base-q digits in one translate,
+    and '1' and a length-n word's digits read as q**n + rank, one index per
+    (length, rank) for q >= 2 (a blank line is 1), marking a byte of one
+    buffer; a layer's bytes, reversed, are its bitset in binary.  Over one
+    symbol a word is its length.
     """
-    _check_horizon(alphabet, horizon, "explicit")
     q = alphabet.q
-    buffers: dict[int, bytearray] = {}
-    for n, r in members:
-        if n > horizon:
-            text = unrank(alphabet, n, r).text
-            raise ValueError(f"word {text!r} longer than horizon {horizon}")
-        buf = buffers.get(n)
-        if buf is None:
-            buf = buffers[n] = bytearray((q**n + 7) >> 3)
-        buf[r >> 3] |= 1 << (r & 7)
+    digits = lines.translate(str.maketrans(alphabet.symbols, "0123456789abcdef"[:q]))
+    tagged = ("1" + digits.replace("\n", "\n1")).split("\n")
+    longest = max(map(len, tagged)) - 1
+    horizon = max(longest, 1) if horizon is None else horizon
+    _check_horizon(alphabet, horizon, "explicit")
+    if longest > horizon:
+        text = next(w for w in lines.split("\n") if len(w) > horizon)
+        raise ValueError(f"word {text!r} longer than horizon {horizon}")
     layers = [0] * (horizon + 1)
-    for n, buf in buffers.items():
-        layers[n] = int.from_bytes(buf, "little")
+    if q == 1:
+        for n in set(map(len, tagged)) - {1}:
+            layers[n - 1] = 1
+    else:
+        marks = bytearray(b"0") * (2 * q**longest)
+        # __setitem__ returns None, so any() runs the map to its end.
+        any(map(marks.__setitem__, map(int, tagged, repeat(q)), repeat(ord("1"))))
+        for n in range(1, longest + 1):
+            lo = q**n
+            layers[n] = int(marks[2 * lo - 1 : lo - 1 : -1], 2)
     return LayeredSet(alphabet, horizon, tuple(layers))
 
 
@@ -168,18 +184,13 @@ def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
         raise ValueError("cannot infer the alphabet from an empty word list; "
                          "use explicit_empty instead")
     alphabet = words[0].alphabet
-
-    def members() -> Iterator[tuple[int, int]]:
-        for w in words:
-            if w.alphabet != alphabet:
-                raise ValueError("alphabet mismatch in word list")
-            yield len(w), rank(w)
-
-    return _from_ranks(alphabet, horizon, members())
+    if any(w.alphabet != alphabet for w in words):
+        raise ValueError("alphabet mismatch in word list")
+    return _from_lines(alphabet, horizon, "\n".join(w.text for w in words))
 
 
 def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
-    return _from_ranks(alphabet, horizon, ())
+    return _from_lines(alphabet, horizon, "")
 
 
 def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
@@ -252,12 +263,6 @@ def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSe
     return LayeredSet(s1.alphabet, horizon, tuple(layers))
 
 
-def prefix_spread(s: LayeredSet, ell: int, n: int) -> int:
-    """Bitset of layer n covered by S(ell) . F(n-ell)."""
-    width = s.alphabet.q ** (n - ell)
-    return _spread(s.layers[ell], (1 << width) - 1, width)
-
-
 def validate_ell_sequence(ells: tuple[int, ...], n: int) -> None:
     if any(l < 1 for l in ells):
         raise ValueError(f"lengths must be positive: {ells}")
@@ -274,8 +279,9 @@ def explicit_prefix_excluded(s: LayeredSet, n: int, ells: Iterable[int]) -> Laye
     if n > s.horizon:
         raise ValueError(f"layer {n} outside horizon {s.horizon}")
     bits = s.layers[n]
-    for ell in ells:
-        bits &= ~prefix_spread(s, ell, n)
+    for ell in ells:  # drop S(ell).F(n-ell)
+        width = s.alphabet.q ** (n - ell)
+        bits &= ~_spread(s.layers[ell], (1 << width) - 1, width)
     layers = [0] * (n + 1)
     layers[n] = bits
     return LayeredSet(s.alphabet, n, tuple(layers))
@@ -607,44 +613,13 @@ def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
 
 
 # ---------------------------------------------------------------------------
-# Word-list text format at rank level (the format is parsed by
-# words._scan_word_list; only the conversion of a word line differs)
-
-class _DigitTable(dict):
-    """str.translate table from alphabet symbols to base-q digits.  Any
-    other character becomes '!', which int() refuses in every base."""
-
-    def __missing__(self, key: int) -> str:
-        return "!"
-
-
-def _rank_reader(alphabet: Alphabet) -> Callable[[str], tuple[int, int]]:
-    """Converter from a word line to its (length, rank).  A one-symbol
-    alphabet reads in base 2, where its symbol is the digit 0."""
-    table = _DigitTable((ord(c), f"{i:x}") for i, c in enumerate(alphabet.symbols))
-    base = max(alphabet.q, 2)
-
-    def convert(text: str) -> tuple[int, int]:
-        try:
-            return len(text), int(text.translate(table), base)
-        except ValueError:
-            # A symbol outside the alphabet, or more digits than int() takes
-            # in a base that is not a power of two: the Word path raises the
-            # usual message or ranks the long word.
-            return len(text), rank(alphabet.word(text))
-
-    return convert
+# Word-list text format at rank level (parsed by words._scan_word_list)
 
 
 def read_explicit(source: str | TextIO) -> LayeredSet:
-    """Parse a word list straight into a LayeredSet, without Word objects.
-
-    The horizon defaults to the longest word's length (1 for no words).
-    """
-    alphabet, horizon, members = _scan_word_list(source, _rank_reader)
-    if horizon is None:
-        horizon = max((n for n, _ in members), default=1)
-    return _from_ranks(alphabet, horizon, members)
+    """Parse a word list straight into a LayeredSet, without Word objects;
+    the horizon defaults to the longest word's length (1 for no words)."""
+    return _from_lines(*_scan_word_list(source))
 
 
 def write_explicit(s: LayeredSet) -> str:

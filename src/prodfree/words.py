@@ -9,9 +9,9 @@ only materialises Word objects at the edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO, TypeVar
-
-_T = TypeVar("_T")
+from collections import defaultdict
+from itertools import repeat
+from typing import Iterable, TextIO
 
 DEFAULT_ALPHABET = "ab"
 MAX_SYMBOLS = 16
@@ -206,56 +206,69 @@ def _relabel_tables(
 # 'horizon: N' header, then one word per line.
 
 
-def _scan_word_list(
-    source: str | TextIO, leaf: Callable[[Alphabet], Callable[[str], _T]]
-) -> tuple[Alphabet, int | None, list[_T]]:
+def _scan_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, str]:
     """The one parser of the word-list format.
 
-    Handles comments, headers and line numbers; each word line goes through
-    leaf(alphabet), whose ValueError becomes a FormatError naming the line.
-    Returns (alphabet, declared horizon or None, converted words).
+    Returns (alphabet, declared horizon or None, the words in file order,
+    one per line, blank lines aside); a bad line raises FormatError naming
+    it.  After the alphabet header, one translate marks every character but
+    '\\n' and the symbols (':' aside), and only lines with a mark are read
+    one by one: other lines are words as they stand.  Any line boundary of
+    str.splitlines other than '\\n' is marked, so line numbers agree.
     """
     text = source if isinstance(source, str) else source.read()
     alphabet: Alphabet | None = None
-    convert: Callable[[str], _T] | None = None
     horizon: int | None = None
-    words: list[_T] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # Same as raw.split("#", 1)[0].strip(), cheaper on plain word lines.
-        line = raw.strip()
-        if "#" in line:
-            line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" in line:  # a header, unless ':' is a symbol
-            if line.startswith("alphabet:"):
-                if alphabet is not None:
-                    raise FormatError(f"line {lineno}: duplicate alphabet header")
+    lineno = 0
+    words: list[str] = []
+
+    def read_from(start: int) -> int:
+        """Keep the words from start to the next '\\n'; return the index past it."""
+        nonlocal alphabet, horizon, lineno
+        end = text.find("\n", start) % (len(text) + 1)  # -1 is len(text)
+        for raw in text[start : end + 1].splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith(("alphabet:", "horizon:")):
+                key, value = line.split(":", 1)
+                if (alphabet if key == "alphabet" else horizon) is not None:
+                    raise FormatError(f"line {lineno}: duplicate {key} header")
                 try:
-                    alphabet = Alphabet(line.split(":", 1)[1].strip())
+                    if key == "alphabet":
+                        alphabet = Alphabet(value.strip())
+                    else:
+                        horizon = int(value.strip())
+                except ValueError as exc:
+                    why = exc if key == "alphabet" else "bad horizon"
+                    raise FormatError(f"line {lineno}: {why}") from exc
+            elif line:
+                if alphabet is None:
+                    raise FormatError(f"line {lineno}: word before 'alphabet:' header")
+                try:
+                    alphabet.word(line)
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from exc
-                convert = leaf(alphabet)
-                continue
-            if line.startswith("horizon:"):
-                if horizon is not None:
-                    raise FormatError(f"line {lineno}: duplicate horizon header")
-                try:
-                    horizon = int(line.split(":", 1)[1].strip())
-                except ValueError as exc:
-                    raise FormatError(f"line {lineno}: bad horizon") from exc
-                continue
-        if convert is None:
-            raise FormatError(f"line {lineno}: word before 'alphabet:' header")
-        try:
-            words.append(convert(line))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    if alphabet is None:
-        raise FormatError("missing 'alphabet:' header")
-    return alphabet, horizon, words
+                words.append(line + "\n")
+        return end + 1
+
+    cursor = 0
+    while alphabet is None:
+        if cursor > len(text):
+            raise FormatError("missing 'alphabet:' header")
+        cursor = read_from(cursor)
+    plain = alphabet.symbols.replace(":", "") + "\n"
+    # Every other character is missing from the table and becomes '!'.
+    marked = text.translate(defaultdict(repeat("!").__next__, zip(map(ord, plain), plain)))
+    while (mark := marked.find("!", cursor)) >= 0:
+        start = max(marked.rfind("\n", cursor, mark) + 1, cursor)
+        lineno += marked.count("\n", cursor, start)
+        words.append(text[cursor:start])
+        cursor = read_from(start)
+    words.append(text[cursor:])
+    return alphabet, horizon, "".join(words)
 
 
 def read_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, list[Word]]:
     """Parse a word list; returns (alphabet, declared horizon or None, words)."""
-    return _scan_word_list(source, lambda alphabet: alphabet.word)
+    alphabet, horizon, words = _scan_word_list(source)
+    return alphabet, horizon, [alphabet.word(w) for w in words.split("\n") if w]

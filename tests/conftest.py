@@ -2,8 +2,13 @@ import random
 from typing import Iterable
 
 import pytest
+from hypothesis import settings
 
-from prodfree.words import Alphabet, Word
+from prodfree.sets import LayeredSet
+from prodfree.words import ENUMERATION_BUDGET, Alphabet, FormatError, Word, rank
+
+# The property tests run with more examples in CI: pytest --hypothesis-profile ci
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +36,68 @@ def write_word_list(words: Iterable[Word], alphabet: Alphabet, horizon: int) -> 
     lines = [f"alphabet: {alphabet.symbols}", f"horizon: {horizon}"]
     lines.extend(w.text for w in words)
     return "\n".join(lines) + "\n"
+
+
+class _DigitTable(dict):
+    """str.translate table from alphabet symbols to base-q digits.  Any
+    other character becomes '!', which int() refuses in every base."""
+
+    def __missing__(self, key: int) -> str:
+        return "!"
+
+
+def read_by_line(text: str) -> LayeredSet:
+    """Word-list text to its set, one line at a time: the oracle for
+    sets.read_explicit, which shares no parsing or ranking code with it.
+
+    Each word line is ranked on its own with int() in base q (base 2 for
+    one symbol, whose digit is 0), or through a Word where int() refuses
+    it; the set is built one member at a time.
+    """
+    alphabet: Alphabet | None = None
+    horizon: int | None = None
+    members: list[tuple[str, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise FormatError(f"line {lineno}: duplicate alphabet header")
+            try:
+                alphabet = Alphabet(line.split(":", 1)[1].strip())
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            table = _DigitTable((ord(c), f"{i:x}") for i, c in enumerate(alphabet.symbols))
+            continue
+        if line.startswith("horizon:"):
+            if horizon is not None:
+                raise FormatError(f"line {lineno}: duplicate horizon header")
+            try:
+                horizon = int(line.split(":", 1)[1].strip())
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad horizon") from exc
+            continue
+        if alphabet is None:
+            raise FormatError(f"line {lineno}: word before 'alphabet:' header")
+        try:
+            members.append((line, len(line), int(line.translate(table), max(alphabet.q, 2))))
+        except ValueError:
+            # Not a base-q numeral: a symbol outside the alphabet, which the
+            # Word raises on, or more digits than int() takes.
+            try:
+                members.append((line, len(line), rank(alphabet.word(line))))
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+    if alphabet is None:
+        raise FormatError("missing 'alphabet:' header")
+    if horizon is None:
+        horizon = max((n for _, n, _ in members), default=1)
+    if horizon > ENUMERATION_BUDGET or alphabet.q**horizon > ENUMERATION_BUDGET:
+        raise ValueError(f"explicit horizon {horizon} over the enumeration budget")
+    layers = [0] * (horizon + 1)
+    for word, n, r in members:
+        if n > horizon:
+            raise ValueError(f"word {word!r} longer than horizon {horizon}")
+        layers[n] |= 1 << r
+    return LayeredSet(alphabet, horizon, tuple(layers))

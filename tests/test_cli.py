@@ -200,6 +200,15 @@ class TestCertify:
         main(["certify", "--dfa", str(odd_a_file), "--horizon", "32"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_min_window_below_one_exit_two(self, odd_a_file, window, capsys):
+        # A window of length 0 would double forever; -1 made a reversed one.
+        assert main(["certify", "--dfa", str(odd_a_file), "--horizon", "8",
+                     "--min-window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: min window {window} outside 1..8\n"
+
 
 class TestParser:
     def test_built_once(self, monkeypatch, capsys):

@@ -18,6 +18,9 @@ from prodfree.productfree import (
 )
 from prodfree.sets import (
     Dfa,
+    LayeredSet,
+    _iter_bits,
+    _spread,
     dfa_concat,
     dfa_full,
     dfa_intersect,
@@ -49,6 +52,47 @@ def naive_product_scan(s) -> WitnessTriple | None:
     if not found:
         return None
     return min(found, key=lambda t: (len(t.z), rank(t.z), len(t.x)))
+
+
+def spread_by_bits(left: int, block: int, width: int) -> int:
+    """The per-bit loop sets._spread replaced: the reference for it."""
+    out = 0
+    for x in _iter_bits(left):
+        out |= block << (x * width)
+    return out
+
+
+@st.composite
+def dense_low_sparse_high(draw) -> LayeredSet:
+    """Dense or empty layers up to a cut, then sparse or empty ones."""
+    alphabet = draw(st.sampled_from([AB, Alphabet("abc")]))
+    q = alphabet.q
+    horizon = draw(st.integers(2, 10 if q == 2 else 6))
+    cut = draw(st.integers(0, 5 if q == 2 else 3))
+    layers = [0]
+    for n in range(1, horizon + 1):
+        if n <= cut:
+            layers.append(draw(st.one_of(st.just(0), st.integers(0, (1 << q**n) - 1))))
+        else:
+            ranks = draw(st.sets(st.integers(0, q**n - 1), max_size=3))
+            layers.append(sum(1 << r for r in ranks))
+    return LayeredSet(alphabet, horizon, tuple(layers))
+
+
+class TestSpread:
+    @given(left=st.integers(0, 1 << 80),
+           width=st.sampled_from([1, 2, 3, 4, 8, 9, 27, 64, 81, 128]),
+           data=st.data())
+    def test_matches_the_per_bit_loop(self, left, width, data):
+        block = data.draw(st.integers(0, (1 << width) - 1))
+        assert _spread(left, block, width) == spread_by_bits(left, block, width)
+
+    @pytest.mark.parametrize("left,block,width", [
+        (0, 0, 1), (0, 1, 1), (0, 5, 3), (1, 1, 1), (0b1011, 1, 1), (0b1011, 0, 1),
+        (0b101, 0b11, 2), (0b110, 0b101, 3), (1 << 40, 1, 1), (1, 1 << 63, 64),
+    ])
+    def test_edges(self, left, block, width):
+        assert _spread(left, block, width) == spread_by_bits(left, block, width)
 
 
 class TestCheckExplicit:
@@ -86,6 +130,30 @@ class TestCheckExplicit:
                 assert got is None
             else:
                 assert got == expected  # same least witness
+
+    @settings(deadline=None)
+    @given(s=dense_low_sparse_high())
+    def test_agrees_with_naive_scan_on_dense_low_sparse_high_layers(self, s):
+        assert check_explicit(s) == naive_product_scan(s)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_top_of_a_wide_ball(self, seed):
+        # ab H=18: layers 7-9 about a quarter full, two words in each of
+        # layers 16-18 (seed 0 adds a product of two members of layer 9 to
+        # layer 18), nothing else.  Layers this sparse are probed member
+        # by member.  Equality only, no timing.
+        rng = random.Random(seed)
+        layers = [0] * 19
+        for n in (7, 8, 9):
+            layers[n] = rng.getrandbits(2**n) & rng.getrandbits(2**n)
+        for n in (16, 17, 18):
+            for r in rng.sample(range(2**n), 2):
+                layers[n] |= 1 << r
+        if seed == 0:
+            x, y = (next(_iter_bits(layers[9] >> k)) + k for k in (3, 7))
+            layers[18] |= 1 << (x * 2**9 + y)
+        s = LayeredSet(AB, 18, tuple(layers))
+        assert check_explicit(s) == naive_product_scan(s)
 
     def test_witness_soundness(self):
         s = explicit_full(AB, 3)

@@ -116,6 +116,10 @@ class TestExtraction:
         with pytest.raises(ValueError, match="positive"):
             extract_lsequence(ODD_A, Fraction(0), 16)
 
+    def test_min_window_below_one(self):
+        with pytest.raises(ValueError, match=r"min window 0 outside 1\.\.16"):
+            extract_lsequence(ODD_A, Fraction(1, 16), 16, min_window=0)
+
 
 class TestWindowBound:
     def test_k1_bound_formula(self):

@@ -52,7 +52,7 @@ from prodfree.words import (
     unrank,
 )
 
-from conftest import write_word_list
+from conftest import read_by_line, write_word_list
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -436,23 +436,17 @@ class TestDfaFormat:
 
 
 # Word lists at rank level: read_explicit and write_explicit against the
-# Word-object path (read_word_list plus explicit_from_words, and the
-# write_word_list oracle).  Longest word per alphabet size; q**len stays
-# inside the enumeration budget.
+# line-by-line reader read_by_line and the write_word_list oracle (both in
+# conftest).  Longest word per alphabet size; q**len stays inside the
+# enumeration budget.
 TEXT_ALPHABETS = [Alphabet(s) for s in ("a", "ab", "abc", "0123456789abcdef")]
 TEXT_MAX_LEN = {1: 30, 2: 14, 3: 9, 16: 4}
 # Characters int() tolerates in some position; none is a symbol of "ab".
-INT_TOLERATED = ["1", "_", "+", "-", " "]
-
-
-def read_via_words(text: str) -> LayeredSet:
-    """The Word-object path from a word list to its set."""
-    alphabet, horizon, words = read_word_list(text)
-    if horizon is None:
-        horizon = max((len(w) for w in words), default=1)
-    if not words:
-        return explicit_empty(alphabet, horizon)
-    return explicit_from_words(words, horizon)
+# '\u0661' is an Arabic-Indic 1.
+INT_TOLERATED = ["1", "_", "+", "-", " ", "\u0661"]
+# Every line boundary str.splitlines honours.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
 
 
 def outcome(read, text: str):
@@ -477,13 +471,14 @@ def layered_sets(draw) -> LayeredSet:
 
 @st.composite
 def word_list_texts(draw) -> tuple[str, set[str]]:
-    """A word list with comments, blank lines, padding, duplicate words and
-    headers anywhere (so some texts are malformed), and its word set."""
+    """A word list with comments, blank lines, padding, duplicate words,
+    headers anywhere (so some texts are malformed), any line boundary, with
+    or without a final one, and sometimes a run of 50 or more plain lines;
+    and its word set."""
     alphabet = draw(st.sampled_from(TEXT_ALPHABETS))
     max_len = TEXT_MAX_LEN[alphabet.q]
-    words = draw(st.lists(
-        st.text(alphabet=alphabet.symbols, min_size=1, max_size=max_len),
-        max_size=10))
+    word = st.text(alphabet=alphabet.symbols, min_size=1, max_size=max_len)
+    words = draw(st.lists(word, max_size=10))
     if words:
         words += draw(st.lists(st.sampled_from(words), max_size=3))
     if draw(st.booleans()):
@@ -504,7 +499,21 @@ def word_list_texts(draw) -> tuple[str, set[str]]:
     if draw(st.booleans()):
         horizon = draw(st.integers(0, max_len + 1))
         lines.insert(draw(st.integers(0, len(lines))), f"horizon: {horizon}")
-    return "\n".join(lines) + "\n", {w.strip() for w in words}
+    # Mostly '\n', so that runs of plain lines stay common.
+    breaks = st.one_of(st.just("\n"), st.sampled_from(LINE_BREAKS))
+    ends = [draw(breaks) for _ in lines]
+    if draw(st.booleans()):
+        # A run of plain lines, a few words repeated.
+        at = draw(st.integers(0, len(lines)))
+        pool = draw(st.lists(word, min_size=1, max_size=6))
+        run = (pool * 50)[: draw(st.integers(50, 60))]
+        lines[at:at] = run
+        ends[at:at] = ["\n"] * len(run)
+        words += pool
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line boundary
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, {w.strip() for w in words}
 
 
 class TestWordListText:
@@ -515,12 +524,19 @@ class TestWordListText:
         assert read_explicit(text) == s
 
     @given(case=word_list_texts())
-    def test_read_matches_the_word_path(self, case):
+    def test_read_matches_the_line_by_line_reader(self, case):
         text, words = case
         got = outcome(read_explicit, text)
-        assert got == outcome(read_via_words, text)
+        assert got == outcome(read_by_line, text)
         if isinstance(got, LayeredSet):
             assert explicit_members(got) == words
+        # read_word_list shares the scanner: the same words, or the same
+        # format error (the horizon is not its to check).
+        listed = outcome(lambda t: {w.text for w in read_word_list(t)[2]}, text)
+        if isinstance(got, LayeredSet):
+            assert listed == words
+        elif got[0] is FormatError:
+            assert listed == got
 
     def test_examples(self, unary):
         assert read_explicit("alphabet: ab\n") == explicit_empty(AB, 1)
@@ -537,7 +553,22 @@ class TestWordListText:
         text = f"alphabet: ab\nhorizon: 3\na\n{line}\nb\n"
         with pytest.raises(FormatError, match="line 4: symbol .* not in alphabet"):
             read_explicit(text)
-        assert outcome(read_explicit, text) == outcome(read_via_words, text)
+        assert outcome(read_explicit, text) == outcome(read_by_line, text)
+
+    @pytest.mark.parametrize("text", [
+        "alphabet: a:\nhorizon: 3\na:\n::a\n:\n",
+        "alphabet: a:\n:a\nhorizon:\n",
+        "alphabet: horizn:\nhoriz\nhorizon:\n",
+        "alphabet: a!\n!\na!a\n",
+        "alphabet: \u03b1\u03b2\n\u03b1\u03b2\n\u03b2 # \u03b3\n\u03b2\u03b2\u03b2\n",
+        "alphabet: ab\r\nhorizon: 3\r\nab\r\nb\r\n",
+        "alphabet: ab\nab\x85\nb\u2028\nba",
+        "alphabet: ab\n" + "ab\n" * 60 + "b\r" * 3 + "a\u0661\n",
+        "\n\r\n# only a comment\x1c  \nalphabet: ab\x1dab\x1ehorizon: 2",
+        "alphabet: ab\nabab\nhorizon: 3\n",
+    ])
+    def test_special_lines_match(self, text):
+        assert outcome(read_explicit, text) == outcome(read_by_line, text)
 
     @pytest.mark.parametrize("text", [
         "a\nalphabet: ab\n",
@@ -553,7 +584,7 @@ class TestWordListText:
     def test_format_errors_match(self, text):
         got = outcome(read_explicit, text)
         assert not isinstance(got, LayeredSet)
-        assert got == outcome(read_via_words, text)
+        assert got == outcome(read_by_line, text)
 
     @pytest.mark.parametrize("header", ["", "horizon: 5\n"])
     def test_word_past_the_int_digit_limit(self, header):
@@ -561,7 +592,7 @@ class TestWordListText:
         # the Word path does not; both must still agree.
         text = f"alphabet: abc\n{header}a\n{'b' * 5000}\n"
         got = outcome(read_explicit, text)
-        assert got == outcome(read_via_words, text)
+        assert got == outcome(read_by_line, text)
         assert got[0] is ValueError
 
     def test_duplicate_horizon_header(self):
