@@ -9,7 +9,6 @@ from .sets import (
     dfa_difference,
     dfa_intersect,
     dfa_is_empty,
-    dfa_length_slice,
     dfa_truncate,
     dfa_union,
     explicit_from_words,
@@ -24,7 +23,7 @@ from .density import (
     upper_asymptotic,
     upper_banach,
 )
-from .productfree import WitnessTriple, check_explicit, check_regular, pairwise_inequality
+from .productfree import WitnessTriple, check_explicit, check_regular
 from .proofkit import (
     LSequence,
     exceeds_phi,
@@ -43,7 +42,6 @@ from .search import (
     SearchResult,
     exhaustive_max_productfree,
     max_productfree,
-    upper_bound,
 )
 
 __version__ = "0.1.0"

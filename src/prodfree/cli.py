@@ -185,9 +185,7 @@ def cmd_certify(args) -> int:
         lk = lseq.lengths[-1]
         prof = density.profile(s, horizon)
         for start in range(lk + 1, horizon - args.min_window + 2):
-            window = density.WindowSpec(start, min(horizon, start + args.min_window - 1))
-            if window.length < args.min_window:
-                continue
+            window = density.WindowSpec(start, start + args.min_window - 1)
             cert = proofkit.window_bound_certificate(prof, window, lseq)
             certificates.append({
                 "window": [window.start, window.end],

@@ -9,11 +9,9 @@ look denser than any genuinely infinite product-free set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .density import profile
 from .sets import (
-    Dfa, LayeredSet, _first_split, _iter_bits_linear, _spread, _start_normalized,
+    Dfa, LayeredSet, _first_split, _iter_bits, _spread, _start_normalized,
 )
 from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
 
@@ -48,7 +46,7 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
         if not target or not splits:
             continue
         if 64 * target.bit_count() < q**n:
-            z = next((r for r in _iter_bits_linear(target)
+            z = next((r for r in _iter_bits(target)
                       if _first_split(layers, q, n, r, splits)), -1)
         else:
             products = 0
@@ -152,28 +150,3 @@ def _earliest_split(d: Dfa, z: Word) -> WitnessTriple:
         if d.accepts(x) and d.accepts(y):
             return WitnessTriple(x, y, z)
     raise AssertionError("witness from the pair automaton has no split")
-
-
-@dataclass(frozen=True)
-class PairwiseRecord:
-    """One instance of d(m) d(n) + d(m+n), flagged when above 1."""
-
-    m: int
-    n: int
-    lhs: Fraction
-    violated: bool
-
-
-def pairwise_inequality(s: LayeredSet | Dfa, horizon: int) -> list[PairwiseRecord]:
-    """Evaluate d(m)d(n) + d(m+n) for all 1 <= m <= n with m+n <= horizon.
-
-    Product-free sets never violate the bound of 1; violations are returned
-    as a diagnostic for sets that are not product-free.
-    """
-    prof = profile(s, horizon)
-    out = []
-    for m in range(1, horizon // 2 + 1):
-        for n in range(m, horizon - m + 1):
-            lhs = prof.density(m) * prof.density(n) + prof.density(m + n)
-            out.append(PairwiseRecord(m, n, lhs, lhs > 1))
-    return out

@@ -136,7 +136,7 @@ def extract_lsequence(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if min_window < 1:
+    if not 1 <= min_window <= horizon:
         raise ValueError(f"min window {min_window} outside 1..{horizon}")
     prof = profile(s, horizon)
     dens = prof.densities

@@ -141,47 +141,19 @@ def exhaustive_max_productfree(
     )
 
 
-def upper_bound(
-    alphabet: Alphabet,
-    horizon: int,
-    included: list[int],
-    undecided: list[int],
-    objective: str = "mean",
-) -> Fraction:
-    """Admissible bound on the best completion of a partial assignment.
-
-    included[n] / undecided[n] count decided-in and still-open words per
-    layer.  Each layer is capped both by its open words and by the pairwise
-    product constraint against the already included complementary layers.
-    """
-    _check_objective(objective)
-    sizes = _layer_sizes(alphabet.q, horizon)
-    pair = _pair_caps(sizes, included)
-    weight = _bound_weight(included, undecided, pair, sizes[::-1])
-    return _scale(weight, alphabet, horizon, objective)
-
-
 def _layer_sizes(q: int, horizon: int) -> list[int]:
     """q**n for n = 0..horizon; reversed, q**(horizon - n), the weight of a
     length-n word."""
     return [q**n for n in range(horizon + 1)]
 
 
-def _pair_caps(sizes: list[int], included: list[int]) -> list[int]:
-    """pair[n] = min over 0 < m < n of q**n - |S(m)||S(n-m)|, or q**n when
-    n has no split."""
-    return [
-        sizes[n] - max((included[m] * included[n - m] for m in range(1, n)), default=0)
-        for n in range(len(sizes))
-    ]
-
-
 def _bound_weight(
     included: list[int], undecided: list[int], pair: list[int], layer_weight: list[int]
 ) -> int:
-    """upper_bound as an integer weight, layer_weight[n] per word of length n:
-    layer n holds at most min(included + undecided, pair) words, and never
-    fewer than it already includes."""
+    """Admissible bound on the best completion, as an integer weight,
+    layer_weight[n] per word of length n: layer n holds at most
+    min(included + undecided, pair) words, pair[n] being the min over
+    0 < m < n of q**n - |S(m)||S(n-m)|, and never fewer than it includes."""
     total = 0
     for n in range(1, len(pair)):
         inc = included[n]
@@ -286,7 +258,8 @@ class _Search:
         self.undecided = [0] * (horizon + 1)
         for n in self.length:
             self.undecided[n] += 1
-        self.pair = _pair_caps(self.sizes, self.included)
+        # Every count is zero, so each pair cap starts at q**n.
+        self.pair = list(self.sizes)
         self.weight_in = 0
         self.weight_open = sum(self.weights)
         self.nodes = 0

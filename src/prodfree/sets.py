@@ -76,7 +76,7 @@ class LayeredSet:
     def words(self) -> Iterator[Word]:
         """Members in (length, rank) order."""
         for n in range(1, self.horizon + 1):
-            for r in _iter_bits_linear(self.layers[n]):
+            for r in _iter_bits(self.layers[n]):
                 yield unrank(self.alphabet, n, r)
 
     def is_empty(self) -> bool:
@@ -95,18 +95,8 @@ def _layer_mask(alphabet: Alphabet, n: int) -> int:
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
-    """Set bits in ascending order.  Each step copies the remaining bits, so
-    the walk costs O(members x width): quick on the sparse sets and short
-    layers of the search."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _iter_bits_linear(bits: int) -> Iterator[int]:
     """Set bits in ascending order in time linear in the width: one
-    reversed bin() string scanned with str.find, for dense wide layers."""
+    reversed bin() string scanned with str.find."""
     text = bin(bits)[:1:-1]
     i = text.find("1")
     while i >= 0:
@@ -238,15 +228,6 @@ def explicit_complement(s: LayeredSet) -> LayeredSet:
     return LayeredSet(s.alphabet, s.horizon, tuple(layers))
 
 
-def explicit_layer_slice(s: LayeredSet, n: int) -> LayeredSet:
-    """Just layer n of s, as a set with the same horizon."""
-    if not 1 <= n <= s.horizon:
-        raise ValueError(f"layer {n} outside horizon {s.horizon}")
-    layers = [0] * (s.horizon + 1)
-    layers[n] = s.layers[n]
-    return LayeredSet(s.alphabet, s.horizon, tuple(layers))
-
-
 def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSet:
     """{ w1.w2 : w1 in s1, w2 in s2, |w1|+|w2| <= horizon }."""
     if s1.alphabet != s2.alphabet:
@@ -338,18 +319,6 @@ def dfa_full(alphabet: Alphabet) -> Dfa:
     """All nonempty words (acceptance of the empty run is ignored anyway)."""
     q = alphabet.q
     return Dfa(alphabet, 2, 0, frozenset({1}), ((1,) * q, (1,) * q))
-
-
-def dfa_layer(alphabet: Alphabet, n: int) -> Dfa:
-    """Exactly the layer F(n)."""
-    if n < 1:
-        raise ValueError(f"layer index must be >= 1, got {n}")
-    q = alphabet.q
-    # States 0..n count consumed symbols; n+1 is the overflow sink.
-    delta = tuple(
-        tuple(min(k + 1, n + 1) for _ in range(q)) for k in range(n + 2)
-    )
-    return _minimized(Dfa(alphabet, n + 2, 0, frozenset({n}), delta))
 
 
 def _start_normalized(d: Dfa) -> Dfa:
@@ -504,13 +473,6 @@ def dfa_concat(d1: Dfa, d2: Dfa) -> Dfa:
     return _minimized(Dfa(d1.alphabet, len(order), 0, accepting, tuple(delta_rows)))
 
 
-def dfa_length_slice(d: Dfa, n: int) -> Dfa:
-    """L(d) intersected with the layer F(n)."""
-    if n < 1:
-        raise ValueError(f"layer index must be >= 1, got {n}")
-    return dfa_intersect(d, dfa_layer(d.alphabet, n))
-
-
 def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
     """Emptiness plus a shortest witness (lex-least among the shortest)."""
     q = d.alphabet.q
@@ -557,7 +519,7 @@ def dfa_layer_counts(d: Dfa, horizon: int) -> list[int]:
 
 
 def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
-    """|S(n; l1,...,lk)| for S = L(d), without building the automaton.
+    """|S(n; l1,...,lk)| for S = L(d), without building an automaton for it.
 
     Runs the layer-count sweep but zeroes accepting components at each
     depth li, which kills exactly the words whose length-li prefix lies
@@ -574,17 +536,6 @@ def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
             for s in d.accepting:
                 vec[s] = 0
     return sum(vec[s] for s in d.accepting)
-
-
-def dfa_prefix_excluded(d: Dfa, n: int, ells: Iterable[int]) -> Dfa:
-    """S(n; l1,...,lk) as an automaton: slice minus Union S(li).F(n-li)."""
-    ells = tuple(ells)
-    validate_ell_sequence(ells, n)
-    result = dfa_length_slice(d, n)
-    for ell in ells:
-        covered = dfa_concat(dfa_length_slice(d, ell), dfa_layer(d.alphabet, n - ell))
-        result = dfa_difference(result, covered)
-    return result
 
 
 def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
@@ -636,7 +587,7 @@ def write_explicit(s: LayeredSet) -> str:
     for n in range(1, s.horizon + 1):
         high, low = 2 * k - n, max(k - n, 0)
         lines.extend(table[r // block][high:] + table[r % block][low:]
-                     for r in _iter_bits_linear(s.layers[n]))
+                     for r in _iter_bits(s.layers[n]))
     return "\n".join(lines) + "\n"
 
 
@@ -665,6 +616,7 @@ def read_dfa(source: str | TextIO) -> Dfa:
     start: int | None = None
     accepting: frozenset[int] | None = None
     trans: dict[tuple[int, int], int] = {}
+    headers: set[str] = set()
 
     def fail(lineno: int, msg: str) -> FormatError:
         return FormatError(f"line {lineno}: {msg}")
@@ -676,6 +628,10 @@ def read_dfa(source: str | TextIO) -> Dfa:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
+        if key in ("alphabet", "states", "start", "accept"):
+            if key in headers:
+                raise fail(lineno, f"duplicate {key} header")
+            headers.add(key)
         if key == "alphabet":
             try:
                 alphabet = Alphabet(rest)

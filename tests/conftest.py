@@ -4,11 +4,14 @@ from typing import Iterable
 import pytest
 from hypothesis import settings
 
-from prodfree.sets import LayeredSet
+from prodfree.sets import Dfa, LayeredSet
 from prodfree.words import ENUMERATION_BUDGET, Alphabet, FormatError, Word, rank
 
 # The property tests run with more examples in CI: pytest --hypothesis-profile ci
 settings.register_profile("ci", max_examples=500)
+
+# The one-word set {a} over ab: state 1 has read "a", state 2 is the sink.
+A_ONLY = Dfa(Alphabet("ab"), 3, 0, frozenset({1}), ((1, 2), (2, 2), (2, 2)))
 
 
 @pytest.fixture(scope="session")

@@ -200,9 +200,11 @@ class TestCertify:
         main(["certify", "--dfa", str(odd_a_file), "--horizon", "32"])
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("window", ["0", "-1"])
+    @pytest.mark.parametrize("window", ["0", "-1", "9", "100"])
     def test_min_window_below_one_exit_two(self, odd_a_file, window, capsys):
         # A window of length 0 would double forever; -1 made a reversed one.
+        # One longer than the horizon fits nowhere: the run would check no
+        # window and still report "all_hold": true.
         assert main(["certify", "--dfa", str(odd_a_file), "--horizon", "8",
                      "--min-window", window]) == 2
         captured = capsys.readouterr()

@@ -16,6 +16,8 @@ from prodfree.density import ball_density, profile, upper_banach
 from prodfree.productfree import check_explicit, check_regular
 from prodfree.proofkit import exceeds_phi
 from prodfree.sets import (
+    Dfa,
+    dfa_complement,
     dfa_concat,
     dfa_intersect,
     dfa_is_empty,
@@ -154,6 +156,21 @@ class TestAsymmetricTriple:
         xy = dfa_concat(triple.x, triple.y)
         empty, _ = dfa_is_empty(dfa_intersect(xy, triple.z))
         assert empty
+
+    @pytest.mark.parametrize("symbols,n", [
+        ("ab", 4), ("ab", 5), ("ab", 6), ("ab", 7), ("abc", 3), ("abc", 4), ("abc", 5),
+    ])
+    def test_z_closed_form(self, symbols, n):
+        # No word shorter than 2n is in X.Y; from length 2n on, a word is in
+        # X.Y exactly when its first and last n symbols are in W, that is
+        # when it is in both X and Y.  State k of `long` has read k symbols.
+        alphabet = Alphabet(symbols)
+        triple = asymmetric_triple(alphabet, n, Fraction(1, 10))
+        top = 2 * n
+        long = Dfa(alphabet, top + 1, 0, frozenset({top}),
+                   tuple((min(k + 1, top),) * alphabet.q for k in range(top + 1)))
+        xy = dfa_intersect(dfa_intersect(triple.x, triple.y), long)
+        assert triple.z == dfa_complement(xy)
 
     def test_z_long_run_density(self):
         triple = asymmetric_triple(AB, 4, Fraction(1, 10))

@@ -14,8 +14,8 @@ from prodfree.productfree import (
     WitnessTriple,
     check_explicit,
     check_regular,
-    pairwise_inequality,
 )
+from prodfree.proofkit import chained_inequality_check
 from prodfree.sets import (
     Dfa,
     LayeredSet,
@@ -25,7 +25,6 @@ from prodfree.sets import (
     dfa_full,
     dfa_intersect,
     dfa_is_empty,
-    dfa_length_slice,
     dfa_truncate,
     dfa_union,
     explicit_empty,
@@ -33,6 +32,8 @@ from prodfree.sets import (
     explicit_full,
 )
 from prodfree.words import Alphabet, Word, concat, layer_words, rank
+
+from conftest import A_ONLY
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -57,8 +58,9 @@ def naive_product_scan(s) -> WitnessTriple | None:
 def spread_by_bits(left: int, block: int, width: int) -> int:
     """The per-bit loop sets._spread replaced: the reference for it."""
     out = 0
-    for x in _iter_bits(left):
-        out |= block << (x * width)
+    for x in range(left.bit_length()):
+        if left >> x & 1:
+            out |= block << (x * width)
     return out
 
 
@@ -176,8 +178,7 @@ class TestCheckRegular:
             assert check_regular(odd_occurrence(alphabet, gamma)) is None
 
     def test_left_closed_language_witness(self):
-        a_only = dfa_length_slice(ODD_A, 1)
-        starts_with_a = dfa_union(a_only, dfa_concat(a_only, dfa_full(AB)))
+        starts_with_a = dfa_union(A_ONLY, dfa_concat(A_ONLY, dfa_full(AB)))
         witness = check_regular(starts_with_a)
         assert len(witness.z) == 2
         assert (witness.x.text, witness.y.text, witness.z.text) == ("a", "a", "aa")
@@ -261,24 +262,27 @@ class TestCheckRegularBudget:
             check_regular(self.cycle(2047, frozenset({0, 1})))
 
 
+def pairwise_lhs(s, m: int, n: int) -> Fraction:
+    """d(m)d(n) + d(m+n): the chained inequality with the one length m."""
+    return chained_inequality_check(s, [m], m + n).lhs
+
+
 class TestPairwise:
     def test_odd_length_tight(self):
-        records = pairwise_inequality(ODD_LEN, 8)
-        r = next(rec for rec in records if rec.m == 1 and rec.n == 1)
-        assert r.lhs == 1 and not r.violated
+        assert pairwise_lhs(ODD_LEN, 1, 1) == 1
 
     def test_odd_a_constant(self):
-        for rec in pairwise_inequality(ODD_A, 10):
-            assert rec.lhs == Fraction(3, 4)
-            assert not rec.violated
+        for m in range(1, 6):
+            for n in range(m, 11 - m):
+                assert pairwise_lhs(ODD_A, m, n) == Fraction(3, 4)
 
     def test_full_flagged(self):
-        records = pairwise_inequality(dfa_full(AB), 4)
-        r = next(rec for rec in records if rec.m == 1 and rec.n == 1)
-        assert r.lhs == 2 and r.violated
+        assert pairwise_lhs(dfa_full(AB), 1, 1) == 2
 
     def test_product_free_sets_never_violate(self):
         for seed in range(10):
             s = greedy_random_productfree(AB, 8, seed)
             assert check_explicit(s) is None
-            assert not any(rec.violated for rec in pairwise_inequality(s, 8))
+            for m in range(1, 5):
+                for n in range(m, 9 - m):
+                    assert pairwise_lhs(s, m, n) <= 1

@@ -6,14 +6,15 @@ import pytest
 
 from prodfree.productfree import check_explicit
 from prodfree.search import (
-    _pair_caps,
+    _bound_weight,
+    _layer_sizes,
+    _scale,
     _Search,
     _symmetry_maps,
     _triples,
     _universe,
     exhaustive_max_productfree,
     max_productfree,
-    upper_bound,
 )
 from prodfree.sets import write_explicit
 from prodfree.words import Alphabet, Word, rank, reversed_rank, unrank
@@ -98,6 +99,22 @@ class TestResultContracts:
         assert recomputed_objective(r) == r.value
         # The seed incumbent (odd-length truncation) is still reported.
         assert r.value >= Fraction(1, 2)
+
+
+def _pair_caps(sizes: list[int], included: list[int]) -> list[int]:
+    """pair[n] = min over 0 < m < n of q**n - |S(m)||S(n-m)|, or q**n when
+    n has no split: the caps _Search keeps up to date, recomputed."""
+    return [
+        sizes[n] - max((included[m] * included[n - m] for m in range(1, n)), default=0)
+        for n in range(len(sizes))
+    ]
+
+
+def upper_bound(alphabet, horizon, included, undecided) -> Fraction:
+    """The search bound on a partial assignment, as a mean layer density."""
+    sizes = _layer_sizes(alphabet.q, horizon)
+    weight = _bound_weight(included, undecided, _pair_caps(sizes, included), sizes[::-1])
+    return _scale(weight, alphabet, horizon, "mean")
 
 
 class TestUpperBound:

@@ -12,7 +12,6 @@ from prodfree.sets import (
     LayeredSet,
     StateBudgetError,
     _iter_bits,
-    _iter_bits_linear,
     dfa_complement,
     dfa_concat,
     dfa_difference,
@@ -20,10 +19,7 @@ from prodfree.sets import (
     dfa_full,
     dfa_intersect,
     dfa_is_empty,
-    dfa_layer,
     dfa_layer_counts,
-    dfa_length_slice,
-    dfa_prefix_excluded,
     dfa_prefix_excluded_count,
     dfa_truncate,
     dfa_union,
@@ -33,7 +29,6 @@ from prodfree.sets import (
     explicit_from_words,
     explicit_full,
     explicit_intersect,
-    explicit_layer_slice,
     explicit_prefix_excluded,
     explicit_union,
     minkowski_product,
@@ -52,7 +47,7 @@ from prodfree.words import (
     unrank,
 )
 
-from conftest import read_by_line, write_word_list
+from conftest import A_ONLY, read_by_line, write_word_list
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -154,10 +149,7 @@ class TestDfaConcat:
         assert cc == EVEN_NONEMPTY
 
     def test_single_letter_concat_full(self):
-        a_only = dfa_length_slice(
-            dfa_intersect(ODD_A, dfa_layer(AB, 1)), 1
-        )
-        starts_with_a = dfa_concat(a_only, dfa_full(AB))
+        starts_with_a = dfa_concat(A_ONLY, dfa_full(AB))
         got = truncation_oracle(starts_with_a, 5)
         expected = {
             w.text
@@ -186,15 +178,6 @@ class TestDfaConcat:
 
 
 class TestDfaSliceAndCounts:
-    def test_slice_examples(self):
-        sliced = dfa_length_slice(dfa_full(AB), 2)
-        counts = dfa_layer_counts(sliced, 4)
-        assert counts == [0, 4, 0, 0]
-        assert dfa_length_slice(ODD_A, 1) == dfa_length_slice(
-            dfa_intersect(ODD_A, dfa_layer(AB, 1)), 1)
-        empty, _ = dfa_is_empty(dfa_length_slice(ODD_LEN, 2))
-        assert empty
-
     def test_layer_count_examples(self):
         assert dfa_layer_counts(ODD_A, 8) == [2 ** (n - 1) for n in range(1, 9)]
         assert dfa_layer_counts(ODD_LEN, 4)[-1] == 0
@@ -318,15 +301,6 @@ class TestOracleEquivalence:
         )
         assert lhs == rhs
 
-    def test_slice(self, d1, d2):
-        for n in range(1, self.N + 1):
-            lhs = dfa_truncate(dfa_length_slice(d1, n), self.N)
-            rhs = explicit_layer_slice(dfa_truncate(d1, self.N), n)
-            # Align horizons: the explicit slice keeps the original horizon.
-            assert lhs.layers[n] == rhs.layers[n]
-            assert all(lhs.layers[m] == 0 for m in range(1, self.N + 1) if m != n)
-
-
 class TestPrefixExcluded:
     def test_odd_length_all_covered(self):
         t = dfa_truncate(ODD_LEN, 3)
@@ -374,19 +348,9 @@ class TestPrefixExcluded:
 
     def test_regular_explicit_agreement(self):
         for ells, n in [((1,), 4), ((2, 3), 5), ((1, 2, 4), 6)]:
-            reg = dfa_prefix_excluded(ODD_A, n, ells)
             fast = dfa_prefix_excluded_count(ODD_A, n, ells)
             exp = explicit_prefix_excluded(dfa_truncate(ODD_A, n), n, ells)
-            assert dfa_layer_counts(reg, n)[-1] == fast == exp.layer_count(n)
-            assert dfa_truncate(reg, n).layers[n] == exp.layers[n]
-
-    def test_dispatcher_handles_both_representations(self):
-        # The explicit and the regular S(n; ls) agree on layer n.
-        explicit = explicit_prefix_excluded(dfa_truncate(ODD_A, 5), 5, (1, 3))
-        regular = dfa_prefix_excluded(ODD_A, 5, (1, 3))
-        assert isinstance(explicit, LayeredSet)
-        assert isinstance(regular, Dfa)
-        assert dfa_truncate(regular, 5).layers[5] == explicit.layers[5]
+            assert fast == exp.layer_count(n)
 
     def test_bad_ell_sequence(self):
         t = dfa_truncate(ODD_A, 4)
@@ -433,6 +397,17 @@ class TestDfaFormat:
         )
         with pytest.raises(FormatError, match="duplicate"):
             read_dfa(text)
+
+    @pytest.mark.parametrize("key", ["alphabet", "states", "start", "accept"])
+    def test_duplicate_header(self, key):
+        # Were a second header to replace the first, a second "accept:"
+        # would change the set and a second "alphabet:" relabel symbols
+        # already read.
+        lines = write_dfa(ODD_A).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+        lines.insert(at + 1, lines[at])
+        with pytest.raises(FormatError, match=f"line {at + 2}: duplicate {key} header"):
+            read_dfa("\n".join(lines))
 
 
 # Word lists at rank level: read_explicit and write_explicit against the
@@ -612,7 +587,7 @@ class TestWordListText:
 
     @given(bits=st.integers(0, 1 << 300))
     def test_linear_bit_walk(self, bits):
-        assert list(_iter_bits_linear(bits)) == list(_iter_bits(bits))
+        assert list(_iter_bits(bits)) == [i for i in range(bits.bit_length()) if bits >> i & 1]
 
     def test_full_ball_written_in_linear_time(self):
         # 524,286 words; a walk that copies the layer per member took ~7.5 s.
