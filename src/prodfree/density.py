@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator
 
 from .sets import (
@@ -211,7 +212,11 @@ def upper_asymptotic(p: DensityProfile) -> DensityLimit:
 
 
 def upper_banach(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> DensityLimit:
-    """limsup of window means over windows of length >= min_window."""
+    """limsup of window means over windows of length >= min_window.
+
+    Lengths below 2*min_window suffice: a longer window of largest mean splits
+    into two of length >= min_window and the same mean, the first one earlier.
+    """
     h = p.horizon
     if not 1 <= min_window <= h:
         raise ValueError(
@@ -219,7 +224,7 @@ def upper_banach(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> Den
         )
     return _limit(p, (
         (m, n) for m in range(1, h - min_window + 2)
-        for n in range(m + min_window - 1, h + 1)
+        for n in range(m + min_window - 1, min(h, m + 2 * min_window - 2) + 1)
     ))
 
 
@@ -232,9 +237,18 @@ def frac_str(x: Fraction) -> str:
 
 
 def profile_csv(p: DensityProfile) -> str:
+    """One row per layer: n, count, q**n and d(n) in lowest terms.
+
+    Each row is reduced by one gcd; when it is 1 the count and total are
+    printed once more as they are, since str() of a big int costs more
+    than the gcd.
+    """
     lines = ["n,count,total,density_num,density_den"]
-    for n, count, total, d in p.rows():
-        lines.append(f"{n},{count},{total},{d.numerator},{d.denominator}")
+    for n, count, total in zip(range(1, p.horizon + 1), p.counts, p.totals):
+        c, t = str(count), str(total)
+        g = gcd(count, total)
+        num, den = (c, t) if g == 1 else (count // g, total // g)
+        lines.append(f"{n},{c},{t},{num},{den}")
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,10 @@ from .words import (
 
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_EXPLICIT_HORIZON = 16
+# Longest horizon a transfer-matrix sweep runs to: the counts grow by up to
+# log2(q) bits a layer, so a sweep's time and a profile's memory grow with
+# the square of the horizon.
+REGULAR_HORIZON_CAP = 1 << 13
 
 
 class StateBudgetError(RuntimeError):
@@ -507,8 +511,14 @@ def _step(d: Dfa, vec: list[int]) -> list[int]:
     return nxt
 
 
+def _check_regular_horizon(horizon: int) -> None:
+    if horizon > REGULAR_HORIZON_CAP:
+        raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
+
+
 def dfa_layer_counts(d: Dfa, horizon: int) -> list[int]:
     """[|L(d) ∩ F(n)| for n = 1..horizon] in one transfer-matrix sweep."""
+    _check_regular_horizon(horizon)
     vec = [0] * d.num_states
     vec[d.start] = 1
     out = []
@@ -525,6 +535,7 @@ def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
     depth li, which kills exactly the words whose length-li prefix lies
     in S.
     """
+    _check_regular_horizon(n)
     ells = tuple(ells)
     validate_ell_sequence(ells, n)
     forbidden = set(ells)

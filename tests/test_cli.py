@@ -236,6 +236,10 @@ class TestOversizedInputs:
         ["construct", "asymmetric", "--n", "40", "--eps", "1/10"],
         ["search", "--horizon", "12", "--budget", "1"],
         ["check", "--dfa", "cycle.dfa"],
+        ["density", "--dfa", "odd.dfa", "--horizon", "1000000", "--format", "csv"],
+        ["certify", "--dfa", "odd.dfa", "--horizon", "1000000"],
+        ["phi-levelset", "--dfa", "odd.dfa", "--horizon", "1000000"],
+        ["verify-prop", "--dfa", "odd.dfa", "--lengths", "1,999999", "--n", "1000000"],
     ])
     def test_refused_before_allocating(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -243,6 +247,7 @@ class TestOversizedInputs:
         cycle = tuple((s + 1) % 2100 for s in range(2100))
         (tmp_path / "cycle.dfa").write_text(
             write_dfa(Dfa(AB, 2100, 0, frozenset({1}), tuple(zip(cycle, cycle)))))
+        (tmp_path / "odd.dfa").write_text(write_dfa(odd_occurrence(AB, "a")))
         started = time.monotonic()
         assert main(argv) == 2
         assert time.monotonic() - started < 1

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prodfree.constructions import odd_occurrence
 from prodfree.density import (
+    DensityProfile,
+    _limit,
     ball_density,
     detect_period,
     frac_str,
@@ -32,6 +35,37 @@ ODD_A = odd_occurrence(AB, "a")
 ODD_LEN = odd_occurrence(AB, "ab")
 FULL = dfa_full(AB)
 HALF = Fraction(1, 2)
+
+
+def _full_banach(p, min_window):
+    """upper_banach over every window of length >= min_window, in (start,
+    end) order: the quadratic scan the bounded one must agree with."""
+    h = p.horizon
+    return _limit(p, (
+        (m, n) for m in range(1, h - min_window + 2)
+        for n in range(m + min_window - 1, h + 1)
+    ))
+
+
+@st.composite
+def banach_cases(draw):
+    """(profile, min_window) with counts from {0, q**n, q**n // 2, 0..3},
+    so that equal means and long plateaus are common."""
+    q = draw(st.sampled_from([2, 3]))
+    h = draw(st.integers(1, 40))
+    counts = tuple(
+        draw(st.one_of(st.sampled_from([0, q**n, q**n // 2]),
+                       st.integers(0, min(3, q**n))))
+        for n in range(1, h + 1)
+    )
+    num_states = draw(st.sampled_from([0, 1, 3]))
+    return DensityProfile(q, counts, num_states), draw(st.integers(1, h))
+
+
+def _plateau(q, h, lo, hi, num_states=0):
+    """Full layers lo..hi, empty elsewhere."""
+    counts = tuple(q**n if lo <= n <= hi else 0 for n in range(1, h + 1))
+    return DensityProfile(q, counts, num_states)
 
 
 class TestProfile:
@@ -174,6 +208,23 @@ class TestBanach:
             prof = profile(d, 48)
             assert upper_banach(prof, 8).value == upper_asymptotic(prof).value
 
+    @settings(deadline=None)
+    @given(case=banach_cases())
+    @example(case=(DensityProfile(2, tuple(2 ** (n - 1) for n in range(1, 31)), 2), 7))
+    @example(case=(DensityProfile(3, (0,) * 12, 0), 5))
+    @example(case=(_plateau(2, 30, 5, 20), 3))
+    @example(case=(_plateau(3, 25, 2, 25, 4), 6))
+    @example(case=(DensityProfile(2, (1, 0, 3, 8, 2, 64, 0, 128), 0), 1))
+    @example(case=(DensityProfile(3, (2, 0, 27, 40, 0, 729), 1), 6))
+    @example(case=(DensityProfile(2, (1,), 0), 1))
+    def test_matches_full_scan(self, case):
+        prof, min_window = case
+        bounded = upper_banach(prof, min_window)
+        assert bounded == _full_banach(prof, min_window)
+        assert bounded.window.length < 2 * min_window
+        if len(set(prof.densities)) == 1:
+            assert (bounded.window.start, bounded.window.end) == (1, min_window)
+
 
 class TestBallDensity:
     def test_full(self):
@@ -218,7 +269,37 @@ class TestExactness:
         assert forward == backward == sum(shuffled, Fraction(0))
 
 
+def _csv_by_fractions(p):
+    """profile_csv as one Fraction per layer: the reference the
+    gcd-reduced emitter must match byte for byte."""
+    lines = ["n,count,total,density_num,density_den"]
+    for n, count in enumerate(p.counts, start=1):
+        d = Fraction(count, p.q**n)
+        lines.append(f"{n},{count},{p.q**n},{d.numerator},{d.denominator}")
+    return "\n".join(lines) + "\n"
+
+
 class TestEmitters:
+    @pytest.mark.parametrize("prof", [
+        # q = 2: every gcd is a power of two.
+        profile(ODD_A, 200),
+        profile(odd_occurrence(AB, "ab"), 40),
+        # q = 3: odd occurrence of two of three symbols, (3^n - (-1)^n) / 2,
+        # is prime to 3^n, so every gcd is 1.
+        profile(odd_occurrence(Alphabet("abc"), "ab"), 300),
+        # q = 6: gcds mixing the primes 2 and 3.
+        profile(odd_occurrence(Alphabet("abcdef"), "abc"), 60),
+        DensityProfile(6, (3, 12, 0, 6**4, 2 * 6**4, 5, 6**7 // 9, 1), 0),
+        # Zero layers print 0/1 and full layers 1/1.
+        profile(explicit_empty(AB, 6)),
+        profile(explicit_full(Alphabet("abc"), 5)),
+        profile(FULL, 50),
+        DensityProfile(2, (0, 4, 0, 16, 1), 0),
+    ], ids=["odd-a", "odd-length", "odd3", "odd6", "q6-mixed", "empty", "full3",
+            "full-dfa", "zero-and-full"])
+    def test_csv_matches_the_fraction_reduction(self, prof):
+        assert profile_csv(prof) == _csv_by_fractions(prof)
+
     def test_csv_shape(self):
         text = profile_csv(profile(ODD_A, 4))
         lines = text.strip().splitlines()

@@ -198,6 +198,22 @@ class TestDfaSliceAndCounts:
         # Far beyond 64-bit at n = 80.
         assert dfa_layer_counts(ODD_A, 80)[-1] == 2**79
 
+    def test_sweeps_run_at_the_horizon_cap(self):
+        cap = sets.REGULAR_HORIZON_CAP
+        assert dfa_layer_counts(ODD_A, cap)[-1] == 2 ** (cap - 1)
+        assert dfa_prefix_excluded_count(ODD_A, cap, (1,)) == 2 ** (cap - 2)
+
+    def test_sweeps_refuse_past_the_horizon_cap_before_stepping(self, monkeypatch):
+        def no_step(d, vec):
+            raise AssertionError("swept past the cap")
+
+        monkeypatch.setattr(sets, "_step", no_step)
+        cap = sets.REGULAR_HORIZON_CAP
+        with pytest.raises(ValueError, match=f"horizon {cap + 1} over the enumeration budget"):
+            dfa_layer_counts(ODD_A, cap + 1)
+        with pytest.raises(ValueError, match=f"horizon {cap + 1} over the enumeration budget"):
+            dfa_prefix_excluded_count(ODD_A, cap + 1, (1,))
+
 
 class TestDfaEmptiness:
     def test_empty(self):
