@@ -72,7 +72,7 @@ class LayeredSet:
     def layer_count(self, n: int) -> int:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"layer {n} outside horizon {self.horizon}")
-        return bin(self.layers[n]).count("1")
+        return self.layers[n].bit_count()
 
     def total_count(self) -> int:
         return sum(self.layer_count(n) for n in range(1, self.horizon + 1))
@@ -92,10 +92,6 @@ def _check_horizon(alphabet: Alphabet, horizon: int, what: str) -> None:
     the enumeration budget; the second catches one-symbol alphabets."""
     if horizon > ENUMERATION_BUDGET or alphabet.q**horizon > ENUMERATION_BUDGET:
         raise ValueError(f"{what} horizon {horizon} over the enumeration budget")
-
-
-def _layer_mask(alphabet: Alphabet, n: int) -> int:
-    return (1 << alphabet.layer_size(n)) - 1
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -189,47 +185,34 @@ def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
 
 def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
     _check_horizon(alphabet, horizon, "explicit")
-    layers = [0] + [_layer_mask(alphabet, n) for n in range(1, horizon + 1)]
+    layers = [0] + [(1 << alphabet.layer_size(n)) - 1 for n in range(1, horizon + 1)]
     return LayeredSet(alphabet, horizon, tuple(layers))
 
 
-def _check_compatible(s1: LayeredSet, s2: LayeredSet) -> None:
+def _zip_layers(s1: LayeredSet, s2: LayeredSet, op: Callable[[int, int], int]) -> LayeredSet:
+    """The set whose layer n is op(s1.layers[n], s2.layers[n])."""
     if s1.alphabet != s2.alphabet:
         raise ValueError("alphabet mismatch")
     if s1.horizon != s2.horizon:
         raise ValueError(f"horizon mismatch: {s1.horizon} vs {s2.horizon}")
+    return LayeredSet(s1.alphabet, s1.horizon, tuple(map(op, s1.layers, s2.layers)))
 
 
 def explicit_union(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    _check_compatible(s1, s2)
-    return LayeredSet(
-        s1.alphabet, s1.horizon,
-        tuple(a | b for a, b in zip(s1.layers, s2.layers)),
-    )
+    return _zip_layers(s1, s2, int.__or__)
 
 
 def explicit_intersect(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    _check_compatible(s1, s2)
-    return LayeredSet(
-        s1.alphabet, s1.horizon,
-        tuple(a & b for a, b in zip(s1.layers, s2.layers)),
-    )
+    return _zip_layers(s1, s2, int.__and__)
 
 
 def explicit_difference(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    _check_compatible(s1, s2)
-    return LayeredSet(
-        s1.alphabet, s1.horizon,
-        tuple(a & ~b for a, b in zip(s1.layers, s2.layers)),
-    )
+    return _zip_layers(s1, s2, lambda a, b: a & ~b)
 
 
 def explicit_complement(s: LayeredSet) -> LayeredSet:
     """Complement relative to F_<=(horizon)."""
-    layers = [0] + [
-        _layer_mask(s.alphabet, n) & ~s.layers[n] for n in range(1, s.horizon + 1)
-    ]
-    return LayeredSet(s.alphabet, s.horizon, tuple(layers))
+    return explicit_difference(explicit_full(s.alphabet, s.horizon), s)
 
 
 def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSet:
@@ -344,11 +327,14 @@ def _explore(
     start: Hashable,
     step: Callable[[Any, int], Hashable],
     accept: Callable[[Any], bool],
+    cap: int | None = None,
 ) -> Dfa:
     """The automaton on the states reachable from start under step.
 
     States are numbered in breadth-first order, symbols ascending, so start
-    is state 0; a state accepts when accept(state) holds.
+    is state 0; a state accepts when accept(state) holds.  Only the subset
+    construction of dfa_concat passes a cap: a state past the first cap
+    raises StateBudgetError.
     """
     q = alphabet.q
     order = [start]
@@ -360,6 +346,8 @@ def _explore(
             t = step(s, c)
             i = index.get(t)
             if i is None:
+                if cap is not None and len(order) >= cap:
+                    raise StateBudgetError(f"concatenation exceeded the state cap {cap}")
                 i = index[t] = len(order)
                 order.append(t)
             row.append(i)
@@ -442,39 +430,29 @@ def dfa_concat(d1: Dfa, d2: Dfa) -> Dfa:
     """Exact concatenation { w1.w2 : w1 in L(d1), w2 in L(d2) }.
 
     Epsilon-bridges accepting states of d1 into d2's start and determinises
-    on the fly; both factors are forced nonempty by the run semantics.  The
-    subset construction may grow exponentially, so it raises
-    StateBudgetError past DEFAULT_STATE_CAP states.
+    on the fly: a state is a d1 state and the set of d2 states reached;
+    both factors are forced nonempty by the run semantics.  The subset
+    construction may grow exponentially, so it raises StateBudgetError past
+    DEFAULT_STATE_CAP states.
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
     d2 = _start_normalized(d2)
-    q = d1.alphabet.q
-    start = (d1.start, frozenset())
-    index: dict[tuple[int, frozenset[int]], int] = {start: 0}
-    order = [start]
-    delta_rows: list[tuple[int, ...]] = []
-    for s1, part in order:
-        row = []
-        for c in range(q):
-            t1 = d1.delta[s1][c]
-            tpart = frozenset(d2.delta[s][c] for s in part)
-            if t1 in d1.accepting:
-                tpart |= {d2.start}
-            t = (t1, tpart)
-            if t not in index:
-                if len(order) >= DEFAULT_STATE_CAP:
-                    raise StateBudgetError(
-                        f"concatenation exceeded the state cap {DEFAULT_STATE_CAP}"
-                    )
-                index[t] = len(order)
-                order.append(t)
-            row.append(index[t])
-        delta_rows.append(tuple(row))
-    accepting = frozenset(
-        i for i, (_, part) in enumerate(order) if part & d2.accepting
-    )
-    return _minimized(Dfa(d1.alphabet, len(order), 0, accepting, tuple(delta_rows)))
+    bridge = frozenset({d2.start})
+
+    def step(state: tuple[int, frozenset[int]], c: int) -> tuple[int, frozenset[int]]:
+        s1, part = state
+        t1 = d1.delta[s1][c]
+        tpart = frozenset(d2.delta[s][c] for s in part)
+        return t1, (tpart | bridge if t1 in d1.accepting else tpart)
+
+    return _minimized(_explore(
+        d1.alphabet,
+        (d1.start, frozenset()),
+        step,
+        lambda state: not state[1].isdisjoint(d2.accepting),
+        DEFAULT_STATE_CAP,
+    ))
 
 
 def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
@@ -550,27 +528,21 @@ def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
 
 
 def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
-    """Explicit membership of L(d) within the ball F_<=(horizon)."""
+    """Explicit membership of L(d) within the ball F_<=(horizon).
+
+    The word w.c has rank rank(w)*q + c, so a layer's end states are the
+    previous layer's rows in order, and its bitset is their accept flags,
+    reversed, read in binary.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     _check_horizon(d.alphabet, horizon, "truncation")
-    q = d.alphabet.q
-    layers = [0] * (horizon + 1)
+    flags = ["1" if s in d.accepting else "0" for s in range(d.num_states)]
+    layers = [0]
     states = [d.start]
-    for n in range(1, horizon + 1):
-        nxt = [0] * (len(states) * q)
-        for r, s in enumerate(states):
-            base = r * q
-            row = d.delta[s]
-            for c in range(q):
-                nxt[base + c] = row[c]
-        states = nxt
-        bits = 0
-        accepting = d.accepting
-        for r, s in enumerate(states):
-            if s in accepting:
-                bits |= 1 << r
-        layers[n] = bits
+    for _ in range(horizon):
+        states = [t for s in states for t in d.delta[s]]
+        layers.append(int("".join(map(flags.__getitem__, reversed(states))), 2))
     return LayeredSet(d.alphabet, horizon, tuple(layers))
 
 

@@ -122,6 +122,13 @@ class TestExplicitSets:
             universe = {w.text for n in (1, 2) for w in layer_words(AB, n)}
             assert explicit_members(explicit_complement(s1)) == universe - m1
 
+    @pytest.mark.parametrize("op", [explicit_union, explicit_intersect, explicit_difference])
+    def test_operands_share_alphabet_and_horizon(self, op):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            op(explicit_full(AB, 2), explicit_full(Alphabet("ba"), 2))
+        with pytest.raises(ValueError, match="horizon mismatch: 2 vs 3"):
+            op(explicit_full(AB, 2), explicit_full(AB, 3))
+
 
 class TestDfaBooleanOps:
     def test_complement_of_empty_is_full(self):
@@ -175,6 +182,11 @@ class TestDfaConcat:
         monkeypatch.setattr(sets, "DEFAULT_STATE_CAP", 2)
         with pytest.raises(StateBudgetError, match="state cap 2"):
             dfa_concat(ODD_A, ODD_A)
+        # The cap binds the subset construction only: every other automaton
+        # here explores more than 2 states and still builds.
+        assert dfa_union(ODD_A, ODD_LEN).num_states == 4
+        assert dfa_complement(ODD_A).num_states == 3
+        assert odd_occurrence(AB, "ab") == ODD_LEN
 
 
 class TestDfaSliceAndCounts:
@@ -254,6 +266,14 @@ class TestTruncate:
             w = unrank(AB, n, r)
             assert t.contains(w) == ODD_A.accepts(w)
 
+    def test_ball_truncated_in_linear_time(self):
+        # 2**20 end states in layer 20; packing them one bit at a time took
+        # ~3 s.
+        started = time.monotonic()
+        t = dfa_truncate(ODD_A, 20)
+        assert time.monotonic() - started < 1
+        assert t.layer_count(20) == 2**19
+
 
 def _dfa_from_explicit_layer(s: LayeredSet, n: int) -> Dfa:
     """Small helper: a DFA for the (single-layer) explicit set via a trie."""
@@ -316,6 +336,51 @@ class TestOracleEquivalence:
             dfa_truncate(d1, self.N), dfa_truncate(d2, self.N), self.N
         )
         assert lhs == rhs
+
+
+@st.composite
+def dfa_pairs(draw) -> tuple[Dfa, Dfa, int]:
+    """Two complete DFAs over one alphabet of 1-3 symbols, 1-5 states each,
+    any start and accepting set, and a horizon of at most 8."""
+    alphabet = draw(st.sampled_from([Alphabet("a"), AB, Alphabet("abc")]))
+
+    def dfa() -> Dfa:
+        k = draw(st.integers(1, 5))
+        state = st.integers(0, k - 1)
+        row = st.lists(state, min_size=alphabet.q, max_size=alphabet.q).map(tuple)
+        delta = tuple(draw(st.lists(row, min_size=k, max_size=k)))
+        return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
+
+    return dfa(), dfa(), draw(st.integers(1, 8))
+
+
+class TestRandomDfas:
+    """Truncation, concatenation and the explicit boolean operations on
+    random automata, against word-by-word and Python-set oracles."""
+
+    @given(case=dfa_pairs())
+    def test_truncate_matches_membership_runs(self, case):
+        d, _, horizon = case
+        assert explicit_members(dfa_truncate(d, horizon)) == truncation_oracle(d, horizon)
+
+    @given(case=dfa_pairs())
+    def test_concat_truncates_to_the_minkowski_product(self, case):
+        d1, d2, horizon = case
+        assert dfa_truncate(dfa_concat(d1, d2), horizon) == minkowski_product(
+            dfa_truncate(d1, horizon), dfa_truncate(d2, horizon), horizon
+        )
+
+    @given(case=dfa_pairs())
+    def test_explicit_boolean_ops_match_python_sets(self, case):
+        d1, d2, horizon = case
+        s1, s2 = dfa_truncate(d1, horizon), dfa_truncate(d2, horizon)
+        m1, m2 = explicit_members(s1), explicit_members(s2)
+        universe = {w.text for n in range(1, horizon + 1) for w in layer_words(s1.alphabet, n)}
+        assert explicit_members(explicit_union(s1, s2)) == m1 | m2
+        assert explicit_members(explicit_intersect(s1, s2)) == m1 & m2
+        assert explicit_members(explicit_difference(s1, s2)) == m1 - m2
+        assert explicit_members(explicit_complement(s1)) == universe - m1
+
 
 class TestPrefixExcluded:
     def test_odd_length_all_covered(self):
