@@ -4,8 +4,13 @@ Branch and bound over words in (length, rank) order, include-branch first,
 with triple propagation over a bitmask of live triples and a per-layer
 relaxation bound built from the pairwise product constraint
 |S(n)| <= q**n - |S(m)||S(n-m)|, kept up to date as words are included.
-Values are exact rationals; witnesses are deterministic (the first optimum
-in the fixed branching order, which greedily includes the earliest words).
+Where the capped layers do not cut a node, the same constraint is applied
+with the count of the lowest layer that has an open word left free: every
+layer above it is then capped by a function of that count, and the node is
+cut when the maximum over the count, a concave function, is at most the
+pruning floor.  Values are exact rationals; witnesses are deterministic
+(the first optimum in the fixed branching order, which greedily includes
+the earliest words).
 
 Symmetries of the ball are broken lex-leader style: read an assignment as
 a word over {OUT < IN} in universe order.  Each adjacent letter swap, the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable
 
 from .sets import LayeredSet, _iter_bits
@@ -148,21 +154,95 @@ def _layer_sizes(q: int, horizon: int) -> list[int]:
 
 
 def _bound_weight(
-    included: list[int], undecided: list[int], pair: list[int], layer_weight: list[int]
+    included: list[int],
+    undecided: list[int],
+    pair: list[int],
+    layer_weight: list[int],
+    floor: int,
 ) -> int:
     """Admissible bound on the best completion, as an integer weight,
-    layer_weight[n] per word of length n: layer n holds at most
-    min(included + undecided, pair) words, pair[n] being the min over
-    0 < m < n of q**n - |S(m)||S(n-m)|, and never fewer than it includes."""
+    layer_weight[n] per word of length n.  It is at most floor exactly when
+    the capped layers or G below show that no completion beats floor.
+
+    Layer n holds at most cap[n] = min(included + undecided, pair) words,
+    pair[n] being the min over 0 < m < n of q**n - |S(m)||S(n-m)|, and
+    never fewer than it includes.  The sum of the capped layers is the
+    bound unless it lies above floor.
+
+    Then every layer below n0, the lowest with an open word, is final, and
+    the final count c of layer n0 lies in [included[n0], cap[n0]].  As
+    S(n0)S(L-n0) holds c|S(L-n0)| words of length L, none in S(L), a
+    completion weighs at most G(c), the sum of the layers below n0, c
+    words of layer n0, and min(cap[L], q**L - c * included[L - n0]) words
+    of each layer L above it, the factor being c * c at L = 2 n0.  Each
+    term is linear or the min of a constant and a concave function of c,
+    so G is concave: the scan upward in c stops at the first G(c) above
+    floor (returning the capped layers) or once G stops rising (returning
+    its maximum).
+    """
+    top_layer = len(pair) - 1
     total = 0
-    for n in range(1, len(pair)):
+    caps = [0]
+    for n in range(1, top_layer + 1):
         inc = included[n]
         cap = inc + undecided[n]
         top = pair[n]
         if top < cap:
             cap = top if top > inc else inc
+        caps.append(cap)
         total += cap * layer_weight[n]
-    return total
+    if total <= floor:
+        return total
+    low = 1
+    while not undecided[low]:
+        low += 1
+        if low > top_layer:
+            return total
+    count = included[low]
+    low_cap = caps[low]
+    if low_cap == count:
+        return total
+    weight = layer_weight[low]
+    # rest weighs the layers whose term is constant for c <= low_cap.  A
+    # term of layer L stays at cap[L] while c is at most its flat point;
+    # G rises by weight per step up to the first flat point, so the scan
+    # starts there, or at included[low] if that is past it.
+    rest = total - low_cap * weight
+    start = low_cap
+    terms = []
+    for n in range(low + 1, top_layer + 1):
+        other = n - low
+        factor = 0 if other == low else included[other]
+        if not factor and other != low:
+            continue
+        cap = caps[n]
+        # q**n is layer_weight[top_layer - n].
+        size = layer_weight[top_layer - n]
+        slack = size - cap
+        flat = isqrt(slack) if other == low else slack // factor
+        if flat >= low_cap:
+            continue
+        if flat < start:
+            start = flat
+        terms.append((layer_weight[n], cap, size, factor))
+        rest -= cap * layer_weight[n]
+    if count < start:
+        count = start
+    best = None
+    while True:
+        g = rest + count * weight
+        for w, cap, size, factor in terms:
+            # factor 0 marks the layer 2 low, whose factor is c itself.
+            left = size - count * (factor or count)
+            g += w * (cap if cap < left else left)
+        if g > floor:
+            return total
+        if best is not None and g <= best:
+            return best
+        best = g
+        if count == low_cap:
+            return best
+        count += 1
 
 
 def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
@@ -400,8 +480,11 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
-        bound = _bound_weight(self.included, self.undecided, self.pair, self.layer_weight)
-        if bound <= self.floor:
+        floor = self.floor
+        bound = _bound_weight(
+            self.included, self.undecided, self.pair, self.layer_weight, floor
+        )
+        if bound <= floor:
             return
         # The bound is admissible, so a node it cuts has no completion to
         # record, the all-open one below included; only the nodes it keeps

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodfree.productfree import check_explicit
 from prodfree.search import (
@@ -110,10 +111,17 @@ def _pair_caps(sizes: list[int], included: list[int]) -> list[int]:
     ]
 
 
-def upper_bound(alphabet, horizon, included, undecided) -> Fraction:
-    """The search bound on a partial assignment, as a mean layer density."""
+def bound_weight(alphabet, horizon, included, undecided, floor=-1) -> int:
+    """The search bound on a partial assignment, as an integer weight."""
     sizes = _layer_sizes(alphabet.q, horizon)
-    weight = _bound_weight(included, undecided, _pair_caps(sizes, included), sizes[::-1])
+    return _bound_weight(
+        included, undecided, _pair_caps(sizes, included), sizes[::-1], floor
+    )
+
+
+def upper_bound(alphabet, horizon, included, undecided, floor=-1) -> Fraction:
+    """The search bound on a partial assignment, as a mean layer density."""
+    weight = bound_weight(alphabet, horizon, included, undecided, floor)
     return _scale(weight, alphabet, horizon, "mean")
 
 
@@ -142,6 +150,132 @@ class TestUpperBound:
         bound = upper_bound(AB, 2, included, undecided)
         # Best completion is {a} plus {ab, ba, bb}: value 5/8.
         assert bound >= Fraction(5, 8)
+
+    def test_root_bound_of_two_letters_at_horizon_two_is_the_optimum(self):
+        # Weights 2 per letter, 1 per word of length 2, so the optimum 5/8
+        # weighs 5.  The capped layers give 2 * 2 + 4 = 8 (mean 1), but
+        # with c letters in, at most 4 - c * c words of length 2 are:
+        # G(0), G(1), G(2) = 4, 5, 4, and the maximum is at c = 1.
+        included = [0, 0, 0]
+        undecided = [0, 2, 4]
+        assert bound_weight(AB, 2, included, undecided, floor=4) == 8
+        assert bound_weight(AB, 2, included, undecided, floor=5) == 5
+        assert upper_bound(AB, 2, included, undecided, floor=5) == Fraction(5, 8)
+
+    def test_scan_stops_when_the_bound_falls_from_the_included_count(self):
+        # S(1) holds a, b is open, and aa is out.  The capped layers give
+        # 2 * 2 + 3 = 7; G(1) = 2 + min(3, 4 - 1) = 5 and G(2) = 4 + 0 = 4,
+        # so G falls from the included count.
+        included = [0, 1, 0]
+        undecided = [0, 1, 3]
+        assert bound_weight(AB, 2, included, undecided, floor=4) == 7
+        assert bound_weight(AB, 2, included, undecided, floor=5) == 5
+        # The scan stops at its first step up: past the maximum, the bound
+        # is G(1) whatever the floor.
+        assert bound_weight(AB, 2, included, undecided, floor=6) == 5
+
+
+def _best_completion(search: _Search) -> int:
+    """Weight of the heaviest product-free completion of the search's
+    partial assignment: a DFS over its open words that checks every triple
+    through a word it includes, cut only when even every open word in would
+    not beat the best found."""
+    status = list(search.status)
+    open_words = [idx for idx, value in enumerate(status) if not value]
+    through = {idx: [t for t in search.triples if idx in t] for idx in open_words}
+    best = -1
+
+    def dfs(k: int, weight: int, rest: int) -> None:
+        nonlocal best
+        if weight + rest <= best:
+            return
+        if k == len(open_words):
+            best = weight
+            return
+        idx = open_words[k]
+        w = search.weights[idx]
+        status[idx] = 1
+        if all(any(status[m] != 1 for m in t) for t in through[idx]):
+            dfs(k + 1, weight + w, rest - w)
+        status[idx] = 2
+        dfs(k + 1, weight, rest - w)
+        status[idx] = 0
+
+    dfs(0, search.weight_in, search.weight_open)
+    return best
+
+
+def _refined_bound(search: _Search) -> int:
+    """The bound on the search's partial assignment, from its definition:
+    the capped layers when the lowest layer with an open word, n0, can hold
+    no more than it includes, else the max over the counts c that n0 can
+    take of G(c), each layer L above n0 capped by q**L - c |S(L - n0)|."""
+    horizon, included, sizes = search.horizon, search.included, search.sizes
+    weight = search.layer_weight
+    cap = [
+        max(inc, min(inc + und, top))
+        for inc, und, top in zip(included, search.undecided, search.pair)
+    ]
+    capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
+    low = next((n for n in range(1, horizon + 1) if search.undecided[n]), None)
+    if low is None or cap[low] == included[low]:
+        return capped
+
+    def g(c: int) -> int:
+        total = sum(included[n] * weight[n] for n in range(1, low)) + c * weight[low]
+        for n in range(low + 1, horizon + 1):
+            factor = c if n == 2 * low else included[n - low]
+            total += weight[n] * min(cap[n], sizes[n] - c * factor)
+        return total
+
+    return max(g(c) for c in range(included[low], cap[low] + 1))
+
+
+class TestBoundAdmissible:
+    @settings(deadline=None)
+    @given(
+        case=st.sampled_from([(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2)]),
+        data=st.data(),
+    )
+    def test_bound_dominates_the_best_completion(self, case, data):
+        # A random walk of inclusions, exclusions and undos; at each state
+        # with at most 16 open words, the bound is at least the heaviest
+        # completion, so its cut never drops one that beats the floor.  It
+        # is the capped layers unless the refined bound is at most the
+        # floor, and then it is the refined bound.
+        alphabet, horizon = case
+        search = _Search(alphabet, horizon, node_budget=0)
+        trails = []
+        for _ in range(data.draw(st.integers(0, 40))):
+            open_words = [i for i, value in enumerate(search.status) if not value]
+            action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
+            if action == "undo" or not open_words:
+                if trails:
+                    search._undo(trails.pop())
+                continue
+            idx = data.draw(st.sampled_from(open_words))
+            trail = []
+            if action == "exclude":
+                search._exclude(idx, trail)
+            elif not search._include(idx, trail):
+                # The search never bounds a contradiction: it undoes it.
+                search._undo(trail)
+                continue
+            trails.append(trail)
+            if len(open_words) - 1 > 16:
+                continue
+            best = _best_completion(search)
+            refined = _refined_bound(search)
+            assert refined >= best
+            args = (search.included, search.undecided, search.pair, search.layer_weight)
+            capped = _bound_weight(*args, -1)
+            floors = [best - 1, data.draw(st.integers(best - 1, max(best - 1, capped)))]
+            for floor in floors:
+                bound = _bound_weight(*args, floor)
+                assert bound >= best
+                if best > floor:
+                    assert bound > floor
+                assert bound == (refined if refined <= floor < capped else capped)
 
 
 def _state(search: _Search) -> tuple:
@@ -210,7 +344,7 @@ class TestSearchState:
 
     # Named ids, so that re-pinning a count does not rename the test.
     @pytest.mark.parametrize("alphabet,horizon,nodes", [
-        (AB, 4, 343), (AB, 5, 397), (ABC, 3, 31),
+        (AB, 4, 101), (AB, 5, 61), (ABC, 3, 13),
     ], ids=["ab-4", "ab-5", "abc-3"])
     def test_node_counts(self, alphabet, horizon, nodes):
         assert max_productfree(alphabet, horizon).nodes == nodes
@@ -226,27 +360,29 @@ def test_proved_optimum_at_horizon_seven():
     r = max_productfree(AB, 7)
     assert r.value == Fraction(4, 7)
     assert r.proved
-    assert r.nodes == 150097
+    assert r.nodes == 28689
     assert check_explicit(r.best) is None
 
 
 # sha256 of write_explicit(best), with the value, of every proved run,
-# frozen from the search before it broke symmetries: the cut must leave
-# the DFS-first optimum where it was.  Node counts are those of the search
-# with symmetry breaking.
+# frozen from the search before it broke symmetries (abc N=4: before the
+# bound let the lowest open layer's count vary, in 1,433,539 nodes): neither
+# cut may move the DFS-first optimum.  Node counts are those of the search
+# with both.
 FROZEN_WITNESSES = [
     ("ab", 1, "1", 1, "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
-    ("ab", 2, "5/8", 7, "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
-    ("ab", 3, "2/3", 9, "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
-    ("ab", 4, "9/16", 343, "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
-    ("ab", 5, "3/5", 397, "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
-    ("ab", 6, "13/24", 322459, "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
-    ("ab", 7, "4/7", 150097, "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
+    ("ab", 2, "5/8", 5, "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
+    ("ab", 3, "2/3", 7, "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
+    ("ab", 4, "9/16", 101, "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
+    ("ab", 5, "3/5", 61, "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
+    ("ab", 6, "13/24", 107751, "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
+    ("ab", 7, "4/7", 28689, "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
     ("abc", 1, "1", 1, "a5168015dc1d0d71e454d3e8540e8fb5e65beabd7b2d413d4de4fb0f37f2cb09"),
-    ("abc", 2, "11/18", 13, "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
-    ("abc", 3, "2/3", 31, "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
-    ("abcd", 2, "5/8", 19, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
-    ("a", 6, "1/2", 13, "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
+    ("abc", 2, "11/18", 7, "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
+    ("abc", 3, "2/3", 13, "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
+    ("abc", 4, "91/162", 21123, "2f75a50b62161d53ade4bc8a393c1005f595bb824edeb0f67a2df5debaaf54ad"),
+    ("abcd", 2, "5/8", 11, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
+    ("a", 6, "1/2", 7, "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
 ]
 
 
@@ -266,7 +402,7 @@ def test_proved_witnesses_are_frozen(symbols, horizon, value, nodes, digest):
 # the exact order in which nodes are met, not only on the optimum.
 FROZEN_CAPPED = [
     ("ab", 8, 30_000, "1/2", "9dfd2e1d3270dd1c9abd9bc1f401d36ab94a2e3bd440ac7f7a82d523e8ec7ba9"),
-    ("abc", 4, 20_000, "1/2", "69f8b3243ad794827b6a0afbbde31d2c896f3745eabd03d7738e9c691f73893c"),
+    ("abc", 4, 20_000, "173/324", "492af335eb19e8d3f6fae7b94733cb12e41f223b89e5a53d98b51fd8c29b993e"),
 ]
 
 
