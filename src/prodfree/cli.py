@@ -47,11 +47,10 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
 
 
 def _load_set(args) -> LayeredSet | Dfa:
-    if getattr(args, "dfa", None):
+    # _add_input_flags makes exactly one of --dfa and --words required.
+    if args.dfa is not None:
         return read_dfa(Path(args.dfa).read_text())
-    if getattr(args, "words", None):
-        return read_explicit(Path(args.words).read_text())
-    raise ValueError("provide --dfa FILE or --words FILE")
+    return read_explicit(Path(args.words).read_text())
 
 
 def _default_horizon(s: LayeredSet | Dfa, requested: int | None) -> int:
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--eps", default="1/16", help="rational like 1/16")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--min-window", type=int, default=8)
+    p.add_argument("--min-window", type=int, default=density.DEFAULT_MIN_WINDOW)
     p.add_argument("--trace", help="JSONL trace file, one record per window")
     p.set_defaults(func=cmd_certify)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .density import DensityProfile, WindowSpec, profile, refined_density
+from .density import DEFAULT_MIN_WINDOW, DensityProfile, WindowSpec, profile, refined_density
 from .sets import Dfa, LayeredSet, validate_ell_sequence
 
 HALF = Fraction(1, 2)
@@ -124,7 +124,7 @@ def extract_lsequence(
     s: LayeredSet | Dfa,
     eps: Fraction,
     horizon: int,
-    min_window: int = 8,
+    min_window: int = DEFAULT_MIN_WINDOW,
 ) -> tuple[LSequence, ExtractionTrace]:
     """Greedily build lengths l1 < l2 < ... with cumulative refined densities
     reaching 1 - 1/2^k at every stage.
@@ -148,22 +148,18 @@ def extract_lsequence(
     cumulative: list[Fraction] = []
 
     first = next((n for n in range(1, horizon + 1) if dens[n - 1] >= HALF), None)
-    if first is None:
-        return (
-            LSequence((), (), ()),
-            ExtractionTrace(policy, tuple(probes), "no_first_length"),
-        )
-    lengths.append(first)
-    terms.append(dens[first - 1])
-    cumulative.append(dens[first - 1])
+    stop_reason = "no_first_length"
+    if first is not None:
+        lengths.append(first)
+        terms.append(dens[first - 1])
+        cumulative.append(dens[first - 1])
 
-    while True:
+    # lengths stays empty only when there is no first length.
+    while lengths:
         k = len(lengths)
         if cumulative[-1] >= 1:
-            return (
-                LSequence(tuple(lengths), tuple(terms), tuple(cumulative)),
-                ExtractionTrace(policy, tuple(probes), "complete"),
-            )
+            stop_reason = "complete"
+            break
         target = 1 - Fraction(1, 2 ** (k + 1))
         threshold = HALF + eps
         chosen: int | None = None
@@ -184,13 +180,15 @@ def extract_lsequence(
                 chosen = picked
                 break
         if chosen is None:
-            return (
-                LSequence(tuple(lengths), tuple(terms), tuple(cumulative)),
-                ExtractionTrace(policy, tuple(probes), "exhausted"),
-            )
+            stop_reason = "exhausted"
+            break
         lengths.append(chosen)
         terms.append(chosen_term)
         cumulative.append(cumulative[-1] + chosen_term)
+    return (
+        LSequence(tuple(lengths), tuple(terms), tuple(cumulative)),
+        ExtractionTrace(policy, tuple(probes), stop_reason),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -291,14 +291,15 @@ class _BudgetExceeded(Exception):
 
 
 class _Search:
-    """Depth-first branch and bound with an undo trail.
+    """Depth-first branch and bound with one undo trail.
 
-    Each branch pushes one trail record.  An exclusion of idx pushes
-    (idx, alive, weight_open) as they were before it; an inclusion pushes
-    (idx, alive, weight_open, pair tail, forced): the pair caps above its
-    length as they were before, and the list of open words it forced out.
-    Undo assigns alive, weight_open and the pair tail back and reopens idx
-    and every forced word.
+    Each branch pushes one record on the trail.  An exclusion of idx pushes
+    (idx, alive) as it was before it; an inclusion pushes
+    (idx, alive, pair tail, forced): the pair caps above its length as they
+    were before, and the list of open words it forced out.  Undo pops one
+    record, assigns alive and the pair tail back and reopens idx and every
+    forced word.  The weight of a completion is read from the layer counts
+    where one is recorded.
 
     The lex-leader state is passed down the recursion instead: one
     (pairs, pos, a, b) per symmetry that may still beat the assignment,
@@ -316,7 +317,6 @@ class _Search:
         self.length = [n for n, _ in self.items]
         self.sizes = _layer_sizes(alphabet.q, horizon)
         self.layer_weight = self.sizes[::-1]
-        self.weights = [self.layer_weight[n] for n in self.length]
         self.triples = _triples(alphabet, horizon)
         self.keep = _member_masks(self.nitems, self.triples)
         offset = _layer_offsets(alphabet.q, horizon)
@@ -340,8 +340,7 @@ class _Search:
             self.undecided[n] += 1
         # Every count is zero, so each pair cap starts at q**n.
         self.pair = list(self.sizes)
-        self.weight_in = 0
-        self.weight_open = sum(self.weights)
+        self.trail: list[tuple] = []
         self.nodes = 0
         # Pruning floor, plus the best found completion and its true value.
         self.floor = -1
@@ -350,26 +349,23 @@ class _Search:
 
     # -- propagation with undo trail ------------------------------------
 
-    def _exclude(self, idx: int, trail: list) -> None:
-        trail.append((idx, self.alive, self.weight_open))
+    def _exclude(self, idx: int) -> None:
+        self.trail.append((idx, self.alive))
         self.status[idx] = 2
         self.undecided[self.length[idx]] -= 1
-        self.weight_open -= self.weights[idx]
         self.alive &= self.keep[idx]
 
-    def _include(self, idx: int, trail: list) -> bool:
+    def _include(self, idx: int) -> bool:
         """Mark idx in and exclude the words it forces; False on contradiction."""
-        status, length, weights = self.status, self.length, self.weights
+        status, length = self.status, self.length
         included, undecided = self.included, self.undecided
-        alive, weight_open, pair = self.alive, self.weight_open, self.pair
+        alive, pair = self.alive, self.pair
         n, sizes = length[idx], self.sizes
         forced: list[int] = []
-        trail.append((idx, alive, weight_open, pair[n + 1:], forced))
+        self.trail.append((idx, alive, pair[n + 1:], forced))
         status[idx] = 1
         undecided[n] -= 1
         included[n] += 1
-        weight_open -= weights[idx]
-        self.weight_in += weights[idx]
         # The new |S(n)| enters only the terms q**L - |S(n)||S(L-n)| for
         # L > n, and only lowers them, so each pair[L] takes the min with
         # its new term.
@@ -399,26 +395,23 @@ class _Search:
                 out = z if sx and sy else (y if sx else x)
                 status[out] = 2
                 undecided[length[out]] -= 1
-                weight_open -= weights[out]
                 alive &= keep[out]
                 forced.append(out)
-        self.alive, self.weight_open = alive, weight_open
+        self.alive = alive
         return ins != 3
 
-    def _undo(self, trail: list) -> None:
+    def _undo(self) -> None:
         status, length, undecided = self.status, self.length, self.undecided
-        while trail:
-            idx, self.alive, self.weight_open, *inclusion = trail.pop()
-            n = length[idx]
-            if inclusion:
-                self.pair[n + 1:], forced = inclusion
-                for out in forced:
-                    status[out] = 0
-                    undecided[length[out]] += 1
-                self.included[n] -= 1
-                self.weight_in -= self.weights[idx]
-            status[idx] = 0
-            undecided[n] += 1
+        idx, self.alive, *inclusion = self.trail.pop()
+        n = length[idx]
+        if inclusion:
+            self.pair[n + 1:], forced = inclusion
+            for out in forced:
+                status[out] = 0
+                undecided[length[out]] += 1
+            self.included[n] -= 1
+        status[idx] = 0
+        undecided[n] += 1
 
     # -- search ----------------------------------------------------------
 
@@ -440,7 +433,10 @@ class _Search:
 
     def _record_completion(self) -> None:
         """Take the assignment with every open word in, if it beats the floor."""
-        value = self.weight_in + self.weight_open
+        value = sum(
+            (inc + und) * w
+            for inc, und, w in zip(self.included, self.undecided, self.layer_weight)
+        )
         if value > self.floor:
             self.floor = self.best_value = value
             self.best_status = [st or 1 for st in self.status]
@@ -506,13 +502,12 @@ class _Search:
         while status[cursor]:
             cursor += 1
 
-        trail: list = []
-        if self._include(cursor, trail):
+        if self._include(cursor):
             self._dfs(cursor + 1, lex)
-        self._undo(trail)
-        self._exclude(cursor, trail)
+        self._undo()
+        self._exclude(cursor)
         self._dfs(cursor + 1, lex)
-        self._undo(trail)
+        self._undo()
 
 
 def max_productfree(

@@ -356,13 +356,6 @@ def _explore(
     return Dfa(alphabet, len(order), 0, accepting, tuple(rows))
 
 
-def _reachable(d: Dfa) -> Dfa:
-    """Restrict to states reachable from the start (keeps completeness)."""
-    return _explore(
-        d.alphabet, d.start, lambda s, c: d.delta[s][c], d.accepting.__contains__
-    )
-
-
 def _moore_blocks(d: Dfa) -> list[int]:
     """Partition-refinement equivalence classes (accepting split first)."""
     block = [1 if s in d.accepting else 0 for s in range(d.num_states)]
@@ -379,13 +372,15 @@ def _moore_blocks(d: Dfa) -> list[int]:
 
 
 def _minimized(d: Dfa) -> Dfa:
-    """Canonical minimal DFA: trimmed, minimized, BFS-renumbered.
+    """Canonical minimal DFA: minimized, trimmed, BFS-renumbered.
 
     Equal languages of nonempty words yield structurally equal values.
     """
-    d = _reachable(_start_normalized(d))
+    d = _start_normalized(d)
     block = _moore_blocks(d)
-    # The quotient automaton, explored from one representative per block.
+    # The quotient automaton, explored from one representative per block:
+    # Moore classes are a congruence, so any representative will do, and
+    # the exploration from the start's block reaches only reachable blocks.
     rep: dict[int, int] = {}
     for s in range(d.num_states):
         rep.setdefault(block[s], s)

@@ -68,6 +68,16 @@ class TestCheck:
         assert main(["check", "--dfa", str(bad)]) == 2
         assert "incomplete" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--dfa", "x.dfa", "--words", "x.words"],
+    ], ids=["neither", "both"])
+    def test_input_flags_exactly_one_exit_two(self, flags, capsys):
+        # argparse refuses the command line before any file is read.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flags])
+        assert exc.value.code == 2
+        assert "--dfa" in capsys.readouterr().err
+
 
 class TestDensity:
     def test_csv_all_half(self, odd_a_file, capsys):

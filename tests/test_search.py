@@ -193,7 +193,7 @@ def _best_completion(search: _Search) -> int:
             best = weight
             return
         idx = open_words[k]
-        w = search.weights[idx]
+        w = search.layer_weight[search.length[idx]]
         status[idx] = 1
         if all(any(status[m] != 1 for m in t) for t in through[idx]):
             dfs(k + 1, weight + w, rest - w)
@@ -201,7 +201,12 @@ def _best_completion(search: _Search) -> int:
         dfs(k + 1, weight, rest - w)
         status[idx] = 0
 
-    dfs(0, search.weight_in, search.weight_open)
+    layer_weight = search.layer_weight
+    dfs(
+        0,
+        sum(c * w for c, w in zip(search.included, layer_weight)),
+        sum(c * w for c, w in zip(search.undecided, layer_weight)),
+    )
     return best
 
 
@@ -245,23 +250,20 @@ class TestBoundAdmissible:
         # floor, and then it is the refined bound.
         alphabet, horizon = case
         search = _Search(alphabet, horizon, node_budget=0)
-        trails = []
         for _ in range(data.draw(st.integers(0, 40))):
             open_words = [i for i, value in enumerate(search.status) if not value]
             action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
             if action == "undo" or not open_words:
-                if trails:
-                    search._undo(trails.pop())
+                if search.trail:
+                    search._undo()
                 continue
             idx = data.draw(st.sampled_from(open_words))
-            trail = []
             if action == "exclude":
-                search._exclude(idx, trail)
-            elif not search._include(idx, trail):
+                search._exclude(idx)
+            elif not search._include(idx):
                 # The search never bounds a contradiction: it undoes it.
-                search._undo(trail)
+                search._undo()
                 continue
-            trails.append(trail)
             if len(open_words) - 1 > 16:
                 continue
             best = _best_completion(search)
@@ -281,8 +283,7 @@ class TestBoundAdmissible:
 def _state(search: _Search) -> tuple:
     return (
         list(search.status), search.alive, list(search.included),
-        list(search.undecided), list(search.pair), search.weight_in,
-        search.weight_open,
+        list(search.undecided), list(search.pair),
     )
 
 
@@ -294,7 +295,6 @@ class TestSearchState:
         rng = random.Random(seed)
         search = _Search(alphabet, horizon, node_budget=0)
         initial = _state(search)
-        trails = []
 
         def check():
             assert search.pair == _pair_caps(search.sizes, search.included)
@@ -305,22 +305,17 @@ class TestSearchState:
             assert search.alive == no_out
             # Every count, recomputed from the statuses.
             counts = {st: [0] * (horizon + 1) for st in (0, 1, 2)}
-            weights = {st: 0 for st in (0, 1, 2)}
-            for st, n, w in zip(search.status, search.length, search.weights):
+            for st, n in zip(search.status, search.length):
                 counts[st][n] += 1
-                weights[st] += w
             assert search.included == counts[1]
             assert search.undecided == counts[0]
-            assert search.weight_in == weights[1]
-            assert search.weight_open == weights[0]
 
         for _ in range(300):
             open_words = [i for i, st in enumerate(search.status) if st == 0]
-            if open_words and (not trails or rng.random() < 0.6):
+            if open_words and (not search.trail or rng.random() < 0.6):
                 idx = rng.choice(open_words)
-                trail = []
                 if rng.random() < 0.5:
-                    ok = search._include(idx, trail)
+                    ok = search._include(idx)
                     # False exactly when some triple through idx now has
                     # every member in (x.x = z with z in, when x comes in).
                     assert ok == all(
@@ -328,19 +323,18 @@ class TestSearchState:
                         for members in search.triples if idx in members
                     )
                 else:
-                    search._exclude(idx, trail)
-                trails.append(trail)
+                    search._exclude(idx)
             else:
-                search._undo(trails.pop())
+                search._undo()
             check()
-        while trails:
-            search._undo(trails.pop())
+        while search.trail:
+            search._undo()
         assert _state(search) == initial
 
     def test_square_of_an_included_word_is_a_contradiction(self):
         search = _Search(AB, 2, node_budget=0)
-        assert search._include(2, [])  # aa
-        assert not search._include(0, [])  # a, and a.a = aa
+        assert search._include(2)  # aa
+        assert not search._include(0)  # a, and a.a = aa
 
     # Named ids, so that re-pinning a count does not rename the test.
     @pytest.mark.parametrize("alphabet,horizon,nodes", [

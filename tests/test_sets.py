@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prodfree import sets
 from prodfree.constructions import odd_occurrence
@@ -338,31 +338,40 @@ class TestOracleEquivalence:
         assert lhs == rhs
 
 
+DFA_ALPHABETS = [Alphabet("a"), AB, Alphabet("abc")]
+
+
+@st.composite
+def complete_dfas(draw, alphabet: Alphabet, max_states: int = 5) -> Dfa:
+    """A complete DFA over alphabet with 1..max_states states, any start and
+    any accepting set, so unreachable states and accepting starts occur."""
+    k = draw(st.integers(1, max_states))
+    state = st.integers(0, k - 1)
+    row = st.lists(state, min_size=alphabet.q, max_size=alphabet.q).map(tuple)
+    delta = tuple(draw(st.lists(row, min_size=k, max_size=k)))
+    return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
+
+
 @st.composite
 def dfa_pairs(draw) -> tuple[Dfa, Dfa, int]:
     """Two complete DFAs over one alphabet of 1-3 symbols, 1-5 states each,
-    any start and accepting set, and a horizon of at most 8."""
-    alphabet = draw(st.sampled_from([Alphabet("a"), AB, Alphabet("abc")]))
-
-    def dfa() -> Dfa:
-        k = draw(st.integers(1, 5))
-        state = st.integers(0, k - 1)
-        row = st.lists(state, min_size=alphabet.q, max_size=alphabet.q).map(tuple)
-        delta = tuple(draw(st.lists(row, min_size=k, max_size=k)))
-        return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
-
-    return dfa(), dfa(), draw(st.integers(1, 8))
+    and a horizon of at most 8."""
+    alphabet = draw(st.sampled_from(DFA_ALPHABETS))
+    dfa = complete_dfas(alphabet)
+    return draw(dfa), draw(dfa), draw(st.integers(1, 8))
 
 
 class TestRandomDfas:
     """Truncation, concatenation and the explicit boolean operations on
     random automata, against word-by-word and Python-set oracles."""
 
+    @settings(deadline=None)
     @given(case=dfa_pairs())
     def test_truncate_matches_membership_runs(self, case):
         d, _, horizon = case
         assert explicit_members(dfa_truncate(d, horizon)) == truncation_oracle(d, horizon)
 
+    @settings(deadline=None)
     @given(case=dfa_pairs())
     def test_concat_truncates_to_the_minkowski_product(self, case):
         d1, d2, horizon = case
@@ -370,6 +379,7 @@ class TestRandomDfas:
             dfa_truncate(d1, horizon), dfa_truncate(d2, horizon), horizon
         )
 
+    @settings(deadline=None)
     @given(case=dfa_pairs())
     def test_explicit_boolean_ops_match_python_sets(self, case):
         d1, d2, horizon = case
@@ -380,6 +390,19 @@ class TestRandomDfas:
         assert explicit_members(explicit_intersect(s1, s2)) == m1 & m2
         assert explicit_members(explicit_difference(s1, s2)) == m1 - m2
         assert explicit_members(explicit_complement(s1)) == universe - m1
+
+
+class TestMinimized:
+    @settings(deadline=None)
+    @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
+    def test_unreachable_states_do_not_change_the_minimal_dfa(self, d):
+        # The oracle minimises the reachable part, built with the explorer.
+        reachable = sets._explore(
+            d.alphabet, d.start, lambda s, c: d.delta[s][c], d.accepting.__contains__
+        )
+        m = sets._minimized(d)
+        assert m == sets._minimized(reachable)
+        assert sets._minimized(m) == m
 
 
 class TestPrefixExcluded:
