@@ -17,7 +17,6 @@ from .sets import (
 from .density import (
     DensityProfile,
     ball_density,
-    detect_period,
     profile,
     refined_density,
     upper_asymptotic,

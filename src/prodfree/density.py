@@ -2,9 +2,9 @@
 
 Layer density d(n) = |S ∩ F(n)| / q**n is computed from big-integer layer
 counts; the asymptotic and Banach values over a finite horizon are honest
-estimates unless the profile is backed by an automaton and an eventually
-periodic pattern was detected on enough layers to persist forever, in
-which case the limit is exact.
+estimates unless the profile is backed by an automaton whose counts already
+fix their minimal linear recurrence, in which case both are the exact limit
+read off the counts' generating function.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ class WindowSpec:
     @property
     def length(self) -> int:
         return self.end - self.start + 1
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    preperiod: int
-    period: int
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -110,6 +103,43 @@ class DensityProfile:
         total = self.prefix[window.end] - self.prefix[window.start - 1]
         return Fraction(total, window.length * self.q**self.horizon)
 
+    @cached_property
+    def limit(self) -> Fraction | None:
+        """The limit of the density means, or None if the counts do not fix it.
+
+        The counts of a k-state automaton obey a linear recurrence of order at
+        most k.  Berlekamp-Massey finds the shortest one, of order L, and it
+        holds at every length once it has generated L + k counts (Massey
+        1969).  Then sum c(j+1) t**j = N/C, and the limit is 0 where
+        C(1/q) != 0 and -N(1/q)/C'(1/q) at a simple root; a profile with a
+        double root there is no automaton's, and gets None.  All of it is in
+        integers: C <- last*C - gap*t**m*B is divided by its content, and
+        C, C' and N are evaluated at 1/q times q**L.
+        """
+        k, q, s = self.num_states, self.q, self.counts
+        if not k:
+            return None
+        c, b, last, m, order, n = [1], [1], 1, 1, 0, 0
+        while n < order + k:
+            if order + k > len(s):  # the order never falls: n cannot get there
+                return None
+            gap = sum(x * y for x, y in zip(c, s[n::-1]))
+            if gap:
+                new = [last * x for x in c] + [0] * (len(b) + m - len(c))
+                for i, x in enumerate(b):
+                    new[i + m] -= gap * x
+                g = gcd(*new)
+                if 2 * order <= n:
+                    b, last, order, m = c, gap, n + 1 - order, 0
+                c = [x // g for x in new]
+            m, n = m + 1, n + 1
+        pw = [q ** (order - i) for i in range(order + 1)]  # deg C <= L
+        if sum(x * y for x, y in zip(c, pw)):
+            return Fraction(0)
+        slope = sum(i * x * y for i, (x, y) in enumerate(zip(c, pw)))  # q**(L-1) C'
+        num = sum(sum(x * y for x, y in zip(c, s[i::-1])) * pw[i] for i in range(order))
+        return Fraction(-num, q * slope) if slope else None
+
 
 @dataclass(frozen=True)
 class DensityLimit:
@@ -123,7 +153,6 @@ class DensityLimit:
     exact: bool
     finite_max: Fraction
     window: WindowSpec
-    period: PeriodReport
 
 
 def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
@@ -160,32 +189,13 @@ def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
     return Fraction(sum(p.counts), sum(p.totals))
 
 
-def detect_period(p: DensityProfile) -> PeriodReport:
-    """Smallest eventually-periodic pattern with two full periods of evidence."""
-    h = p.horizon
-    if h < 4:
-        raise ValueError(f"period detection needs horizon >= 4, got {h}")
-    d = p.densities
-    for period in range(1, h // 3 + 1):
-        bad = 0
-        for n in range(h - period, 0, -1):
-            if d[n - 1] != d[n - 1 + period]:
-                bad = n
-                break
-        preperiod = bad + 1
-        if h - preperiod + 1 >= 2 * period:
-            return PeriodReport(preperiod, period, True)
-    return PeriodReport(0, 0, False)
-
-
 def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimit:
     """The first window (start, end) of largest mean, and the limit it
     estimates.
 
-    The limit is exact when an automaton backs the profile and the detected
-    period holds on at least num_states consecutive layers: the gap
-    d(n + period) - d(n) obeys a linear recurrence of order at most
-    num_states, so that many zeros in a row persist at every length.
+    The value is exact when the counts fix the profile's limit
+    (DensityProfile.limit), which both limsups equal, and is the largest
+    mean otherwise.
     """
     prefix = p.prefix
     # Means compared by cross-multiplication over the common q**horizon;
@@ -197,17 +207,13 @@ def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimi
             best_sum, best_len, best = total, n - m + 1, (m, n)
     window = WindowSpec(*best)
     finite_max = p.mean(window)
-    report = detect_period(p) if p.horizon >= 4 else PeriodReport(0, 0, False)
-    evidence = p.horizon - report.period - report.preperiod + 1
-    if p.extendable and report.holds and evidence >= p.num_states:
-        start = report.preperiod
-        value = p.mean(WindowSpec(start, start + report.period - 1))
-        return DensityLimit(value, True, finite_max, window, report)
-    return DensityLimit(finite_max, False, finite_max, window, report)
+    if p.limit is None:
+        return DensityLimit(finite_max, False, finite_max, window)
+    return DensityLimit(p.limit, True, finite_max, window)
 
 
 def upper_asymptotic(p: DensityProfile) -> DensityLimit:
-    """limsup of prefix averages: exact under detected periodicity."""
+    """limsup of prefix averages: exact once the counts fix the limit."""
     return _limit(p, ((1, n) for n in range(1, p.horizon + 1)))
 
 
@@ -258,11 +264,6 @@ def limit_dict(limit: DensityLimit) -> dict:
         "exact": limit.exact,
         "finite_max": frac_str(limit.finite_max),
         "window": [limit.window.start, limit.window.end],
-        "period": {
-            "holds": limit.period.holds,
-            "preperiod": limit.period.preperiod,
-            "period": limit.period.period,
-        },
     }
 
 

@@ -2,7 +2,7 @@ import random
 from typing import Iterable
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from prodfree.sets import Dfa, LayeredSet
 from prodfree.words import ENUMERATION_BUDGET, Alphabet, FormatError, Word, rank
@@ -12,6 +12,19 @@ settings.register_profile("ci", max_examples=500)
 
 # The one-word set {a} over ab: state 1 has read "a", state 2 is the sink.
 A_ONLY = Dfa(Alphabet("ab"), 3, 0, frozenset({1}), ((1, 2), (2, 2), (2, 2)))
+
+DFA_ALPHABETS = [Alphabet("a"), Alphabet("ab"), Alphabet("abc")]
+
+
+@st.composite
+def complete_dfas(draw, alphabet: Alphabet, max_states: int = 5) -> Dfa:
+    """A complete DFA over alphabet with 1..max_states states, any start and
+    any accepting set, so unreachable states and accepting starts occur."""
+    k = draw(st.integers(1, max_states))
+    state = st.integers(0, k - 1)
+    row = st.lists(state, min_size=alphabet.q, max_size=alphabet.q).map(tuple)
+    delta = tuple(draw(st.lists(row, min_size=k, max_size=k)))
+    return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
 
 
 @pytest.fixture(scope="session")

@@ -370,7 +370,7 @@ PINNED_DIGESTS = {
     "odd_a/density-csv":
         "90a611404650602c03d2f29a4450e9c88e58e338a32ce1d4f65234ea21822ff8",
     "odd_a/density-json":
-        "703a00691865e13e6e81bcc94ab5f11047517d0d885dca418929ea02243b638c",
+        "23f03e279a23ea5eafab7627a5a232eb74723101f2eadb1162a45b79a13ef921",
     "odd_a/density-text":
         "595a24e037becba7a8f18f32958b0460c536b5e60bd16c929b794676f8dd8e09",
     "odd_a/phi-levelset":
@@ -384,7 +384,7 @@ PINNED_DIGESTS = {
     "random/density-csv":
         "89c3f1c1c493213dfcc2657ce6609432dbb8dba271f8e49e96d901460e97e8cb",
     "random/density-json":
-        "a8cda074d60f8149058fa20681a4d756205516e3bc90d6f22bc7eb364937cf2d",
+        "fd7ca480320268064cbb4bdbb40f712f6b26da2a3df436381b68afc0e72edc6d",
     "random/density-text":
         "da3829caf3d090defaec0096413db5489cb69031f796d202a12beb7d02acce7b",
     "random/phi-levelset":

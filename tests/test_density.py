@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prodfree.constructions import odd_occurrence
+from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.density import (
     DensityProfile,
     _limit,
     ball_density,
-    detect_period,
     frac_str,
     limits_report,
     profile,
@@ -30,11 +29,17 @@ from prodfree.sets import (
 )
 from prodfree.words import Alphabet, layer_words
 
+from conftest import DFA_ALPHABETS, complete_dfas
+
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
 ODD_LEN = odd_occurrence(AB, "ab")
 FULL = dfa_full(AB)
 HALF = Fraction(1, 2)
+# Words containing "aa": state 1 has just read an "a", state 2 has seen "aa".
+CONTAINS_AA = Dfa(AB, 3, 0, frozenset({2}), ((1, 0), (2, 0), (2, 2)))
+# "Length >= 70": 71 states, every layer below 70 empty.
+LATE = Dfa(AB, 71, 0, frozenset({70}), tuple((min(k + 1, 70),) * 2 for k in range(71)))
 
 
 def _full_banach(p, min_window):
@@ -114,40 +119,92 @@ class TestRefinedDensity:
             assert refined_density(ODD_A, n, (1,)) <= prof.density(n)
 
 
-class TestPeriodDetection:
-    def test_odd_length(self):
-        report = detect_period(profile(ODD_LEN, 16))
-        assert (report.preperiod, report.period, report.holds) == (1, 2, True)
+def _solve(rows):
+    """Gauss-Jordan elimination over Fractions of a nonsingular system,
+    each row its coefficients followed by its right-hand side."""
+    k = len(rows)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
 
-    def test_odd_a(self):
-        report = detect_period(profile(ODD_A, 16))
-        assert (report.preperiod, report.period, report.holds) == (1, 1, True)
 
-    def test_generic_explicit_has_no_period(self):
-        rng = random.Random(2)
-        words = [w for w in layer_words(AB, 1) + layer_words(AB, 2)
-                 + layer_words(AB, 3) + layer_words(AB, 4) if rng.random() < 0.4]
-        prof = profile(explicit_from_words(words, 4))
-        assert not detect_period(prof).holds
+def _markov_limit(d: Dfa) -> Fraction:
+    """lim d(n) in mean, from the chain that reads a uniform random symbol
+    at each step: the sum over closed classes of the absorption probability
+    from the start times the stationary mass on accepting states.  Shares
+    no code with DensityProfile.limit."""
+    k, q, zero = d.num_states, d.alphabet.q, Fraction(0)
+    reach = []
+    for x in range(k):
+        seen, todo = {x}, [x]
+        while todo:
+            for y in d.delta[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        reach.append(frozenset(seen))
+    recurrent = [all(x in reach[y] for y in reach[x]) for x in range(k)]
+    total = zero
+    for closed in {reach[x] for x in range(k) if recurrent[x]}:
+        states = sorted(closed)
+        # pi P = pi on the class, the last equation replaced by sum(pi) = 1.
+        rows = [[Fraction(d.delta[x].count(y), q) - (x == y) for x in states] + [zero]
+                for y in states]
+        rows[-1] = [Fraction(1)] * (len(states) + 1)
+        pi = _solve(rows)
+        # h = 1 on the class, 0 on the other closed classes, and the mean of
+        # the successors' h on transient states.
+        rows = [[Fraction(x == y) for y in range(k)] + [Fraction(x in closed)]
+                for x in range(k)]
+        for x in range(k):
+            if not recurrent[x]:
+                for y in d.delta[x]:
+                    rows[x][y] -= Fraction(1, q)
+        h = _solve(rows)
+        total += h[d.start] * sum(p for x, p in zip(states, pi) if x in d.accepting)
+    return total
 
-    def test_alternating_detected_once_period_fits_cap(self):
-        # d = (1,0,1,0,1): period 2 is over the H/3 cap at H=5, so nothing
-        # is detected; at H=6 the alternation is found from the start.
-        words5 = [w for n in (1, 3, 5) for w in layer_words(AB, n)]
-        assert not detect_period(profile(explicit_from_words(words5, 5))).holds
-        words6 = [w for n in (1, 3, 5) for w in layer_words(AB, n)]
-        report = detect_period(profile(explicit_from_words(words6, 6)))
-        assert (report.preperiod, report.period, report.holds) == (1, 2, True)
 
-    def test_requires_two_periods_of_evidence(self):
-        # d = (1, 0, 0, 1): the final d(4) = d(3) match alone is only one
-        # period of evidence for p = 1, so it must not count.
-        words = [w for n in (1, 4) for w in layer_words(AB, n)]
-        assert not detect_period(profile(explicit_from_words(words, 4))).holds
+class TestLimit:
+    @pytest.mark.parametrize("dfa, first, value", [
+        # d(n) = 1/2 - (-1)^n / (2 * 3^n) is never periodic.
+        (odd_occurrence(Alphabet("abc"), "ab"), 4, HALF),
+        (CONTAINS_AA, 6, 1),
+        # Z of the asymmetric triple over ab at n = 7, 131 states.
+        (asymmetric_triple(AB, 7, Fraction(1, 10)).z, 145, Fraction(10143, 16384)),
+    ], ids=["odd3", "contains-aa", "z-ab-7"])
+    def test_exact_from_the_first_horizon_with_order_plus_states_counts(
+            self, dfa, first, value):
+        before = profile(dfa, first - 1)
+        assert before.limit is None
+        assert not upper_asymptotic(before).exact
+        p = profile(dfa, first)
+        assert p.limit == value
+        for limit in (upper_asymptotic(p), upper_banach(p, 4)):
+            assert limit.exact and limit.value == value
 
-    def test_small_horizon_rejected(self):
-        with pytest.raises(ValueError, match=">= 4"):
-            detect_period(profile(explicit_empty(AB, 3)))
+    def test_double_root_at_one_over_q_has_no_limit(self):
+        # n * 2^n is no bounded density: C = (1 - 2t)^2 has a double root
+        # at 1/2, where C' vanishes.
+        assert DensityProfile(2, tuple(n * 2**n for n in range(1, 20)), 3).limit is None
+
+    @settings(deadline=None)
+    @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)),
+           horizon=st.integers(4, 40))
+    def test_matches_the_markov_chain_solve(self, d, horizon):
+        expected = _markov_limit(d)
+        # L <= k, so 2k counts always fix the limit.
+        assert profile(d, 2 * d.num_states).limit == expected
+        p = profile(d, horizon)
+        if p.limit is not None:
+            assert p.limit == expected and 0 <= p.limit <= 1
+            asym, banach = upper_asymptotic(p), upper_banach(p, 4)
+            assert asym.exact and banach.exact and asym.value == banach.value == p.limit
 
 
 class TestAsymptotic:
@@ -217,6 +274,7 @@ class TestBanach:
     @example(case=(DensityProfile(2, (1, 0, 3, 8, 2, 64, 0, 128), 0), 1))
     @example(case=(DensityProfile(3, (2, 0, 27, 40, 0, 729), 1), 6))
     @example(case=(DensityProfile(2, (1,), 0), 1))
+    @example(case=(DensityProfile(2, tuple(n * 2**n for n in range(1, 20)), 3), 4))
     def test_matches_full_scan(self, case):
         prof, min_window = case
         bounded = upper_banach(prof, min_window)
@@ -247,16 +305,17 @@ class TestBallDensity:
 
 
 class TestExactness:
-    def test_periodic_evidence_must_cover_the_state_count(self):
-        # "Length >= 70" needs 71 states and has limit 1; at H = 64 every
-        # layer is empty, which looks periodic but proves nothing.
-        delta = tuple((min(k + 1, 70),) * 2 for k in range(71))
-        late = Dfa(AB, 71, 0, frozenset({70}), delta)
-        for limit in (upper_asymptotic(profile(late, 64)),
-                      upper_banach(profile(late, 64))):
-            assert limit.value == 0 and not limit.exact
-        for limit in (upper_asymptotic(profile(late, 256)),
-                      upper_banach(profile(late, 256))):
+    def test_recurrence_needs_num_states_more_counts_than_its_order(self):
+        # "Length >= 70" has limit 1.  At H = 64 every layer is empty, which
+        # fits the order-0 recurrence but proves nothing; the order-70
+        # recurrence first generates 70 + 71 counts at H = 141.
+        for horizon in (64, 140):
+            for limit in (upper_asymptotic(profile(LATE, horizon)),
+                          upper_banach(profile(LATE, horizon))):
+                assert not limit.exact
+        assert upper_asymptotic(profile(LATE, 64)).value == 0
+        for limit in (upper_asymptotic(profile(LATE, 141)),
+                      upper_banach(profile(LATE, 141))):
             assert limit.value == 1 and limit.exact
 
     def test_summation_order_invariance(self):

@@ -47,7 +47,7 @@ from prodfree.words import (
     unrank,
 )
 
-from conftest import A_ONLY, read_by_line, write_word_list
+from conftest import A_ONLY, DFA_ALPHABETS, complete_dfas, read_by_line, write_word_list
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -336,20 +336,6 @@ class TestOracleEquivalence:
             dfa_truncate(d1, self.N), dfa_truncate(d2, self.N), self.N
         )
         assert lhs == rhs
-
-
-DFA_ALPHABETS = [Alphabet("a"), AB, Alphabet("abc")]
-
-
-@st.composite
-def complete_dfas(draw, alphabet: Alphabet, max_states: int = 5) -> Dfa:
-    """A complete DFA over alphabet with 1..max_states states, any start and
-    any accepting set, so unreachable states and accepting starts occur."""
-    k = draw(st.integers(1, max_states))
-    state = st.integers(0, k - 1)
-    row = st.lists(state, min_size=alphabet.q, max_size=alphabet.q).map(tuple)
-    delta = tuple(draw(st.lists(row, min_size=k, max_size=k)))
-    return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
 
 
 @st.composite
