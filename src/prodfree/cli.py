@@ -2,9 +2,10 @@
 
 Subcommands: check, density, construct, verify-prop, certify, search,
 phi-levelset.  Exit codes: 0 success / property holds, 1 property fails
-(witness or violation found), 2 usage or I/O error.  Machine-readable
-output prints exact rationals as "num/den"; timings and node counts go to
-stderr under --stats so stdout stays deterministic.
+(witness or violation found), 2 usage or I/O error.  The library returns
+values and this module alone formats them: machine-readable output prints
+exact rationals as "num/den"; timings and node counts go to stderr under
+--stats so stdout stays deterministic.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import constructions, density, productfree, proofkit, search
-from .density import frac_str
 from .sets import (
     DEFAULT_EXPLICIT_HORIZON,
     Dfa,
@@ -53,17 +54,15 @@ def _load_set(args) -> LayeredSet | Dfa:
     return read_explicit(Path(args.words).read_text())
 
 
-def _default_horizon(s: LayeredSet | Dfa, requested: int | None) -> int:
-    if requested is not None:
-        return requested
-    return s.horizon if isinstance(s, LayeredSet) else density.DEFAULT_REGULAR_HORIZON
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +85,31 @@ def cmd_check(args) -> int:
 
 
 def cmd_density(args) -> int:
-    s = _load_set(args)
-    horizon = _default_horizon(s, args.horizon)
-    prof = density.profile(s, horizon)
+    prof = density.profile(_load_set(args), args.horizon)
     if args.format == "csv":
-        _emit(density.profile_csv(prof), args.out)
-    elif args.format == "json":
-        report = density.limits_report(prof, args.min_window)
-        report["profile"] = [
-            {"n": n, "count": count, "total": total, "density": frac_str(d)}
-            for n, count, total, d in prof.rows()
-        ]
+        _emit(_csv(prof), args.out)
+        return 0
+    min_window = args.min_window
+    if min_window is None:
+        # A horizon below the default length gets one window: all of it.
+        min_window = min(density.DEFAULT_MIN_WINDOW, prof.horizon)
+    asym = density.upper_asymptotic(prof)
+    ban = density.upper_banach(prof, min_window)
+    if args.format == "json":
+        report = {
+            "horizon": prof.horizon,
+            "extendable": prof.extendable,
+            "asymptotic": _limit_fields(asym),
+            "banach": dict(_limit_fields(ban), min_window=min_window),
+            "profile": [
+                {"n": n, "count": count, "total": total, "density": _frac(d)}
+                for n, count, total, d in zip(
+                    range(1, prof.horizon + 1), prof.counts, prof.totals, prof.densities
+                )
+            ],
+        }
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        asym = density.upper_asymptotic(prof)
-        ban = density.upper_banach(prof, args.min_window)
         lines = [
             f"horizon {prof.horizon}",
             _describe_limit("upper asymptotic density", asym),
@@ -110,10 +119,32 @@ def cmd_density(args) -> int:
     return 0
 
 
+def _csv(p: density.DensityProfile) -> str:
+    """One row per layer, each reduced by one gcd; when it is 1 the count and
+    total are printed once more as they are, since str() of a big int costs
+    more than the gcd.  The rows are freed before the text is written out."""
+    lines = ["n,count,total,density_num,density_den"]
+    for n, count, total in zip(range(1, p.horizon + 1), p.counts, p.totals):
+        c, t = str(count), str(total)
+        g = gcd(count, total)
+        num, den = (c, t) if g == 1 else (count // g, total // g)
+        lines.append(f"{n},{c},{t},{num},{den}")
+    return "\n".join(lines) + "\n"
+
+
+def _limit_fields(limit: density.DensityLimit) -> dict:
+    return {
+        "value": _frac(limit.value),
+        "exact": limit.exact,
+        "finite_max": _frac(limit.finite_max),
+        "window": [limit.window.start, limit.window.end],
+    }
+
+
 def _describe_limit(label: str, limit: density.DensityLimit) -> str:
     kind = "exactly" if limit.exact else "finite-horizon estimate"
     return (
-        f"{label}: {kind} {frac_str(limit.value)} "
+        f"{label}: {kind} {_frac(limit.value)} "
         f"(≈ {float(limit.value):.6f}), window "
         f"[{limit.window.start}, {limit.window.end}]"
     )
@@ -153,9 +184,9 @@ def cmd_verify_prop(args) -> int:
     payload = {
         "n": report.n,
         "lengths": list(report.lengths),
-        "refined_terms": [frac_str(t) for t in report.refined_terms],
-        "lhs": frac_str(report.lhs),
-        "mid": frac_str(report.mid),
+        "refined_terms": [_frac(t) for t in report.refined_terms],
+        "lhs": _frac(report.lhs),
+        "mid": _frac(report.mid),
         "ok": report.ok,
     }
     print(json.dumps(payload, indent=2))
@@ -164,8 +195,9 @@ def cmd_verify_prop(args) -> int:
 
 def cmd_certify(args) -> int:
     s = _load_set(args)
-    horizon = _default_horizon(s, args.horizon)
     eps = _parse_fraction(args.eps)
+    prof = density.profile(s, args.horizon)
+    horizon = prof.horizon
     lseq, trace = proofkit.extract_lsequence(s, eps, horizon, args.min_window)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -173,7 +205,7 @@ def cmd_certify(args) -> int:
                 fh.write(json.dumps({
                     "stage": probe.stage,
                     "window": [probe.window.start, probe.window.end],
-                    "mean": frac_str(probe.mean),
+                    "mean": _frac(probe.mean),
                     "qualifies": probe.qualifies,
                     "chosen": probe.chosen,
                 }) + "\n")
@@ -182,14 +214,13 @@ def cmd_certify(args) -> int:
     all_hold = True
     if lseq.k >= 1:
         lk = lseq.lengths[-1]
-        prof = density.profile(s, horizon)
         for start in range(lk + 1, horizon - args.min_window + 2):
             window = density.WindowSpec(start, start + args.min_window - 1)
             cert = proofkit.window_bound_certificate(prof, window, lseq)
             certificates.append({
                 "window": [window.start, window.end],
-                "bound": frac_str(cert.bound),
-                "mean": frac_str(cert.mean),
+                "bound": _frac(cert.bound),
+                "mean": _frac(cert.mean),
                 "holds": cert.holds,
             })
             all_hold = all_hold and cert.holds
@@ -197,8 +228,8 @@ def cmd_certify(args) -> int:
         "policy": trace.policy,
         "stop_reason": trace.stop_reason,
         "lengths": list(lseq.lengths),
-        "terms": [frac_str(t) for t in lseq.terms],
-        "cumulative": [frac_str(c) for c in lseq.cumulative],
+        "terms": [_frac(t) for t in lseq.terms],
+        "cumulative": [_frac(c) for c in lseq.cumulative],
         "window_certificates": certificates,
         "all_hold": all_hold,
     }
@@ -215,7 +246,7 @@ def cmd_search(args) -> int:
         "alphabet": alphabet.symbols,
         "horizon": result.horizon,
         "objective": result.objective,
-        "value": frac_str(result.value),
+        "value": _frac(result.value),
         "witness_layer_counts": [
             result.best.layer_count(n) for n in range(1, result.horizon + 1)
         ],
@@ -230,9 +261,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_phi_levelset(args) -> int:
-    s = _load_set(args)
-    horizon = _default_horizon(s, args.horizon)
-    report = proofkit.phi_level_set(s, horizon)
+    report = proofkit.phi_level_set(density.profile(_load_set(args), args.horizon))
     payload = {
         "horizon": report.horizon,
         "threshold": "(sqrt(5)-1)/2",
@@ -271,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="exact density profile and limit estimates")
     _add_input_flags(p)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--min-window", type=int, default=density.DEFAULT_MIN_WINDOW)
+    p.add_argument("--min-window", type=int, default=None, help=(
+        f"least Banach window (default min({density.DEFAULT_MIN_WINDOW}, horizon))"))
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_density)

@@ -204,37 +204,27 @@ def greedy_random_productfree(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
 
-    # reversal[n][r] is the rank of the reversal of the length-n word of rank r.
+    # reversal[n][r] is the rank of the reversal of the length-n word of rank
+    # r, and rev[n] holds the reversals of the members of length n.
     reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
     fwd = [0] * (max_len + 1)
     rev = [0] * (max_len + 1)
     for n, r in items:
         rr = reversal[n][r]
-        if not _insertion_safe(q, fwd, rev, max_len, n, r, rr):
+        # w = x.y with both factors already in, or w.w already in.
+        if _first_split(fwd, q, n, r, range(1, n)) or (
+            2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1
+        ):
             continue
-        fwd[n] |= 1 << r
-        rev[n] |= 1 << rr
+        for m in range(1, max_len - n + 1):
+            width = q**m
+            # w.y in S for some member y: the ranks of w.y form one block of
+            # width bits, and fwd[m] fits in it unmasked.  y.w: the same on
+            # the reversals.
+            if ((fwd[n + m] >> (r * width)) & fwd[m]
+                    or (rev[n + m] >> (rr * width)) & rev[m]):
+                break
+        else:
+            fwd[n] |= 1 << r
+            rev[n] |= 1 << rr
     return LayeredSet(alphabet, max_len, tuple(fwd))
-
-
-def _insertion_safe(
-    q: int, fwd: list[int], rev: list[int], max_len: int, n: int, r: int, rr: int
-) -> bool:
-    """Whether adding the length-n word of rank r (reversed rank rr) keeps
-    the set product-free; rev holds the reversals of the members."""
-    # w = x.y with both factors already in.
-    if _first_split(fwd, q, n, r, range(1, n)):
-        return False
-    # w.w already in.
-    if 2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1:
-        return False
-    for m in range(1, max_len - n + 1):
-        width = q**m
-        mask = (1 << width) - 1
-        # w.y in S for some member y: ranks of w.y form one contiguous block.
-        if (fwd[n + m] >> (r * width)) & mask & fwd[m]:
-            return False
-        # y.w in S for some member y: same test on the reversed sets.
-        if (rev[n + m] >> (rr * width)) & mask & rev[m]:
-            return False
-    return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .sets import (
     Dfa,
@@ -83,10 +83,6 @@ class DensityProfile:
     def totals(self) -> tuple[int, ...]:
         """q**n for n = 1..horizon."""
         return tuple(self.q**n for n in range(1, self.horizon + 1))
-
-    def rows(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        """(n, count, q**n, d(n)) for n = 1..horizon."""
-        return zip(range(1, self.horizon + 1), self.counts, self.totals, self.densities)
 
     @cached_property
     def prefix(self) -> tuple[int, ...]:
@@ -232,45 +228,3 @@ def upper_banach(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> Den
         (m, n) for m in range(1, h - min_window + 2)
         for n in range(m + min_window - 1, min(h, m + 2 * min_window - 2) + 1)
     ))
-
-
-# ---------------------------------------------------------------------------
-# Report emitters
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def profile_csv(p: DensityProfile) -> str:
-    """One row per layer: n, count, q**n and d(n) in lowest terms.
-
-    Each row is reduced by one gcd; when it is 1 the count and total are
-    printed once more as they are, since str() of a big int costs more
-    than the gcd.
-    """
-    lines = ["n,count,total,density_num,density_den"]
-    for n, count, total in zip(range(1, p.horizon + 1), p.counts, p.totals):
-        c, t = str(count), str(total)
-        g = gcd(count, total)
-        num, den = (c, t) if g == 1 else (count // g, total // g)
-        lines.append(f"{n},{c},{t},{num},{den}")
-    return "\n".join(lines) + "\n"
-
-
-def limit_dict(limit: DensityLimit) -> dict:
-    return {
-        "value": frac_str(limit.value),
-        "exact": limit.exact,
-        "finite_max": frac_str(limit.finite_max),
-        "window": [limit.window.start, limit.window.end],
-    }
-
-
-def limits_report(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> dict:
-    return {
-        "horizon": p.horizon,
-        "extendable": p.extendable,
-        "asymptotic": limit_dict(upper_asymptotic(p)),
-        "banach": dict(limit_dict(upper_banach(p, min_window)), min_window=min_window),
-    }

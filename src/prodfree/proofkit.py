@@ -206,15 +206,15 @@ class WindowCertificate:
 
 
 def window_bound_certificate(
-    s: LayeredSet | Dfa | DensityProfile, window: WindowSpec, lseq: LSequence
+    p: DensityProfile, window: WindowSpec, lseq: LSequence
 ) -> WindowCertificate:
     """Certified window bound 2^k/(2^(k+1)-1) + 2(l_k+1)/|I|.
 
-    Requires the sequence's cumulative sum to have reached 1 - 1/2^k and the
-    window to sit entirely above l_k; the verdict asserts the window's mean
-    layer density stays at or below the bound.  s may also be the set's
-    profile up to any horizon reaching the window's end, so one profile
-    serves many windows.
+    p is the set's profile up to any horizon reaching the window's end, so
+    one profile serves many windows.  Requires the sequence's cumulative sum
+    to have reached 1 - 1/2^k and the window to sit entirely above l_k; the
+    verdict asserts the window's mean layer density stays at or below the
+    bound.
     """
     k = lseq.k
     if k < 1:
@@ -226,11 +226,9 @@ def window_bound_certificate(
     lk = lseq.lengths[-1]
     if window.start <= lk:
         raise ValueError(f"window must start above l_k = {lk}")
-    if not isinstance(s, DensityProfile):
-        s = profile(s, window.end)
-    elif s.horizon < window.end:
-        raise ValueError(f"window ends past the profile horizon {s.horizon}")
-    mean = s.mean(window)
+    if p.horizon < window.end:
+        raise ValueError(f"window ends past the profile horizon {p.horizon}")
+    mean = p.mean(window)
     bound = Fraction(2**k, 2 ** (k + 1) - 1) + Fraction(2 * (lk + 1), window.length)
     return WindowCertificate(window, k, lk, bound, mean, mean <= bound)
 
@@ -249,14 +247,15 @@ class LevelSetReport:
     violation: tuple[int, int, int] | None
 
 
-def phi_level_set(s: LayeredSet | Dfa, horizon: int) -> LevelSetReport:
-    prof = profile(s, horizon)
-    level = tuple(n for n in range(1, horizon + 1) if exceeds_phi(prof.density(n)))
+def phi_level_set(p: DensityProfile) -> LevelSetReport:
+    """The layers of p denser than phi, and whether they are sum-free: no
+    a + b = c among them, a = b included."""
+    level = tuple(n for n, d in enumerate(p.densities, 1) if exceeds_phi(d))
     members = set(level)
     for a in level:
         for b in level:
             if b < a:
                 continue
             if a + b in members:
-                return LevelSetReport(horizon, level, False, (a, b, a + b))
-    return LevelSetReport(horizon, level, True, None)
+                return LevelSetReport(p.horizon, level, False, (a, b, a + b))
+    return LevelSetReport(p.horizon, level, True, None)

@@ -123,10 +123,11 @@ def test_criterion_3_window_bound_certificates(greedy_sets):
             continue
         extracted += 1
         lk = lseq.lengths[-1]
+        prof = profile(s, GREEDY_HORIZON)
         for start in range(lk + 1, GREEDY_HORIZON + 1):
             for end in range(start, GREEDY_HORIZON + 1):
                 window = WindowSpec(start, end)
-                cert = window_bound_certificate(s, window, lseq)
+                cert = window_bound_certificate(prof, window, lseq)
                 assert cert.holds
                 windows_checked += 1
                 if window.length >= 16:
@@ -137,12 +138,13 @@ def test_criterion_3_window_bound_certificates(greedy_sets):
         lseq, _ = extract_lsequence(d, Fraction(1, 16), 64)
         assert lseq.k >= 1
         lk = lseq.lengths[-1]
+        prof = profile(d, 64)
         for start in range(lk + 1, 64 - 16 + 2):
             for length in (16, 24, 40):
                 if start + length - 1 > 64:
                     continue
                 cert = window_bound_certificate(
-                    d, WindowSpec(start, start + length - 1), lseq
+                    prof, WindowSpec(start, start + length - 1), lseq
                 )
                 assert cert.holds
                 long_windows_checked += 1
@@ -163,14 +165,14 @@ def test_criterion_4_phi_level_sets(greedy_sets):
     assert exceeds_phi(d)
     checked = 0
     for s in greedy_sets:
-        report = phi_level_set(s, GREEDY_HORIZON)
+        report = phi_level_set(profile(s, GREEDY_HORIZON))
         assert report.sum_free, report.violation
         checked += 1
     for gamma in ("a", "b", "ab"):
-        report = phi_level_set(odd_occurrence(AB, gamma), 64)
+        report = phi_level_set(profile(odd_occurrence(AB, gamma), 64))
         assert report.sum_free
         checked += 1
-    report = phi_level_set(counting_pathology(AB, 4), 20)
+    report = phi_level_set(profile(counting_pathology(AB, 4), 20))
     assert report.sum_free
     checked += 1
     elapsed = time.monotonic() - started

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -99,6 +100,24 @@ class TestDensity:
         assert report["banach"]["value"] == "1/2"
         assert report["banach"]["exact"] is True
         assert len(report["profile"]) == 64
+
+    @pytest.mark.parametrize("construct, horizon", [
+        (["random", "--seed", "1", "--max-len", "5"], 5),
+        (["pathology", "--c", "2"], 6),
+    ], ids=["random", "pathology"])
+    def test_short_word_list_gets_one_window(self, construct, horizon, tmp_path, capsys):
+        words = tmp_path / "short.words"
+        assert main(["construct", *construct, "--out", str(words)]) == 0
+        assert main(["density", "--words", str(words), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["horizon"] == report["banach"]["min_window"] == horizon
+        assert report["banach"]["window"] == [1, horizon]
+        assert main(["density", "--words", str(words), "--format", "text"]) == 0
+        assert f"window [1, {horizon}]" in capsys.readouterr().out.splitlines()[-1]
+        # A min window asked for is never capped.
+        assert main(["density", "--words", str(words), "--format", "json",
+                     "--min-window", "8"]) == 2
+        assert capsys.readouterr().err == f"error: min window 8 outside 1..{horizon}\n"
 
     def test_text_mode(self, odd_a_file, capsys):
         assert main([
@@ -220,6 +239,23 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: min window {window} outside 1..8\n"
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `prodfree ...` lines of the README's CLI section, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("prodfree ")]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lines = _readme_cli_lines()
+        assert lines
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            assert main(argv) == 0, (line, capsys.readouterr().err)
 
 
 class TestParser:
@@ -364,6 +400,13 @@ PINNED_COMMANDS = {
     "phi-levelset": ["phi-levelset"],
     "verify-prop": ["verify-prop", "--lengths", "1,2", "--n", "5"],
 }
+# The same for the files a command writes, through the flag that ends it.
+PINNED_FILE_COMMANDS = {
+    "certify-trace": ["certify", "--min-window", "4", "--trace"],
+    "density-csv-out": ["density", "--out"],
+    "density-json-out": ["density", "--format", "json", "--out"],
+    "density-text-out": ["density", "--format", "text", "--out"],
+}
 PINNED_DIGESTS = {
     "odd_a/certify":
         "2db725daeb7236f30cb2563519bad37b9f509dd908ea0032cae2560fe91e9444",
@@ -435,6 +478,23 @@ PINNED_DIGESTS = {
         "e5d244d0fa62a64d4b4545991f02516aaa52c7eb34f8097bc51b4cbd27735b6a",
     "asymmetric/abc-n3/z.dfa":
         "dd12483e10a795faa480e68331f979d354e54415e8f23cabbdb7789d01a640c3",
+    "odd_a/certify-trace":
+        "7721c6d5704f5b3bad9c3f4b39d4963a59e102b6f5dce5df7cbbfd1c08559c53",
+    "odd_a/density-csv-out":
+        "46af8a90aa649c8dbd080066c1b063bfc66f34c4a56f53b68d71c26727d8fa24",
+    "odd_a/density-json-out":
+        "6f234443bc90b26ded38dd1186e0464dd4a47487ee6900dbb754d81266927272",
+    "odd_a/density-text-out":
+        "5109720e1cf202fb2ec40da2f4efb7bdc55922f7764e9865b8f7a6b8598b9ae0",
+    # No window of length 4 fits above l_1 = 6 at horizon 8: nothing is probed.
+    "random/certify-trace":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random/density-csv-out":
+        "66d7d6c053c751a95483107b76e5f285766eee14ddd306e2270bc2d6dc72d6f9",
+    "random/density-json-out":
+        "3f8413328727d1c68afd772192a30411245f866788390da463d88647d93f6d88",
+    "random/density-text-out":
+        "cd5f7db72c6deca4d511e84bd54d89fc57cd79faa445ce1b0e825a2ccef6865f",
 }
 
 
@@ -457,6 +517,21 @@ class TestPinnedStdout:
                      "--out", str(words)]) == 0
         argv = [*PINNED_COMMANDS[command], "--words", str(words)]
         assert _pinned_digest(argv, capsys) == PINNED_DIGESTS[f"random/{command}"]
+
+    @pytest.mark.parametrize("command", sorted(PINNED_FILE_COMMANDS))
+    @pytest.mark.parametrize("source", ["odd_a", "random"])
+    def test_written_file(self, source, command, odd_a_file, tmp_path):
+        if source == "odd_a":
+            flags = ["--dfa", str(odd_a_file)]
+        else:
+            words = tmp_path / "random.words"
+            assert main(["construct", "random", "--seed", "7", "--max-len", "8",
+                         "--out", str(words)]) == 0
+            flags = ["--words", str(words)]
+        target = tmp_path / "written"
+        assert main([*PINNED_FILE_COMMANDS[command], str(target), *flags]) == 0
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == PINNED_DIGESTS[f"{source}/{command}"]
 
     def test_random_fixture_file(self, tmp_path, capsys):
         assert _pinned_digest(["construct", "random", "--seed", "7",

@@ -5,27 +5,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prodfree.cli import main
 from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.density import (
     DensityProfile,
     _limit,
     ball_density,
-    frac_str,
-    limits_report,
     profile,
-    profile_csv,
     refined_density,
     upper_asymptotic,
     upper_banach,
 )
 from prodfree.sets import (
     Dfa,
+    LayeredSet,
     dfa_full,
     dfa_layer_counts,
     dfa_truncate,
     explicit_empty,
     explicit_from_words,
     explicit_full,
+    write_dfa,
+    write_explicit,
 )
 from prodfree.words import Alphabet, layer_words
 
@@ -91,7 +92,8 @@ class TestProfile:
     def test_counts_are_consistent(self):
         prof = profile(ODD_A, 12)
         assert prof.counts == tuple(dfa_layer_counts(ODD_A, 12))
-        for n, count, total, d in prof.rows():
+        for n, count, total, d in zip(range(1, 13), prof.counts, prof.totals,
+                                      prof.densities):
             assert total == 2**n and d * total == count
 
     def test_horizon_exceeded(self):
@@ -329,8 +331,8 @@ class TestExactness:
 
 
 def _csv_by_fractions(p):
-    """profile_csv as one Fraction per layer: the reference the
-    gcd-reduced emitter must match byte for byte."""
+    """`density` CSV as one Fraction per layer: the reference the CLI's
+    gcd-reduced rows must match byte for byte."""
     lines = ["n,count,total,density_num,density_den"]
     for n, count in enumerate(p.counts, start=1):
         d = Fraction(count, p.q**n)
@@ -338,41 +340,63 @@ def _csv_by_fractions(p):
     return "\n".join(lines) + "\n"
 
 
+def _first_ranks(alphabet, counts):
+    """The explicit set of the first counts[n-1] words of each layer n."""
+    return LayeredSet(alphabet, len(counts), (0, *((1 << c) - 1 for c in counts)))
+
+
+def _density_stdout(s, horizon, tmp_path, capsys, *flags):
+    """stdout of `prodfree density` on s, written to a file first."""
+    if isinstance(s, Dfa):
+        path, text, flag = tmp_path / "s.dfa", write_dfa(s), "--dfa"
+    else:
+        path, text, flag = tmp_path / "s.words", write_explicit(s), "--words"
+    path.write_text(text)
+    assert main(["density", flag, str(path), "--horizon", str(horizon), *flags]) == 0
+    return capsys.readouterr().out
+
+
 class TestEmitters:
-    @pytest.mark.parametrize("prof", [
+    """The density output of the CLI, which alone formats it."""
+
+    @pytest.mark.parametrize("s, horizon", [
         # q = 2: every gcd is a power of two.
-        profile(ODD_A, 200),
-        profile(odd_occurrence(AB, "ab"), 40),
+        (ODD_A, 200),
+        (odd_occurrence(AB, "ab"), 40),
         # q = 3: odd occurrence of two of three symbols, (3^n - (-1)^n) / 2,
         # is prime to 3^n, so every gcd is 1.
-        profile(odd_occurrence(Alphabet("abc"), "ab"), 300),
+        (odd_occurrence(Alphabet("abc"), "ab"), 300),
         # q = 6: gcds mixing the primes 2 and 3.
-        profile(odd_occurrence(Alphabet("abcdef"), "abc"), 60),
-        DensityProfile(6, (3, 12, 0, 6**4, 2 * 6**4, 5, 6**7 // 9, 1), 0),
+        (odd_occurrence(Alphabet("abcdef"), "abc"), 60),
+        (_first_ranks(Alphabet("abcdef"), (3, 12, 0, 6**4, 2 * 6**4, 5, 6**7 // 9, 1)), 8),
         # Zero layers print 0/1 and full layers 1/1.
-        profile(explicit_empty(AB, 6)),
-        profile(explicit_full(Alphabet("abc"), 5)),
-        profile(FULL, 50),
-        DensityProfile(2, (0, 4, 0, 16, 1), 0),
+        (explicit_empty(AB, 6), 6),
+        (explicit_full(Alphabet("abc"), 5), 5),
+        (FULL, 50),
+        (_first_ranks(AB, (0, 4, 0, 16, 1)), 5),
     ], ids=["odd-a", "odd-length", "odd3", "odd6", "q6-mixed", "empty", "full3",
             "full-dfa", "zero-and-full"])
-    def test_csv_matches_the_fraction_reduction(self, prof):
-        assert profile_csv(prof) == _csv_by_fractions(prof)
+    def test_csv_matches_the_fraction_reduction(self, s, horizon, tmp_path, capsys):
+        text = _density_stdout(s, horizon, tmp_path, capsys)
+        assert text == _csv_by_fractions(profile(s, horizon))
 
-    def test_csv_shape(self):
-        text = profile_csv(profile(ODD_A, 4))
+    def test_csv_shape(self, tmp_path, capsys):
+        text = _density_stdout(ODD_A, 4, tmp_path, capsys)
         lines = text.strip().splitlines()
         assert lines[0] == "n,count,total,density_num,density_den"
         assert lines[1] == "1,1,2,1,2"
         assert lines[4] == "4,8,16,1,2"
 
-    def test_limits_report_fields(self):
-        report = limits_report(profile(ODD_A, 64), 8)
+    def test_limits_report_fields(self, tmp_path, capsys):
+        report = json.loads(_density_stdout(
+            ODD_A, 64, tmp_path, capsys, "--format", "json", "--min-window", "8"))
         assert report["asymptotic"]["exact"] is True
         assert report["asymptotic"]["value"] == "1/2"
         assert report["banach"]["min_window"] == 8
-        assert json.dumps(report)  # serialisable
+        assert [row["n"] for row in report["profile"]] == list(range(1, 65))
 
-    def test_frac_str(self):
-        assert frac_str(Fraction(5, 8)) == "5/8"
-        assert frac_str(Fraction(1)) == "1/1"
+    def test_frac_str(self, tmp_path, capsys):
+        # Layer densities 0, 1, 5/8 and 1/16, each printed num/den.
+        s = _first_ranks(AB, (0, 4, 5, 1))
+        report = json.loads(_density_stdout(s, 4, tmp_path, capsys, "--format", "json"))
+        assert [row["density"] for row in report["profile"]] == ["0/1", "1/1", "5/8", "1/16"]
