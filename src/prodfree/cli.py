@@ -123,13 +123,13 @@ def _csv(p: density.DensityProfile) -> str:
     """One row per layer, each reduced by one gcd; when it is 1 the count and
     total are printed once more as they are, since str() of a big int costs
     more than the gcd.  The rows are freed before the text is written out."""
-    lines = ["n,count,total,density_num,density_den"]
+    lines = ["n,count,total,density_num,density_den\n"]
     for n, count, total in zip(range(1, p.horizon + 1), p.counts, p.totals):
         c, t = str(count), str(total)
         g = gcd(count, total)
         num, den = (c, t) if g == 1 else (count // g, total // g)
-        lines.append(f"{n},{c},{t},{num},{den}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{n},{c},{t},{num},{den}\n")
+    return "".join(lines)
 
 
 def _limit_fields(limit: density.DensityLimit) -> dict:

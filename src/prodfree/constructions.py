@@ -20,6 +20,7 @@ from .sets import (
     _check_horizon,
     _explore,
     _first_split,
+    _live_splits,
     _minimized,
     dfa_complement,
     dfa_concat,
@@ -187,6 +188,13 @@ def greedy_random_productfree(
     ball, "odd-first" shuffles odd lengths ahead of even lengths (with all
     odd lengths available the greedy pass then recovers exactly the
     odd-length truncation).
+
+    A new word w of length n is tested only at the splits m with layers m
+    and n - m both nonempty (w = x.y), and only against the extensions m
+    with layers m and n + m both nonempty (w.y or y.w a member).  This is
+    exact: a product with a factor or the product in an empty layer does
+    not exist.  The two lists change only when a layer gets its first
+    member, so they are rebuilt then, at most max_len times, in O(max_len**2).
     """
     q = alphabet.q
     if _over_budget(q**n for n in range(1, max_len + 1)):
@@ -209,14 +217,16 @@ def greedy_random_productfree(
     reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
     fwd = [0] * (max_len + 1)
     rev = [0] * (max_len + 1)
+    # splits[n] and longer[n]: the live splits and extensions of length n.
+    splits = longer = [()] * (max_len + 1)
     for n, r in items:
         rr = reversal[n][r]
         # w = x.y with both factors already in, or w.w already in.
-        if _first_split(fwd, q, n, r, range(1, n)) or (
+        if _first_split(fwd, q, n, r, splits[n]) or (
             2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1
         ):
             continue
-        for m in range(1, max_len - n + 1):
+        for m in longer[n]:
             width = q**m
             # w.y in S for some member y: the ranks of w.y form one block of
             # width bits, and fwd[m] fits in it unmasked.  y.w: the same on
@@ -225,6 +235,11 @@ def greedy_random_productfree(
                     or (rev[n + m] >> (rr * width)) & rev[m]):
                 break
         else:
+            first = not fwd[n]
             fwd[n] |= 1 << r
             rev[n] |= 1 << rr
+            if first:
+                splits = [_live_splits(fwd, k) for k in range(max_len + 1)]
+                longer = [[m for m in range(1, max_len - k + 1) if fwd[m] and fwd[k + m]]
+                          for k in range(max_len + 1)]
     return LayeredSet(alphabet, max_len, tuple(fwd))

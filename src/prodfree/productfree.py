@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sets import (
-    Dfa, LayeredSet, _first_split, _iter_bits, _spread, _start_normalized,
+    Dfa, LayeredSet, _first_split, _iter_bits, _live_splits, _spread,
+    _start_normalized,
 )
 from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
 
@@ -42,7 +43,7 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     layers = s.layers
     for n in range(2, s.horizon + 1):
         target = layers[n]
-        splits = [m for m in range(1, n) if layers[m] and layers[n - m]]
+        splits = _live_splits(layers, n)
         if not target or not splits:
             continue
         if 64 * target.bit_count() < q**n:

@@ -134,6 +134,12 @@ def _first_split(
     return 0
 
 
+def _live_splits(layers: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """The m in 1..n-1 with layers m and n - m both nonempty: the only
+    splits at which a length-n word can have both factors in layers."""
+    return [m for m in range(1, n) if layers[m] and layers[n - m]]
+
+
 def _from_lines(alphabet: Alphabet, horizon: int | None, lines: str) -> LayeredSet:
     """The explicit set of the words in lines, one per line, blank lines
     aside; the horizon defaults to the longest word's length (1 for none).

@@ -4,8 +4,10 @@ from typing import Iterable
 import pytest
 from hypothesis import settings, strategies as st
 
-from prodfree.sets import Dfa, LayeredSet
-from prodfree.words import ENUMERATION_BUDGET, Alphabet, FormatError, Word, rank
+from prodfree.sets import Dfa, LayeredSet, _first_split
+from prodfree.words import (
+    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, rank,
+)
 
 # The property tests run with more examples in CI: pytest --hypothesis-profile ci
 settings.register_profile("ci", max_examples=500)
@@ -117,3 +119,41 @@ def read_by_line(text: str) -> LayeredSet:
             raise ValueError(f"word {word!r} longer than horizon {horizon}")
         layers[n] |= 1 << r
     return LayeredSet(alphabet, horizon, tuple(layers))
+
+
+def greedy_every_split(alphabet: Alphabet, max_len: int, seed: int,
+                       schedule: str = "uniform") -> LayeredSet:
+    """The greedy fixture with every split and every extension probed for
+    each new word, empty layers included: the oracle for
+    constructions.greedy_random_productfree, which probes only the splits
+    and extensions whose layers are nonempty.  Same scan order, same tests.
+    """
+    q = alphabet.q
+    items = [(n, r) for n in range(1, max_len + 1) for r in range(q**n)]
+    rng = random.Random(seed)
+    if schedule == "uniform":
+        rng.shuffle(items)
+    else:
+        odd = [it for it in items if it[0] % 2 == 1]
+        even = [it for it in items if it[0] % 2 == 0]
+        rng.shuffle(odd)
+        rng.shuffle(even)
+        items = odd + even
+    reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
+    fwd = [0] * (max_len + 1)
+    rev = [0] * (max_len + 1)
+    for n, r in items:
+        rr = reversal[n][r]
+        if _first_split(fwd, q, n, r, range(1, n)) or (
+            2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1
+        ):
+            continue
+        for m in range(1, max_len - n + 1):
+            width = q**m
+            if ((fwd[n + m] >> (r * width)) & fwd[m]
+                    or (rev[n + m] >> (rr * width)) & rev[m]):
+                break
+        else:
+            fwd[n] |= 1 << r
+            rev[n] |= 1 << rr
+    return LayeredSet(alphabet, max_len, tuple(fwd))

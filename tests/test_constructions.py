@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodfree.constructions import (
     asymmetric_triple,
@@ -23,8 +25,11 @@ from prodfree.sets import (
     dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
+    write_explicit,
 )
 from prodfree.words import Alphabet, layer_words
+
+from conftest import greedy_every_split
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -251,3 +256,46 @@ class TestGreedyGenerator:
         assert check_explicit(s) is None
         u = greedy_random_productfree(Alphabet("a"), 12, seed=1)
         assert check_explicit(u) is None
+
+    # The longest max_len per alphabet size that keeps the oracle's
+    # every-split scan at a few milliseconds.
+    MAX_LEN = {1: 40, 2: 10, 3: 6, 4: 5}
+
+    @settings(deadline=None)
+    @given(q=st.sampled_from(sorted(MAX_LEN)), data=st.data(),
+           seed=st.integers(0, 2**64), schedule=st.sampled_from(["uniform", "odd-first"]))
+    def test_matches_every_split_oracle(self, q, data, seed, schedule):
+        alphabet = Alphabet("abcd"[:q])
+        max_len = data.draw(st.integers(1, self.MAX_LEN[q]), label="max_len")
+        assert (greedy_random_productfree(alphabet, max_len, seed, schedule)
+                == greedy_every_split(alphabet, max_len, seed, schedule))
+
+
+# sha256 of write_explicit of greedy fixtures, as (symbols, max_len, seed,
+# schedule): the explicit benchmark's size (ab, 12) under both schedules,
+# abc at 7 and the unary ball at 30.  Every odd-first ab-12 fixture is the
+# odd-length truncation, whatever the seed.
+_ODD_AB_12 = "af0252254187b7d8802682bbea2b9f5f75f5f0943d783f3029434345cc7adf6c"
+PINNED_FIXTURES = {
+    ("ab", 12, 0, "uniform"): "b56ae6ee376357f99733de7348c5eb37d401c3022f659fc46c7aea63f92ebd3b",
+    ("ab", 12, 1, "uniform"): "b7de8cf1a119565fca86150c94f7bba6623d3195549df765d2588a5a566c27ec",
+    ("ab", 12, 2, "uniform"): "faf29dd2077536019e7616dbcc0137f2d2cf809b8bc0019569ec545930e9403a",
+    ("ab", 12, 3, "uniform"): "80212c224ceff49b9c3234a29bc84745a6d23b55a2f81e64970e4cb4473ebedd",
+    ("ab", 12, 4, "uniform"): "6cb4eff087e5ec6d9b4e5a230acda63e64ef8ec764f613548fcd1562f93458fd",
+    ("ab", 12, 5, "uniform"): "67421c47e4562d7cac86110f10859273d686072ba1009f5d750a4dd92d9d1025",
+    ("ab", 12, 6, "uniform"): "b279d58db9b33cd68781a8758bdf1800ec6eb3d30b4b185b1edf92d3b7c1242b",
+    ("ab", 12, 7, "uniform"): "3df85cd21924b05dadedd5568e388d99deed6e743236e98538a205a55b71e2da",
+    **{("ab", 12, seed, "odd-first"): _ODD_AB_12 for seed in range(8)},
+    ("abc", 7, 0, "uniform"): "4ade1568eb8a038beb5d6cf4fe6edc3d72f1e27efcae823c8f1f7f760c458297",
+    ("abc", 7, 1, "uniform"): "d981b311b6294488ceca8c5e396a6b103d917809bdf7e62484790dff3bb46244",
+    ("abc", 7, 2, "uniform"): "b95df3cb3134976829748802937e4e3bd32e3d66378939260566065612be847b",
+    ("a", 30, 1, "uniform"): "0b77bfa9bdff963728873ea1426582bb8aebdfe6412f5aa3d249aa6438e11986",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_FIXTURES), ids=lambda key: "-".join(map(str, key)))
+def test_greedy_fixture_pinned(key):
+    symbols, max_len, seed, schedule = key
+    s = greedy_random_productfree(Alphabet(symbols), max_len, seed, schedule)
+    digest = hashlib.sha256(write_explicit(s).encode()).hexdigest()
+    assert digest == PINNED_FIXTURES[key]
