@@ -25,7 +25,7 @@ from .sets import (
     dfa_complement,
     dfa_concat,
 )
-from .words import Alphabet, _over_budget, _relabel_tables
+from .words import ENUMERATION_BUDGET, Alphabet, _over_budget, _relabel_tables
 
 
 def odd_occurrence(alphabet: Alphabet, gamma: str) -> Dfa:
@@ -68,6 +68,12 @@ def counting_pathology(
         raise ValueError(f"c must be >= 2, got {c}")
     if alphabet.q < 2:
         raise ValueError("the block construction needs at least two symbols")
+    # The horizon is at least 2**c + c, which passes the budget from c = 22
+    # on: refuse a larger c before 2**c is built.
+    if c > ENUMERATION_BUDGET.bit_length():
+        raise ValueError(
+            f"pathology horizon of at least 2**{c} + {c} over the enumeration budget"
+        )
     if horizon is None:
         horizon = 2**c + c
     if horizon < 2**c + c:
@@ -113,10 +119,10 @@ def asymmetric_triple(alphabet: Alphabet, n: int, eps: Fraction) -> AsymmetricTr
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    total = alphabet.layer_size(n)
     # W's bitset holds q**n bits and X's automaton one state per proper prefix.
     if _over_budget(alphabet.q**k for k in range(1, n + 1)):
         raise ValueError(f"layer {n} over the enumeration budget")
+    total = alphabet.layer_size(n)
     size = phi_floor(total)
     density = Fraction(size, total)
     if not exceeds_phi(density + eps):

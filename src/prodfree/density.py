@@ -19,7 +19,6 @@ from .sets import (
     Dfa,
     LayeredSet,
     dfa_layer_counts,
-    dfa_prefix_excluded_count,
     explicit_prefix_excluded,
 )
 
@@ -176,7 +175,7 @@ def refined_density(
     if isinstance(s, LayeredSet):
         restricted = explicit_prefix_excluded(s, n, ells)
         return Fraction(restricted.layer_count(n), s.alphabet.layer_size(n))
-    return Fraction(dfa_prefix_excluded_count(s, n, ells), s.alphabet.layer_size(n))
+    return Fraction(dfa_layer_counts(s, n, ells)[-1], s.alphabet.layer_size(n))
 
 
 def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:

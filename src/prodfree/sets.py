@@ -480,52 +480,34 @@ def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
     return True, None
 
 
-def _step(d: Dfa, vec: list[int]) -> list[int]:
-    """One transfer-matrix step: per-state counts of runs one symbol longer."""
-    nxt = [0] * d.num_states
-    for s, cnt in enumerate(vec):
-        if cnt:
-            for t in d.delta[s]:
-                nxt[t] += cnt
-    return nxt
+def dfa_layer_counts(d: Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int]:
+    """[|S(n; the li below n)| for n = 1..horizon], S = L(d), from one
+    transfer-matrix sweep.
 
-
-def _check_regular_horizon(horizon: int) -> None:
+    Each depth is counted first; then, at a depth li, the accepting
+    components are zeroed, which drops exactly the words whose length-li
+    prefix lies in S.  With no lengths these are the layer counts |S ∩ F(n)|.
+    """
     if horizon > REGULAR_HORIZON_CAP:
         raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
-
-
-def dfa_layer_counts(d: Dfa, horizon: int) -> list[int]:
-    """[|L(d) ∩ F(n)| for n = 1..horizon] in one transfer-matrix sweep."""
-    _check_regular_horizon(horizon)
-    vec = [0] * d.num_states
-    vec[d.start] = 1
-    out = []
-    for _ in range(horizon):
-        vec = _step(d, vec)
-        out.append(sum(vec[s] for s in d.accepting))
-    return out
-
-
-def dfa_prefix_excluded_count(d: Dfa, n: int, ells: Iterable[int]) -> int:
-    """|S(n; l1,...,lk)| for S = L(d), without building an automaton for it.
-
-    Runs the layer-count sweep but zeroes accepting components at each
-    depth li, which kills exactly the words whose length-li prefix lies
-    in S.
-    """
-    _check_regular_horizon(n)
     ells = tuple(ells)
-    validate_ell_sequence(ells, n)
+    validate_ell_sequence(ells, horizon)
     forbidden = set(ells)
     vec = [0] * d.num_states
     vec[d.start] = 1
-    for depth in range(1, n + 1):
-        vec = _step(d, vec)
+    out = []
+    for depth in range(1, horizon + 1):
+        nxt = [0] * d.num_states
+        for cnt, row in zip(vec, d.delta):
+            if cnt:
+                for t in row:
+                    nxt[t] += cnt
+        vec = nxt
+        out.append(sum(vec[s] for s in d.accepting))
         if depth in forbidden:
             for s in d.accepting:
                 vec[s] = 0
-    return sum(vec[s] for s in d.accepting)
+    return out
 
 
 def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:
@@ -622,11 +604,11 @@ def read_dfa(source: str | TextIO) -> Dfa:
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
         elif key == "states":
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise fail(lineno, f"bad state count {rest!r}")
             num_states = int(rest)
         elif key == "start":
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise fail(lineno, f"bad start state {rest!r}")
             start = int(rest)
         elif key == "accept":

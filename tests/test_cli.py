@@ -69,6 +69,13 @@ class TestCheck:
         assert main(["check", "--dfa", str(bad)]) == 2
         assert "incomplete" in capsys.readouterr().err
 
+    def test_superscript_state_count_exit_two(self, tmp_path, capsys):
+        # "²".isdigit() holds but int("²") fails: the error names the line.
+        bad = tmp_path / "bad.dfa"
+        bad.write_text(write_dfa(dfa_full(AB)).replace("states: 2", "states: ²"))
+        assert main(["check", "--dfa", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 2: bad state count '²'\n"
+
     @pytest.mark.parametrize("flags", [
         [], ["--dfa", "x.dfa", "--words", "x.words"],
     ], ids=["neither", "both"])

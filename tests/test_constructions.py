@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -113,6 +114,23 @@ class TestCountingPathology:
             counting_pathology(Alphabet("a"), 3)
         with pytest.raises(ValueError, match="below"):
             counting_pathology(AB, 3, horizon=10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: counting_pathology(AB, 10**7),
+    lambda: counting_pathology(AB, 10**7, horizon=40),
+    lambda: asymmetric_triple(AB, 10**7, Fraction(1, 10)),
+], ids=["pathology", "pathology-horizon", "asymmetric"])
+def test_huge_argument_refused_before_exponentiating(build):
+    # 2**(10**7) alone is 1.25 MB; the refusal must not build it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the enumeration budget"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class TestAsymmetricTriple:

@@ -6,14 +6,15 @@ import pytest
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.density import WindowSpec, profile
 from prodfree.proofkit import (
+    WindowProbe,
     exceeds_phi,
     extract_lsequence,
     phi_level_set,
     chained_inequality_check,
     window_bound_certificate,
 )
-from prodfree.sets import dfa_full, dfa_truncate
-from prodfree.words import Alphabet
+from prodfree.sets import LayeredSet, dfa_full, dfa_truncate
+from prodfree.words import Alphabet, Word
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -107,6 +108,26 @@ class TestExtraction:
             if lseq.k:
                 assert lseq.total <= 1
 
+    def test_fixture_takes_a_second_length_from_a_window(self):
+        s = greedy_random_productfree(AB, 12, seed=7)
+        lseq, trace = extract_lsequence(s, Fraction(1, 16), 12, min_window=4)
+        assert lseq.lengths == (7, 9)
+        # 80 of the 128 words of length 7; 84 of the 512 of length 9 have
+        # no member as their length-7 prefix.
+        assert lseq.terms == (Fraction(5, 8), Fraction(21, 128))
+        assert lseq.cumulative == (Fraction(5, 8), Fraction(101, 128))
+        assert sum(
+            1 for w in s.words()
+            if len(w) == 9 and not s.contains(Word(AB, w.indices[:7]))
+        ) == 84
+        # Stage 1 skips 8..11 (mean 1041/2048, not above 1/2 + 1/16), picks
+        # 9 in 9..12, and stage 2 has no window of length 4 above 9.
+        assert trace.probes == (
+            WindowProbe(1, WindowSpec(8, 11), Fraction(1041, 2048), False, None),
+            WindowProbe(1, WindowSpec(9, 12), Fraction(9459, 16384), True, 9),
+        )
+        assert trace.stop_reason == "exhausted"
+
     def test_trace_is_deterministic(self):
         one = extract_lsequence(ODD_A, Fraction(1, 16), 32)
         two = extract_lsequence(ODD_A, Fraction(1, 16), 32)
@@ -128,6 +149,24 @@ class TestWindowBound:
         assert cert.bound == Fraction(2, 3) + Fraction(4, 100)
         assert cert.mean == Fraction(1, 2)
         assert cert.holds
+
+    def test_k2_bound_formula(self):
+        # {a} and the full layers 2..17: l1 = 1 (d = 1/2), then the window
+        # 2..5 picks l2 = 2, where S(2; 1) = {ba, bb} completes the sum.
+        # a.a = aa, so the set is not product-free and the bound may fail.
+        h = 17
+        s = LayeredSet(AB, h, (0, 1) + tuple((1 << 2**n) - 1 for n in range(2, h + 1)))
+        lseq, trace = extract_lsequence(s, Fraction(1, 16), h, min_window=4)
+        assert lseq.lengths == (1, 2)
+        assert lseq.cumulative == (Fraction(1, 2), Fraction(1))
+        assert [p.chosen for p in trace.probes] == [2]
+        assert trace.stop_reason == "complete"
+        prof = profile(s)
+        for end, holds in ((6, True), (17, False)):
+            cert = window_bound_certificate(prof, WindowSpec(3, end), lseq)
+            assert (cert.k, cert.last_length, cert.mean) == (2, 2, 1)
+            assert cert.bound == Fraction(4, 7) + Fraction(2 * 3, end - 2)
+            assert cert.holds is holds
 
     def test_bound_approaches_half(self):
         # 2^k/(2^(k+1)-1) -> 1/2 from above as k grows.

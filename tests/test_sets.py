@@ -20,7 +20,6 @@ from prodfree.sets import (
     dfa_intersect,
     dfa_is_empty,
     dfa_layer_counts,
-    dfa_prefix_excluded_count,
     dfa_truncate,
     dfa_union,
     explicit_complement,
@@ -134,6 +133,11 @@ class TestDfaBooleanOps:
     def test_complement_of_empty_is_full(self):
         assert dfa_complement(dfa_empty(AB)) == dfa_full(AB)
 
+    def test_complement_of_full_is_empty(self):
+        # Flipping dfa_full's accepting set and cloning its start gives three
+        # states; minimising merges the clone with the old accepting state.
+        assert dfa_complement(dfa_full(AB)) == dfa_empty(AB)
+
     def test_intersect_with_complement_empty(self):
         empty, witness = dfa_is_empty(dfa_intersect(ODD_A, dfa_complement(ODD_A)))
         assert empty and witness is None
@@ -213,18 +217,38 @@ class TestDfaSliceAndCounts:
     def test_sweeps_run_at_the_horizon_cap(self):
         cap = sets.REGULAR_HORIZON_CAP
         assert dfa_layer_counts(ODD_A, cap)[-1] == 2 ** (cap - 1)
-        assert dfa_prefix_excluded_count(ODD_A, cap, (1,)) == 2 ** (cap - 2)
+        assert dfa_layer_counts(ODD_A, cap, (1,))[-1] == 2 ** (cap - 2)
 
-    def test_sweeps_refuse_past_the_horizon_cap_before_stepping(self, monkeypatch):
-        def no_step(d, vec):
-            raise AssertionError("swept past the cap")
+    def test_sweeps_refuse_past_the_horizon_cap_before_stepping(self):
+        class Unsteppable:
+            """ODD_A whose transitions raise when the sweep reads them."""
 
-        monkeypatch.setattr(sets, "_step", no_step)
+            num_states, start, accepting = ODD_A.num_states, ODD_A.start, ODD_A.accepting
+
+            @property
+            def delta(self):
+                raise AssertionError("stepped")
+
+        d = Unsteppable()
+        # The stand-in does catch a step, plain or refined ...
+        for ells in ((), (1,)):
+            with pytest.raises(AssertionError, match="stepped"):
+                dfa_layer_counts(d, 2, ells)
+        # ... and past the cap both calls refuse before taking one.
         cap = sets.REGULAR_HORIZON_CAP
-        with pytest.raises(ValueError, match=f"horizon {cap + 1} over the enumeration budget"):
-            dfa_layer_counts(ODD_A, cap + 1)
-        with pytest.raises(ValueError, match=f"horizon {cap + 1} over the enumeration budget"):
-            dfa_prefix_excluded_count(ODD_A, cap + 1, (1,))
+        for ells in ((), (1,)):
+            with pytest.raises(ValueError, match=f"horizon {cap + 1} over the enumeration budget"):
+                dfa_layer_counts(d, cap + 1, ells)
+
+    def test_refined_counts_take_the_lengths_below_each_n(self):
+        # Layer n keeps the members with no member as a prefix of length 1
+        # (that is, "a") or 3: a "b" and then n - 1 free letters fixed by one
+        # parity for n = 2, 3, and by two parities from n = 4 on.
+        assert dfa_layer_counts(ODD_A, 6, (1, 3)) == [1, 1, 2, 2, 4, 8]
+        with pytest.raises(ValueError, match="below n=3"):
+            dfa_layer_counts(ODD_A, 3, (1, 3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dfa_layer_counts(ODD_A, 6, (2, 2))
 
 
 class TestDfaEmptiness:
@@ -347,9 +371,20 @@ def dfa_pairs(draw) -> tuple[Dfa, Dfa, int]:
     return draw(dfa), draw(dfa), draw(st.integers(1, 8))
 
 
+@st.composite
+def dfa_lengths(draw) -> tuple[Dfa, int, tuple[int, ...]]:
+    """A complete DFA as in dfa_pairs, a horizon of at most 8 and strictly
+    increasing lengths below it."""
+    d = draw(st.sampled_from(DFA_ALPHABETS).flatmap(complete_dfas))
+    horizon = draw(st.integers(1, 8))
+    ells = draw(st.sets(st.integers(1, horizon - 1))) if horizon > 1 else set()
+    return d, horizon, tuple(sorted(ells))
+
+
 class TestRandomDfas:
-    """Truncation, concatenation and the explicit boolean operations on
-    random automata, against word-by-word and Python-set oracles."""
+    """Truncation, concatenation, the explicit boolean operations and the
+    refined layer counts on random automata, against word-by-word,
+    Python-set and explicit prefix-exclusion oracles."""
 
     @settings(deadline=None)
     @given(case=dfa_pairs())
@@ -376,6 +411,17 @@ class TestRandomDfas:
         assert explicit_members(explicit_intersect(s1, s2)) == m1 & m2
         assert explicit_members(explicit_difference(s1, s2)) == m1 - m2
         assert explicit_members(explicit_complement(s1)) == universe - m1
+
+    @settings(deadline=None)
+    @given(case=dfa_lengths())
+    def test_refined_counts_match_explicit_prefix_excluded(self, case):
+        d, horizon, ells = case
+        counts = dfa_layer_counts(d, horizon, ells)
+        for n in range(1, horizon + 1):
+            restricted = explicit_prefix_excluded(
+                dfa_truncate(d, n), n, [l for l in ells if l < n]
+            )
+            assert counts[n - 1] == restricted.layer_count(n)
 
 
 class TestMinimized:
@@ -438,7 +484,7 @@ class TestPrefixExcluded:
 
     def test_regular_explicit_agreement(self):
         for ells, n in [((1,), 4), ((2, 3), 5), ((1, 2, 4), 6)]:
-            fast = dfa_prefix_excluded_count(ODD_A, n, ells)
+            fast = dfa_layer_counts(ODD_A, n, ells)[-1]
             exp = explicit_prefix_excluded(dfa_truncate(ODD_A, n), n, ells)
             assert fast == exp.layer_count(n)
 
@@ -487,6 +533,50 @@ class TestDfaFormat:
         )
         with pytest.raises(FormatError, match="duplicate"):
             read_dfa(text)
+
+    def test_comments_and_blank_lines(self):
+        text = "# parity of a\n\n" + write_dfa(ODD_A).replace("\n", "  # note\n\n")
+        assert read_dfa(text) == ODD_A
+
+    @pytest.mark.parametrize("text,message", [
+        ("alphabet: aa\n", "line 1: alphabet symbols must be distinct"),
+        ("# comment\n\nalphabet: a b\n", "line 3: alphabet symbols"),
+        ("alphabet: ab\nstates: x\n", "line 2: bad state count 'x'"),
+        ("alphabet: ab\nstates: \u00b2\n", "line 2: bad state count '\u00b2'"),
+        ("alphabet: ab\nstates: 2\nstart: -1\n", "line 3: bad start state '-1'"),
+        ("alphabet: ab\nstates: 2\nstart: \u00b9\n", "line 3: bad start state '\u00b9'"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: 1 x\n",
+         "line 4: bad accept list '1 x'"),
+        ("alphabet: ab\nstates: 1\nstart: 0\naccept:\ntrans: 0 a\n",
+         "line 5: expected 'trans: STATE SYMBOL TARGET'"),
+        ("alphabet: ab\nstates: 1\nstart: 0\naccept:\ntrans: x a 0\n",
+         "line 5: invalid literal for int"),
+        ("states: 1\ntrans: 0 a 0\nalphabet: ab\n", "line 2: trans before alphabet header"),
+        ("alphabet: ab\nfinal: 1\n", "line 2: unknown directive 'final'"),
+        ("alphabet: ab\nstates: 1\naccept:\ntrans: 0 a 0\ntrans: 0 b 0\n",
+         "^missing header line \\(alphabet/states/start/accept\\)$"),
+        ("alphabet: ab\nstates: 1\nstart: 0\naccept:\n"
+         "trans: 0 a 0\ntrans: 0 b 0\ntrans: 1 a 0\n",
+         "^transitions reference states outside 0..states-1$"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: 5\n"
+         "trans: 0 a 1\ntrans: 0 b 0\ntrans: 1 a 0\ntrans: 1 b 1\n",
+         "^accepting state out of range$"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: 1\n"
+         "trans: 0 a 9\ntrans: 0 b 0\ntrans: 1 a 0\ntrans: 1 b 1\n",
+         "^transition target out of range$"),
+    ], ids=[
+        "bad-alphabet", "line-numbers-count-comments", "bad-states", "superscript-states",
+        "bad-start", "superscript-start", "bad-accept", "short-trans", "trans-not-int",
+        "trans-before-alphabet", "unknown-directive", "missing-header",
+        "state-outside-range", "accept-out-of-range", "target-out-of-range",
+    ])
+    def test_malformed_input(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            read_dfa(text)
+
+    def test_word_list_with_only_comments(self):
+        with pytest.raises(FormatError, match="^missing 'alphabet:' header$"):
+            read_explicit("# no header\n\n# still none\n")
 
     @pytest.mark.parametrize("key", ["alphabet", "states", "start", "accept"])
     def test_duplicate_header(self, key):
