@@ -17,8 +17,8 @@ from .sets import (
 from .density import (
     DensityProfile,
     ball_density,
+    layer_counts,
     profile,
-    refined_density,
     upper_asymptotic,
     upper_banach,
 )

@@ -198,7 +198,7 @@ def cmd_certify(args) -> int:
     eps = _parse_fraction(args.eps)
     prof = density.profile(s, args.horizon)
     horizon = prof.horizon
-    lseq, trace = proofkit.extract_lsequence(s, eps, horizon, args.min_window)
+    lseq, trace = proofkit.extract_lsequence(s, prof, eps, args.min_window)
     if args.trace:
         with open(args.trace, "w") as fh:
             for probe in trace.probes:

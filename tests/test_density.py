@@ -11,8 +11,8 @@ from prodfree.density import (
     DensityProfile,
     _limit,
     ball_density,
+    layer_counts,
     profile,
-    refined_density,
     upper_asymptotic,
     upper_banach,
 )
@@ -30,7 +30,7 @@ from prodfree.sets import (
 )
 from prodfree.words import Alphabet, layer_words
 
-from conftest import DFA_ALPHABETS, complete_dfas
+from conftest import DFA_ALPHABETS, complete_dfas, refined_density
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -119,6 +119,11 @@ class TestRefinedDensity:
         prof = profile(ODD_A, 8)
         for n in range(2, 9):
             assert refined_density(ODD_A, n, (1,)) <= prof.density(n)
+
+    def test_both_representations_give_the_same_counts(self):
+        t = dfa_truncate(ODD_A, 8)
+        for ells in ((), (1,), (2, 5)):
+            assert layer_counts(ODD_A, 8, ells) == layer_counts(t, 8, ells)
 
 
 def _solve(rows):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st, target
 
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.density import WindowSpec, profile
@@ -13,12 +14,17 @@ from prodfree.proofkit import (
     chained_inequality_check,
     window_bound_certificate,
 )
-from prodfree.sets import LayeredSet, dfa_full, dfa_truncate
+from prodfree.sets import Dfa, LayeredSet, dfa_full, dfa_truncate
 from prodfree.words import Alphabet, Word
+
+from conftest import DFA_ALPHABETS, complete_dfas, refined_counts_by_word
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
 ODD_LEN = odd_occurrence(AB, "ab")
+# Words with a "b": d(n) = 1 - 1/2^n, so extraction takes l = 1, 2, 3, ...,
+# each from a window, with refined terms 1/2^k meeting 1 - 1/2^k exactly.
+HAS_B = Dfa(AB, 2, 0, frozenset({1}), ((0, 1), (1, 1)))
 
 
 class TestSurd:
@@ -86,13 +92,13 @@ class TestChainedInequality:
 
 class TestExtraction:
     def test_odd_length_completes_immediately(self):
-        lseq, trace = extract_lsequence(ODD_LEN, Fraction(1, 16), 64)
+        lseq, trace = extract_lsequence(ODD_LEN, profile(ODD_LEN, 64), Fraction(1, 16))
         assert lseq.lengths == (1,)
         assert lseq.cumulative == (Fraction(1),)
         assert trace.stop_reason == "complete"
 
     def test_odd_a_exhausts(self):
-        lseq, trace = extract_lsequence(ODD_A, Fraction(1, 16), 64)
+        lseq, trace = extract_lsequence(ODD_A, profile(ODD_A, 64), Fraction(1, 16))
         assert lseq.lengths == (1,)
         assert lseq.total == Fraction(1, 2)
         assert trace.stop_reason == "exhausted"
@@ -103,14 +109,14 @@ class TestExtraction:
     def test_cumulative_monotone_and_bounded(self):
         for seed in range(5):
             s = greedy_random_productfree(AB, 12, seed)
-            lseq, _ = extract_lsequence(s, Fraction(1, 8), 12, min_window=4)
+            lseq, _ = extract_lsequence(s, profile(s, 12), Fraction(1, 8), min_window=4)
             assert list(lseq.cumulative) == sorted(lseq.cumulative)
             if lseq.k:
                 assert lseq.total <= 1
 
     def test_fixture_takes_a_second_length_from_a_window(self):
         s = greedy_random_productfree(AB, 12, seed=7)
-        lseq, trace = extract_lsequence(s, Fraction(1, 16), 12, min_window=4)
+        lseq, trace = extract_lsequence(s, profile(s, 12), Fraction(1, 16), min_window=4)
         assert lseq.lengths == (7, 9)
         # 80 of the 128 words of length 7; 84 of the 512 of length 9 have
         # no member as their length-7 prefix.
@@ -128,23 +134,75 @@ class TestExtraction:
         )
         assert trace.stop_reason == "exhausted"
 
+    def test_words_with_a_b_take_every_length(self):
+        lseq, trace = extract_lsequence(HAS_B, profile(HAS_B, 8), Fraction(1, 16), 1)
+        assert lseq.lengths == tuple(range(1, 9))
+        assert lseq.terms == tuple(Fraction(1, 2**k) for k in range(1, 9))
+        assert [p.chosen for p in trace.probes] == list(range(2, 9))
+        assert trace.stop_reason == "exhausted"
+
     def test_trace_is_deterministic(self):
-        one = extract_lsequence(ODD_A, Fraction(1, 16), 32)
-        two = extract_lsequence(ODD_A, Fraction(1, 16), 32)
+        one = extract_lsequence(ODD_A, profile(ODD_A, 32), Fraction(1, 16))
+        two = extract_lsequence(ODD_A, profile(ODD_A, 32), Fraction(1, 16))
         assert one == two
 
     def test_bad_eps(self):
         with pytest.raises(ValueError, match="positive"):
-            extract_lsequence(ODD_A, Fraction(0), 16)
+            extract_lsequence(ODD_A, profile(ODD_A, 16), Fraction(0))
 
     def test_min_window_below_one(self):
         with pytest.raises(ValueError, match=r"min window 0 outside 1\.\.16"):
-            extract_lsequence(ODD_A, Fraction(1, 16), 16, min_window=0)
+            extract_lsequence(ODD_A, profile(ODD_A, 16), Fraction(1, 16), min_window=0)
+
+
+@st.composite
+def dfa_checks(draw):
+    """A complete DFA over 1-3 symbols, a horizon of 2-8, lengths below a
+    layer n up to the horizon, an eps and a min window for extraction.
+    Half the automata accept all but the drawn accepting states, so that
+    dense sets, whose windows can qualify, are drawn too."""
+    d = draw(st.sampled_from(DFA_ALPHABETS).flatmap(complete_dfas))
+    if draw(st.booleans()):
+        d = Dfa(d.alphabet, d.num_states, d.start,
+                frozenset(range(d.num_states)) - d.accepting, d.delta)
+    horizon = draw(st.integers(2, 8))
+    n = draw(st.integers(2, horizon))
+    lengths = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
+    eps = Fraction(1, draw(st.sampled_from([2, 4, 8, 16, 64])))
+    return d, horizon, n, lengths, eps, draw(st.integers(1, horizon))
+
+
+class TestRepresentations:
+    @settings(deadline=None)
+    @given(case=dfa_checks())
+    @example(case=(HAS_B, 8, 8, (1, 3, 5), Fraction(1, 16), 1))
+    @example(case=(HAS_B, 8, 7, (2, 6), Fraction(1, 64), 2))
+    def test_automaton_and_truncation_agree(self, case):
+        d, horizon, n, lengths, eps, min_window = case
+        t = dfa_truncate(d, horizon)
+        on_d = chained_inequality_check(d, lengths, n)
+        on_t = chained_inequality_check(t, lengths, n)
+        assert (on_d.refined_terms, on_d.lhs, on_d.mid, on_d.ok) == (
+            on_t.refined_terms, on_t.lhs, on_t.mid, on_t.ok)
+        # Term i is d(li; l1,...,l(i-1)), counted word by word.
+        oracle = refined_counts_by_word(d.accepts, d.alphabet, n, lengths)
+        q = d.alphabet.q
+        assert on_d.refined_terms == tuple(
+            Fraction(oracle[ell - 1], q**ell) for ell in lengths)
+        seq_d, trace_d = extract_lsequence(d, profile(d, horizon), eps, min_window)
+        seq_t, trace_t = extract_lsequence(t, profile(t), eps, min_window)
+        assert (seq_d.lengths, seq_d.terms, trace_d.probes) == (
+            seq_t.lengths, seq_t.terms, trace_t.probes)
+        # Extraction's terms too are d(li; l1,...,l(i-1)).
+        oracle = refined_counts_by_word(d.accepts, d.alphabet, horizon, seq_d.lengths[:-1])
+        assert seq_d.terms == tuple(Fraction(oracle[ell - 1], q**ell) for ell in seq_d.lengths)
+        # Steer generation toward sets whose windows yield lengths.
+        target(float(seq_d.k))
 
 
 class TestWindowBound:
     def test_k1_bound_formula(self):
-        lseq, _ = extract_lsequence(ODD_LEN, Fraction(1, 16), 101)
+        lseq, _ = extract_lsequence(ODD_LEN, profile(ODD_LEN, 101), Fraction(1, 16))
         cert = window_bound_certificate(profile(ODD_LEN, 101), WindowSpec(2, 101), lseq)
         assert cert.bound == Fraction(2, 3) + Fraction(4, 100)
         assert cert.mean == Fraction(1, 2)
@@ -156,7 +214,7 @@ class TestWindowBound:
         # a.a = aa, so the set is not product-free and the bound may fail.
         h = 17
         s = LayeredSet(AB, h, (0, 1) + tuple((1 << 2**n) - 1 for n in range(2, h + 1)))
-        lseq, trace = extract_lsequence(s, Fraction(1, 16), h, min_window=4)
+        lseq, trace = extract_lsequence(s, profile(s, h), Fraction(1, 16), min_window=4)
         assert lseq.lengths == (1, 2)
         assert lseq.cumulative == (Fraction(1, 2), Fraction(1))
         assert [p.chosen for p in trace.probes] == [2]
@@ -176,7 +234,7 @@ class TestWindowBound:
         assert values[-1] - Fraction(1, 2) < Fraction(1, 1000)
 
     def test_precondition_window_above_lk(self):
-        lseq, _ = extract_lsequence(ODD_LEN, Fraction(1, 16), 32)
+        lseq, _ = extract_lsequence(ODD_LEN, profile(ODD_LEN, 32), Fraction(1, 16))
         with pytest.raises(ValueError, match="above"):
             window_bound_certificate(profile(ODD_LEN, 16), WindowSpec(1, 16), lseq)
 
@@ -190,7 +248,7 @@ class TestWindowBound:
     def test_holds_on_product_free_fixtures(self):
         for seed in range(5):
             s = greedy_random_productfree(AB, 12, seed)
-            lseq, _ = extract_lsequence(s, Fraction(1, 8), 12, min_window=4)
+            lseq, _ = extract_lsequence(s, profile(s, 12), Fraction(1, 8), min_window=4)
             if lseq.k < 1:
                 continue
             lk = lseq.lengths[-1]
@@ -201,7 +259,7 @@ class TestWindowBound:
                     assert window_bound_certificate(prof, window, lseq).holds
 
     def test_profile_must_reach_the_window(self):
-        lseq, _ = extract_lsequence(ODD_LEN, Fraction(1, 16), 32)
+        lseq, _ = extract_lsequence(ODD_LEN, profile(ODD_LEN, 32), Fraction(1, 16))
         with pytest.raises(ValueError, match="profile horizon"):
             window_bound_certificate(profile(ODD_LEN, 16), WindowSpec(10, 20), lseq)
 

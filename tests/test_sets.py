@@ -28,7 +28,7 @@ from prodfree.sets import (
     explicit_from_words,
     explicit_full,
     explicit_intersect,
-    explicit_prefix_excluded,
+    explicit_layer_counts,
     explicit_union,
     minkowski_product,
     read_dfa,
@@ -46,7 +46,9 @@ from prodfree.words import (
     unrank,
 )
 
-from conftest import A_ONLY, DFA_ALPHABETS, complete_dfas, read_by_line, write_word_list
+from conftest import (
+    A_ONLY, DFA_ALPHABETS, complete_dfas, read_by_line, refined_counts_by_word, write_word_list,
+)
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -384,7 +386,7 @@ def dfa_lengths(draw) -> tuple[Dfa, int, tuple[int, ...]]:
 class TestRandomDfas:
     """Truncation, concatenation, the explicit boolean operations and the
     refined layer counts on random automata, against word-by-word,
-    Python-set and explicit prefix-exclusion oracles."""
+    Python-set and explicit layer-count oracles."""
 
     @settings(deadline=None)
     @given(case=dfa_pairs())
@@ -414,14 +416,11 @@ class TestRandomDfas:
 
     @settings(deadline=None)
     @given(case=dfa_lengths())
-    def test_refined_counts_match_explicit_prefix_excluded(self, case):
+    def test_refined_counts_match_explicit_layer_counts(self, case):
         d, horizon, ells = case
-        counts = dfa_layer_counts(d, horizon, ells)
-        for n in range(1, horizon + 1):
-            restricted = explicit_prefix_excluded(
-                dfa_truncate(d, n), n, [l for l in ells if l < n]
-            )
-            assert counts[n - 1] == restricted.layer_count(n)
+        assert dfa_layer_counts(d, horizon, ells) == explicit_layer_counts(
+            dfa_truncate(d, horizon), horizon, ells
+        )
 
 
 class TestMinimized:
@@ -437,42 +436,61 @@ class TestMinimized:
         assert sets._minimized(m) == m
 
 
+# Largest horizon per alphabet size for the word-by-word oracle.
+ORACLE_MAX_LEN = {1: 12, 2: 8, 3: 5, 4: 4}
+
+
+@st.composite
+def explicit_lengths(draw) -> tuple[LayeredSet, tuple[int, ...]]:
+    """A random explicit set over 1-4 symbols, any layers up to its horizon,
+    and strictly increasing lengths below the horizon."""
+    alphabet = Alphabet("abcd"[:draw(st.integers(1, 4))])
+    horizon = draw(st.integers(1, ORACLE_MAX_LEN[alphabet.q]))
+    layers = [0] + [draw(st.integers(0, (1 << alphabet.layer_size(n)) - 1))
+                    for n in range(1, horizon + 1)]
+    ells = draw(st.sets(st.integers(1, horizon - 1))) if horizon > 1 else set()
+    return LayeredSet(alphabet, horizon, tuple(layers)), tuple(sorted(ells))
+
+
 class TestPrefixExcluded:
+    @settings(deadline=None)
+    @given(case=explicit_lengths())
+    def test_matches_the_word_by_word_oracle(self, case):
+        s, ells = case
+        assert explicit_layer_counts(s, s.horizon, ells) == refined_counts_by_word(
+            s.contains, s.alphabet, s.horizon, ells
+        )
+
     def test_odd_length_all_covered(self):
         t = dfa_truncate(ODD_LEN, 3)
-        restricted = explicit_prefix_excluded(t, 3, (1,))
-        assert restricted.layer_count(3) == 0
+        assert explicit_layer_counts(t, 3, (1,))[-1] == 0
 
     def test_one_letter_exclusion(self):
         s = explicit_from_words(
             [AB.word("a")] + list(layer_words(AB, 3)), 3
         )
-        restricted = explicit_prefix_excluded(s, 3, (1,))
         # Oracle: enumerate layer 3 and drop words starting with 'a'.
         expected = {w.text for w in layer_words(AB, 3) if not w.text.startswith("a")}
-        assert explicit_members(restricted) == expected
-        assert restricted.layer_count(3) == 4
+        assert explicit_layer_counts(s, 3, (1,))[-1] == len(expected) == 4
 
     def test_subset_of_layer(self):
         t = dfa_truncate(ODD_A, 6)
-        restricted = explicit_prefix_excluded(t, 6, (1, 3))
-        assert restricted.layers[6] & ~t.layers[6] == 0
+        assert explicit_layer_counts(t, 6, (1, 3))[-1] <= t.layer_count(6)
 
     def test_monotone_in_ell_set(self):
         t = dfa_truncate(ODD_A, 8)
-        prev = explicit_prefix_excluded(t, 8, (1,))
+        prev = explicit_layer_counts(t, 8, (1,))[-1]
         for ells in [(1, 2), (1, 2, 3), (1, 2, 3, 5)]:
-            cur = explicit_prefix_excluded(t, 8, ells)
-            assert cur.layers[8] & ~prev.layers[8] == 0
+            cur = explicit_layer_counts(t, 8, ells)[-1]
+            assert cur <= prev
             prev = cur
 
     def test_disjointness_exhaustive(self):
-        # S(n; m) and S(m) . F(n-m) are disjoint, all m < n <= 8.
+        # S(n; m) and S(m) . F(n-m) split layer n of S, all m < n <= 8.
         for d in (ODD_A, ODD_LEN, dfa_union(ODD_A, ODD_LEN)):
             t = dfa_truncate(d, 8)
             for n in range(2, 9):
                 for m in range(1, n):
-                    restricted = explicit_prefix_excluded(t, n, (m,))
                     cover = minkowski_product(
                         explicit_from_words(
                             [w for w in t.words() if len(w) == m], m
@@ -480,20 +498,22 @@ class TestPrefixExcluded:
                         explicit_full(AB, n - m),
                         n,
                     )
-                    assert restricted.layers[n] & cover.layers[n] == 0
+                    covered = (t.layers[n] & cover.layers[n]).bit_count()
+                    assert explicit_layer_counts(t, n, (m,))[-1] + covered == t.layer_count(n)
 
     def test_regular_explicit_agreement(self):
         for ells, n in [((1,), 4), ((2, 3), 5), ((1, 2, 4), 6)]:
-            fast = dfa_layer_counts(ODD_A, n, ells)[-1]
-            exp = explicit_prefix_excluded(dfa_truncate(ODD_A, n), n, ells)
-            assert fast == exp.layer_count(n)
+            fast = dfa_layer_counts(ODD_A, n, ells)
+            assert fast == explicit_layer_counts(dfa_truncate(ODD_A, n), n, ells)
 
     def test_bad_ell_sequence(self):
         t = dfa_truncate(ODD_A, 4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            explicit_prefix_excluded(t, 4, (2, 2))
+            explicit_layer_counts(t, 4, (2, 2))
         with pytest.raises(ValueError, match="below n"):
-            explicit_prefix_excluded(t, 4, (4,))
+            explicit_layer_counts(t, 4, (4,))
+        with pytest.raises(ValueError, match="horizon 5 exceeds explicit horizon 4"):
+            explicit_layer_counts(t, 5)
 
 
 class TestDfaFormat:
@@ -550,7 +570,10 @@ class TestDfaFormat:
         ("alphabet: ab\nstates: 1\nstart: 0\naccept:\ntrans: 0 a\n",
          "line 5: expected 'trans: STATE SYMBOL TARGET'"),
         ("alphabet: ab\nstates: 1\nstart: 0\naccept:\ntrans: x a 0\n",
-         "line 5: invalid literal for int"),
+         "line 5: bad transition 'x a 0'"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: +1\n", "line 4: bad accept list '\\+1'"),
+        ("alphabet: ab\nstates: 11\nstart: 0\naccept: 1\ntrans: 0 a 1_0\n",
+         "line 5: bad transition '0 a 1_0'"),
         ("states: 1\ntrans: 0 a 0\nalphabet: ab\n", "line 2: trans before alphabet header"),
         ("alphabet: ab\nfinal: 1\n", "line 2: unknown directive 'final'"),
         ("alphabet: ab\nstates: 1\naccept:\ntrans: 0 a 0\ntrans: 0 b 0\n",
@@ -567,6 +590,7 @@ class TestDfaFormat:
     ], ids=[
         "bad-alphabet", "line-numbers-count-comments", "bad-states", "superscript-states",
         "bad-start", "superscript-start", "bad-accept", "short-trans", "trans-not-int",
+        "accept-sign", "trans-underscore",
         "trans-before-alphabet", "unknown-directive", "missing-header",
         "state-outside-range", "accept-out-of-range", "target-out-of-range",
     ])
