@@ -4,13 +4,18 @@ Branch and bound over words in (length, rank) order, include-branch first,
 with triple propagation over a bitmask of live triples and a per-layer
 relaxation bound built from the pairwise product constraint
 |S(n)| <= q**n - |S(m)||S(n-m)|, kept up to date as words are included.
-Where the capped layers do not cut a node, the same constraint is applied
-with the count of the lowest layer that has an open word left free: every
-layer above it is then capped by a function of that count, and the node is
-cut when the maximum over the count, a concave function, is at most the
-pruning floor.  Values are exact rationals; witnesses are deterministic
-(the first optimum in the fixed branching order, which greedily includes
-the earliest words).
+Where the capped layers do not cut a node, the same constraint is chained
+across the layers that still have open words: with S(m) final and f words
+in it, |S(L)| + f|S(L-m)| <= q**L along L, L + m, L + 2m, ..., which a
+greedy pass maximises exactly.  Where that does not cut either, the count
+of the lowest layer with an open word is left free: every layer above it
+is then capped by a function of that count, and the node is cut when the
+maximum over the count, a concave function, is at most the pruning floor.
+The search starts from the top-layer set, which is product-free: every
+length above N/2, plus half of layer N/2 at even N, with the floor one
+below it.  Values are exact rationals; witnesses are deterministic (the
+first optimum in the fixed branching order, which greedily includes the
+earliest words).
 
 Symmetries of the ball are broken lex-leader style: read an assignment as
 a word over {OUT < IN} in universe order.  Each adjacent letter swap, the
@@ -162,42 +167,89 @@ def _bound_weight(
 ) -> int:
     """Admissible bound on the best completion, as an integer weight,
     layer_weight[n] per word of length n.  It is at most floor exactly when
-    the capped layers or G below show that no completion beats floor.
+    the capped layers, the chain or G below show that no completion beats
+    floor, and is the capped layers otherwise; the three are tried in that
+    order, and the first at most floor is the bound.
 
     Layer n holds at most cap[n] = min(included + undecided, pair) words,
     pair[n] being the min over 0 < m < n of q**n - |S(m)||S(n-m)|, and
-    never fewer than it includes.  The sum of the capped layers is the
-    bound unless it lies above floor.
+    never fewer than it includes.
 
-    Then every layer below n0, the lowest with an open word, is final, and
-    the final count c of layer n0 lies in [included[n0], cap[n0]].  As
+    Every layer below n0, the lowest with an open word, is final.  Let m be
+    the one with the heaviest f = |S(m)| words among those with m + n0 <= N,
+    the top layer; a larger m links no two layers from n0 up.  S(m)S(L-m)
+    holds f|S(L-m)| words of length L, none in S(L), so a completion's
+    counts x(L) of the layers L >= n0 obey x(L) <= cap[L] and, where
+    L - m >= n0 too, x(L) + f x(L-m) <= q**L.  Along each chain L, L + m,
+    L + 2m, ... the greedy c(L) = min(cap[L], max(0, q**L - f c(L-m)))
+    maximises this relaxation: as f <= q**m, a word of layer L outweighs
+    the f words of layer L + m that it rules out, and the knock-on effects
+    alternate with shrinking weight.  The chain is the final layers plus
+    c(L) words of each layer L >= n0.  It takes one m: with several, a
+    word of layer L rules out words of several later layers, together
+    heavier than it, so the greedy pass no longer gives the maximum, nor an
+    upper bound.
+
+    The final count c of layer n0 lies in [included[n0], cap[n0]].  As
     S(n0)S(L-n0) holds c|S(L-n0)| words of length L, none in S(L), a
     completion weighs at most G(c), the sum of the layers below n0, c
     words of layer n0, and min(cap[L], q**L - c * included[L - n0]) words
-    of each layer L above it, the factor being c * c at L = 2 n0.  Each
-    term is linear or the min of a constant and a concave function of c,
-    so G is concave: the scan upward in c stops at the first G(c) above
-    floor (returning the capped layers) or once G stops rising (returning
-    its maximum).
+    of each layer L above it, the factor being c * c at L = 2 n0.  G is
+    tried only when 2 n0 <= N: only G has the c * c term, and without it
+    each term of G couples n0 with one other layer, as the chain couples
+    pairs of layers.  Each term is linear or the min of a constant and a
+    concave function of c, so G is concave: the scan upward in c stops at
+    the first G(c) above floor (returning the capped layers) or once G
+    stops rising (returning its maximum).
     """
     top_layer = len(pair) - 1
-    total = 0
-    caps = [0]
-    for n in range(1, top_layer + 1):
+    # total sums the capped layers, and cut the weight the chain takes off
+    # them; step is m and links[n] is c(n) for n >= low, n0.
+    total = heaviest = step = f = cut = 0
+    low = 1
+    while not undecided[low]:
+        inc = included[low]
+        w = inc * layer_weight[low]
+        total += w
+        if w > heaviest:
+            heaviest, step, f = w, low, inc
+        low += 1
+        if low > top_layer:
+            return total
+    if low + step > top_layer:
+        # m + n0 > N: take the heaviest of the final layers that link.
+        heaviest = step = 0
+        for n in range(1, top_layer - low + 1):
+            w = included[n] * layer_weight[n]
+            if w > heaviest:
+                heaviest, step = w, n
+        f = included[step]
+    caps = included[:low]
+    links = caps[:]
+    joint = low + step if step else top_layer + 1
+    for n in range(low, top_layer + 1):
         inc = included[n]
         cap = inc + undecided[n]
         top = pair[n]
         if top < cap:
             cap = top if top > inc else inc
         caps.append(cap)
-        total += cap * layer_weight[n]
+        w = layer_weight[n]
+        total += cap * w
+        if n >= joint:
+            left = layer_weight[top_layer - n] - f * links[n - step]
+            if left < cap:
+                if left < 0:
+                    left = 0
+                cut += (cap - left) * w
+                cap = left
+        links.append(cap)
     if total <= floor:
         return total
-    low = 1
-    while not undecided[low]:
-        low += 1
-        if low > top_layer:
-            return total
+    if total - cut <= floor:
+        return total - cut
+    if 2 * low > top_layer:
+        return total
     count = included[low]
     low_cap = caps[low]
     if low_cap == count:
@@ -539,11 +591,22 @@ def max_productfree(
                 f"triple-mask bits, over the enumeration budget"
             )
     search = _Search(alphabet, horizon, node_budget)
-    # The odd-length truncation is always product-free (odd + odd = even),
-    # so it makes a safe starting incumbent; each of its (horizon + 1) // 2
-    # layers is full and weighs q**horizon.
-    odd_weight = (horizon + 1) // 2 * alphabet.layer_size(horizon)
-    search.seed([2 - n % 2 for n, _ in search.items], odd_weight)
+    # The top-layer set is always product-free, so it makes a safe starting
+    # incumbent.  It holds every length above horizon / 2, whose products
+    # leave the ball; each of these horizon - half layers is full and
+    # weighs q**horizon.  At even horizon it also holds the first
+    # k = q**half // 2 ranks of layer half = horizon / 2, and leaves out
+    # their k * k products from layer horizon.
+    half = horizon // 2
+    width = q**half
+    k = 0 if horizon % 2 else width // 2
+    status = [1 if 2 * n > horizon else 2 for n, _ in search.items]
+    offset = _layer_offsets(q, horizon)
+    for x in range(k):
+        status[offset[half] + x] = 1
+        for y in range(k):
+            status[offset[horizon] + x * width + y] = 2
+    search.seed(status, (horizon - half) * q**horizon + k * width - k * k)
     weight, status, proved = search.run()
     chosen = (idx for idx, st in enumerate(status) if st == 1)
     best = _as_layered(alphabet, horizon, search.items, chosen)

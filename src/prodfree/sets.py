@@ -601,6 +601,10 @@ def read_dfa(source: str | TextIO) -> Dfa:
     def fail(lineno: int, msg: str) -> FormatError:
         return FormatError(f"line {lineno}: {msg}")
 
+    def number(tok: str) -> bool:
+        # ASCII only: str.isdecimal and int() accept every Unicode digit.
+        return tok.isascii() and tok.isdecimal()
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -618,15 +622,15 @@ def read_dfa(source: str | TextIO) -> Dfa:
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
         elif key == "states":
-            if not rest.isdecimal():
+            if not number(rest):
                 raise fail(lineno, f"bad state count {rest!r}")
             num_states = int(rest)
         elif key == "start":
-            if not rest.isdecimal():
+            if not number(rest):
                 raise fail(lineno, f"bad start state {rest!r}")
             start = int(rest)
         elif key == "accept":
-            if not all(tok.isdecimal() for tok in rest.split()):
+            if not all(number(tok) for tok in rest.split()):
                 raise fail(lineno, f"bad accept list {rest!r}")
             accepting = frozenset(map(int, rest.split()))
         elif key == "trans":
@@ -636,7 +640,7 @@ def read_dfa(source: str | TextIO) -> Dfa:
             if alphabet is None:
                 raise fail(lineno, "trans before alphabet header")
             try:
-                if not (toks[0].isdecimal() and toks[2].isdecimal()):
+                if not (number(toks[0]) and number(toks[2])):
                     raise ValueError(f"bad transition {rest!r}")
                 s, t, c = int(toks[0]), int(toks[2]), alphabet.index(toks[1])
             except ValueError as exc:

@@ -76,6 +76,22 @@ class TestCheck:
         assert main(["check", "--dfa", str(bad)]) == 2
         assert capsys.readouterr().err == "error: line 2: bad state count '²'\n"
 
+    def test_arabic_indic_digits_exit_two(self, tmp_path, capsys):
+        # Every number in Arabic-Indic digits, which str.isdecimal() and
+        # int() accept: the file is refused at its first number.
+        bad = tmp_path / "bad.dfa"
+        bad.write_text(
+            "alphabet: ab\nstates: \u0662\nstart: \u0660\naccept: \u0661\n"
+            + "".join(
+                f"trans: {s} {c} {t}\n"
+                for s, c, t in [("\u0660", "a", "\u0661"), ("\u0660", "b", "\u0660"),
+                                ("\u0661", "a", "\u0660"), ("\u0661", "b", "\u0661")]
+            ),
+            encoding="utf-8",
+        )
+        assert main(["check", "--dfa", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 2: bad state count '\u0662'\n"
+
     @pytest.mark.parametrize("flags", [
         [], ["--dfa", "x.dfa", "--words", "x.words"],
     ], ids=["neither", "both"])

@@ -98,7 +98,7 @@ class TestResultContracts:
         assert not r.proved
         assert check_explicit(r.best) is None
         assert recomputed_objective(r) == r.value
-        # The seed incumbent (odd-length truncation) is still reported.
+        # The seed incumbent (the top-layer set, 9/16 here) is still reported.
         assert r.value >= Fraction(1, 2)
 
 
@@ -174,6 +174,24 @@ class TestUpperBound:
         # is G(1) whatever the floor.
         assert bound_weight(AB, 2, included, undecided, floor=6) == 5
 
+    def test_chain_takes_the_heaviest_linking_layer_alone(self):
+        # ab at N=5 with S(1) = {a} and three words in S(2), final, and the
+        # layers 3..5 open and capped only by their sizes.  The final
+        # layers weigh 16 + 3 * 8 = 40, and f|S(m)| weight is 16 at m = 1
+        # and 24 at m = 2, so the chain takes m = 2, f = 3: c3 = 8, c4 = 16
+        # and c5 = 32 - 3 * 8 = 8, 40 + 32 + 32 + 8 = 112 in all, against
+        # 136 for the capped layers.  A min over both m inside one greedy
+        # pass would give c4 = 16 - 8 = 8 and c5 = 32 - 24 = 8, 96, but
+        # the relaxation under both constraints reaches 100 at c3 = 4, so
+        # that pass is no bound.  2 n0 = 6 > 5, so G is not tried.
+        sizes = _layer_sizes(2, 5)
+        args = ([0, 1, 3, 0, 0, 0], [0, 0, 0, 8, 16, 32], sizes, sizes[::-1])
+        assert _bound_weight(*args, 136) == 136
+        assert _bound_weight(*args, 135) == 112
+        assert _bound_weight(*args, 112) == 112
+        assert _bound_weight(*args, 111) == 136
+        assert _bound_weight(*args, 100) == 136
+
 
 def _best_completion(search: _Search) -> int:
     """Weight of the heaviest product-free completion of the search's
@@ -210,11 +228,41 @@ def _best_completion(search: _Search) -> int:
     return best
 
 
-def _refined_bound(search: _Search) -> int:
-    """The bound on the search's partial assignment, from its definition:
-    the capped layers when the lowest layer with an open word, n0, can hold
-    no more than it includes, else the max over the counts c that n0 can
-    take of G(c), each layer L above n0 capped by q**L - c |S(L - n0)|."""
+def _heaviest_linking_layer(included: list[int], weight: list[int], low: int):
+    """The final layer m < low with m + low <= N and the heaviest
+    f = |S(m)| words, the first on a tie, with f; None when every such
+    layer is empty."""
+    horizon = len(included) - 1
+    m = max(
+        range(1, min(low, horizon - low + 1)),
+        key=lambda n: included[n] * weight[n],
+        default=None,
+    )
+    return (m, included[m]) if m is not None and included[m] else None
+
+
+def _chain(sizes, weight, included, cap, low, linking) -> int:
+    """The chain bound from its definition: the final layers, plus c(L)
+    words of each layer L >= low, c(L) = cap[L] unless L - m >= low too,
+    then min(cap[L], max(0, q**L - f c(L - m)))."""
+    chain = {}
+    for n in range(low, len(cap)):
+        chain[n] = cap[n]
+        if linking and n - linking[0] >= low:
+            m, f = linking
+            chain[n] = min(cap[n], max(0, sizes[n] - f * chain[n - m]))
+    return sum(included[n] * weight[n] for n in range(1, low)) + sum(
+        chain[n] * weight[n] for n in chain
+    )
+
+
+def _refined_bounds(search: _Search) -> tuple[int, int, int | None]:
+    """The three bounds on the search's partial assignment, from their
+    definitions: the capped layers; the chain along the heaviest final
+    layer m below n0, the lowest layer with an open word, that links two
+    layers from n0 up; and, when n0 can hold more than it includes and
+    2 n0 <= N, the max over the counts c that n0 can take of G(c), each
+    layer L above n0 capped by q**L - c |S(L - n0)|, else None."""
     horizon, included, sizes = search.horizon, search.included, search.sizes
     weight = search.layer_weight
     cap = [
@@ -223,8 +271,12 @@ def _refined_bound(search: _Search) -> int:
     ]
     capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
     low = next((n for n in range(1, horizon + 1) if search.undecided[n]), None)
-    if low is None or cap[low] == included[low]:
-        return capped
+    if low is None:
+        return capped, capped, None
+    linking = _heaviest_linking_layer(included, weight, low)
+    chain = _chain(sizes, weight, included, cap, low, linking)
+    if cap[low] == included[low] or 2 * low > horizon:
+        return capped, chain, None
 
     def g(c: int) -> int:
         total = sum(included[n] * weight[n] for n in range(1, low)) + c * weight[low]
@@ -233,51 +285,124 @@ def _refined_bound(search: _Search) -> int:
             total += weight[n] * min(cap[n], sizes[n] - c * factor)
         return total
 
-    return max(g(c) for c in range(included[low], cap[low] + 1))
+    return capped, chain, max(g(c) for c in range(included[low], cap[low] + 1))
+
+
+def _expected_bound(bounds: tuple[int, int, int | None], floor: int) -> int:
+    """The first of the capped layers, the chain and G at most floor, else
+    the capped layers."""
+    return next((b for b in bounds if b is not None and b <= floor), bounds[0])
 
 
 class TestBoundAdmissible:
     @settings(deadline=None)
     @given(
-        case=st.sampled_from([(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2)]),
+        case=st.sampled_from([
+            (AB, 1), (AB, 2), (AB, 3), (AB, 4), (AB, 5), (AB, 6),
+            (ABC, 1), (ABC, 2), (ABC, 3),
+        ]),
         data=st.data(),
     )
     def test_bound_dominates_the_best_completion(self, case, data):
-        # A random walk of inclusions, exclusions and undos; at each state
-        # with at most 16 open words, the bound is at least the heaviest
-        # completion, so its cut never drops one that beats the floor.  It
-        # is the capped layers unless the refined bound is at most the
-        # floor, and then it is the refined bound.
+        # A random walk of inclusions, exclusions and undos.  At each state
+        # the bound is the first of the capped layers, the chain and G at
+        # most the floor, else the capped layers; with at most 16 open
+        # words, each of the three is also at least the heaviest
+        # completion, so a cut never drops one that beats the floor.
         alphabet, horizon = case
         search = _Search(alphabet, horizon, node_budget=0)
-        for _ in range(data.draw(st.integers(0, 40))):
+        for _ in range(data.draw(st.integers(0, 60))):
             open_words = [i for i, value in enumerate(search.status) if not value]
             action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
             if action == "undo" or not open_words:
                 if search.trail:
                     search._undo()
                 continue
-            idx = data.draw(st.sampled_from(open_words))
+            # Often one of the first open words, as the search decides them.
+            idx = data.draw(st.sampled_from(open_words[:3]) | st.sampled_from(open_words))
             if action == "exclude":
                 search._exclude(idx)
             elif not search._include(idx):
                 # The search never bounds a contradiction: it undoes it.
                 search._undo()
                 continue
+            bounds = _refined_bounds(search)
+            capped = bounds[0]
+            args = (search.included, search.undecided, search.pair, search.layer_weight)
+            floors = {data.draw(st.integers(-1, capped))}
+            floors.update(b + d for b in bounds if b is not None for d in (-1, 0))
+            for floor in floors:
+                assert _bound_weight(*args, floor) == _expected_bound(bounds, floor)
             if len(open_words) - 1 > 16:
                 continue
             best = _best_completion(search)
-            refined = _refined_bound(search)
-            assert refined >= best
-            args = (search.included, search.undecided, search.pair, search.layer_weight)
-            capped = _bound_weight(*args, -1)
-            floors = [best - 1, data.draw(st.integers(best - 1, max(best - 1, capped)))]
-            for floor in floors:
+            assert all(b >= best for b in bounds if b is not None)
+            for floor in [best - 1, data.draw(st.integers(best - 1, max(best - 1, capped)))]:
                 bound = _bound_weight(*args, floor)
                 assert bound >= best
                 if best > floor:
                     assert bound > floor
-                assert bound == (refined if refined <= floor < capped else capped)
+
+
+class TestChainRelaxation:
+    @staticmethod
+    def _relaxation_max(q, horizon, included, cap, low, linking) -> int:
+        """The maximum of the final layers plus sum x(L) q**(N-L) over every
+        count x(L) in [0, cap[L]] of each layer L >= low, with
+        x(L) + f x(L - m) <= q**L wherever L - m >= low too: an exhaustive
+        dynamic programme along each chain, best[L][x] being the heaviest
+        counts of the chain up to L with x(L) = x."""
+        weight = [q ** (horizon - n) for n in range(horizon + 1)]
+        total = sum(included[n] * weight[n] for n in range(1, low))
+        best = {}
+        for n in range(low, horizon + 1):
+            if linking and n - linking[0] >= low:
+                m, f = linking
+                # prefix[k]: the best of the chain up to n - m with x <= k.
+                prefix = list(best.pop(n - m))
+                for k in range(1, len(prefix)):
+                    prefix[k] = max(prefix[k], prefix[k - 1])
+                best[n] = [
+                    x * weight[n] + prefix[min(len(prefix) - 1, (q**n - x) // f)]
+                    for x in range(cap[n] + 1)
+                ]
+            else:
+                best[n] = [x * weight[n] for x in range(cap[n] + 1)]
+        return total + sum(max(row) for row in best.values())
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_greedy_chain_is_the_maximum(self, data):
+        # Random counts over up to three symbols: final layers below n0 <= 4,
+        # up to four open layers from n0, and 2 n0 > N so that G is not
+        # tried.  At floor = capped - 1 the bound is the chain (or the
+        # capped layers, when the chain takes nothing off them), which
+        # must equal the exhaustive maximum of the one-chain relaxation.
+        q = data.draw(st.integers(1, 3))
+        low = data.draw(st.integers(1, 4))
+        horizon = data.draw(st.integers(low, min(2 * low - 1, low + 3)))
+        included = [0] * (horizon + 1)
+        undecided = [0] * (horizon + 1)
+        pair = [1] * (horizon + 1)
+        for n in range(1, horizon + 1):
+            size = q**n
+            included[n] = data.draw(st.integers(0, size - (n == low)))
+            if n >= low:
+                undecided[n] = data.draw(
+                    st.integers(n == low, size - included[n])
+                )
+                pair[n] = data.draw(st.integers(0, size))
+        cap = [
+            max(inc, min(inc + und, top))
+            for inc, und, top in zip(included, undecided, pair)
+        ]
+        weight = [q ** (horizon - n) for n in range(horizon + 1)]
+        capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
+        linking = _heaviest_linking_layer(included, weight, low)
+        relaxed = self._relaxation_max(q, horizon, included, cap, low, linking)
+        sizes = _layer_sizes(q, horizon)
+        assert relaxed == _chain(sizes, weight, included, cap, low, linking)
+        assert _bound_weight(included, undecided, pair, weight, capped - 1) == relaxed
 
 
 def _state(search: _Search) -> tuple:
@@ -338,7 +463,7 @@ class TestSearchState:
 
     # Named ids, so that re-pinning a count does not rename the test.
     @pytest.mark.parametrize("alphabet,horizon,nodes", [
-        (AB, 4, 101), (AB, 5, 61), (ABC, 3, 13),
+        (AB, 4, 37), (AB, 5, 59), (ABC, 3, 13),
     ], ids=["ab-4", "ab-5", "abc-3"])
     def test_node_counts(self, alphabet, horizon, nodes):
         assert max_productfree(alphabet, horizon).nodes == nodes
@@ -354,28 +479,31 @@ def test_proved_optimum_at_horizon_seven():
     r = max_productfree(AB, 7)
     assert r.value == Fraction(4, 7)
     assert r.proved
-    assert r.nodes == 28689
+    assert r.nodes == 1475
     assert check_explicit(r.best) is None
 
 
 # sha256 of write_explicit(best), with the value, of every proved run,
 # frozen from the search before it broke symmetries (abc N=4: before the
-# bound let the lowest open layer's count vary, in 1,433,539 nodes): neither
-# cut may move the DFS-first optimum.  Node counts are those of the search
-# with both.
+# bound let the lowest open layer's count vary, in 1,433,539 nodes; abc N=5
+# and abcd N=4: before the chain bound, in 1,475 and 126,933 nodes): no cut
+# may move the DFS-first optimum.  Node counts are those of the search with
+# every cut, from the top-layer seed.
 FROZEN_WITNESSES = [
     ("ab", 1, "1", 1, "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
     ("ab", 2, "5/8", 5, "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
     ("ab", 3, "2/3", 7, "7167544752c694705693bc22853cb257f14a637d348398d7e53b7f667c596c9b"),
-    ("ab", 4, "9/16", 101, "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
-    ("ab", 5, "3/5", 61, "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
-    ("ab", 6, "13/24", 107751, "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
-    ("ab", 7, "4/7", 28689, "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
+    ("ab", 4, "9/16", 37, "1275c288957bfc9c242292b716857b2b968de30ddeecb3d24e20a2ca89f558aa"),
+    ("ab", 5, "3/5", 59, "ff431122cbfe1a1c78443f5109b45eaed53d514cd1bc36ec98d482b4346a89cc"),
+    ("ab", 6, "13/24", 1239, "7103d80cf89011d0cf274ec09abe2eb8314e80a1e976aaaa973f2e27da333457"),
+    ("ab", 7, "4/7", 1475, "e3ea2e78a86c8d57d5a088b6e77260f9d3c1636e74b402949ae9fee4f2e2fdf3"),
     ("abc", 1, "1", 1, "a5168015dc1d0d71e454d3e8540e8fb5e65beabd7b2d413d4de4fb0f37f2cb09"),
     ("abc", 2, "11/18", 7, "c95b6963a03c50e1010a29389fe1fbce34711e4d1c0552a8242bde9fc2386c57"),
     ("abc", 3, "2/3", 13, "68f4d409c37912fae35b43d1ccbe5badb9ce8824eeac74ef77f56d6086c7494a"),
-    ("abc", 4, "91/162", 21123, "2f75a50b62161d53ade4bc8a393c1005f595bb824edeb0f67a2df5debaaf54ad"),
-    ("abcd", 2, "5/8", 11, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
+    ("abc", 4, "91/162", 959, "2f75a50b62161d53ade4bc8a393c1005f595bb824edeb0f67a2df5debaaf54ad"),
+    ("abc", 5, "3/5", 605, "bf5fd108d3e02a16591fa5f5ce18d5f63f3d9d1c995c068f84bfaf7fbe368dbf"),
+    ("abcd", 2, "5/8", 9, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
+    ("abcd", 4, "9/16", 125953, "63b6a9f87d0605ada70da9229654ca2746def1cb2dcffcbed6334a1384ff8cac"),
     ("a", 6, "1/2", 7, "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
 ]
 
@@ -395,8 +523,8 @@ def test_proved_witnesses_are_frozen(symbols, horizon, value, nodes, digest):
 # The same for runs the node budget stops: the anytime result depends on
 # the exact order in which nodes are met, not only on the optimum.
 FROZEN_CAPPED = [
-    ("ab", 8, 30_000, "1/2", "9dfd2e1d3270dd1c9abd9bc1f401d36ab94a2e3bd440ac7f7a82d523e8ec7ba9"),
-    ("abc", 4, 20_000, "173/324", "492af335eb19e8d3f6fae7b94733cb12e41f223b89e5a53d98b51fd8c29b993e"),
+    ("ab", 8, 30_000, "17/32", "9a7a105531450bcfc713a8f7955860077a17dc7b6012e3f33f59a0429c6862d5"),
+    ("abc", 4, 500, "91/162", "1b4416db03c4b53932d559cd3e602b5a0c6217c262f47c81db36521a5ea41efb"),
 ]
 
 

@@ -574,6 +574,15 @@ class TestDfaFormat:
         ("alphabet: ab\nstates: 2\nstart: 0\naccept: +1\n", "line 4: bad accept list '\\+1'"),
         ("alphabet: ab\nstates: 11\nstart: 0\naccept: 1\ntrans: 0 a 1_0\n",
          "line 5: bad transition '0 a 1_0'"),
+        # Arabic-Indic digits: str.isdecimal() holds and int() reads them.
+        ("alphabet: ab\nstates: \u0662\n", "line 2: bad state count '\u0662'"),
+        ("alphabet: ab\nstates: 2\nstart: \u0660\n", "line 3: bad start state '\u0660'"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: \u0661\n",
+         "line 4: bad accept list '\u0661'"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: 1\ntrans: \u0660 a 1\n",
+         "line 5: bad transition '\u0660 a 1'"),
+        ("alphabet: ab\nstates: 2\nstart: 0\naccept: 1\ntrans: 0 a \u0661\n",
+         "line 5: bad transition '0 a \u0661'"),
         ("states: 1\ntrans: 0 a 0\nalphabet: ab\n", "line 2: trans before alphabet header"),
         ("alphabet: ab\nfinal: 1\n", "line 2: unknown directive 'final'"),
         ("alphabet: ab\nstates: 1\naccept:\ntrans: 0 a 0\ntrans: 0 b 0\n",
@@ -590,7 +599,8 @@ class TestDfaFormat:
     ], ids=[
         "bad-alphabet", "line-numbers-count-comments", "bad-states", "superscript-states",
         "bad-start", "superscript-start", "bad-accept", "short-trans", "trans-not-int",
-        "accept-sign", "trans-underscore",
+        "accept-sign", "trans-underscore", "arabic-indic-states", "arabic-indic-start",
+        "arabic-indic-accept", "arabic-indic-trans-state", "arabic-indic-trans-target",
         "trans-before-alphabet", "unknown-directive", "missing-header",
         "state-outside-range", "accept-out-of-range", "target-out-of-range",
     ])
