@@ -2,20 +2,21 @@
 
 Branch and bound over words in (length, rank) order, include-branch first,
 with triple propagation over a bitmask of live triples and a per-layer
-relaxation bound built from the pairwise product constraint
-|S(n)| <= q**n - |S(m)||S(n-m)|, kept up to date as words are included.
-Where the capped layers do not cut a node, the same constraint is chained
-across the layers that still have open words: with S(m) final and f words
-in it, |S(L)| + f|S(L-m)| <= q**L along L, L + m, L + 2m, ..., which a
-greedy pass maximises exactly.  Where that does not cut either, the count
-of the lowest layer with an open word is left free: every layer above it
-is then capped by a function of that count, and the node is cut when the
-maximum over the count, a concave function, is at most the pruning floor.
-The search starts from the top-layer set, which is product-free: every
-length above N/2, plus half of layer N/2 at even N, with the floor one
-below it.  Values are exact rationals; witnesses are deterministic (the
-first optimum in the fixed branching order, which greedily includes the
-earliest words).
+relaxation bound.  Propagation enforces the pairwise product constraint
+word by word: once x and y are in, x.y is out, so layer n never holds
+more than q**n - |S(m)||S(n-m)| words in or open, and the capped layers
+count those words alone.  Where they do not cut a node, the same
+constraint is chained across the layers that still have open words: with
+S(m) final and f words in it, |S(L)| + f|S(L-m)| <= q**L along L, L + m,
+L + 2m, ..., which a greedy pass maximises exactly.  Where that does not
+cut either, the count of the lowest layer with an open word is left free:
+every layer above it is then capped by a function of that count, and the
+node is cut when the maximum over the count, a concave function, is at
+most the pruning floor.  The search starts from the top-layer set, which
+is product-free: every length above N/2, plus half of layer N/2 at even
+N, with the floor one below it.  Values are exact rationals; witnesses
+are deterministic (the first optimum in the fixed branching order, which
+greedily includes the earliest words).
 
 Symmetries of the ball are broken lex-leader style: read an assignment as
 a word over {OUT < IN} in universe order.  Each adjacent letter swap, the
@@ -152,16 +153,9 @@ def exhaustive_max_productfree(
     )
 
 
-def _layer_sizes(q: int, horizon: int) -> list[int]:
-    """q**n for n = 0..horizon; reversed, q**(horizon - n), the weight of a
-    length-n word."""
-    return [q**n for n in range(horizon + 1)]
-
-
 def _bound_weight(
     included: list[int],
     undecided: list[int],
-    pair: list[int],
     layer_weight: list[int],
     floor: int,
 ) -> int:
@@ -171,9 +165,10 @@ def _bound_weight(
     floor, and is the capped layers otherwise; the three are tried in that
     order, and the first at most floor is the bound.
 
-    Layer n holds at most cap[n] = min(included + undecided, pair) words,
-    pair[n] being the min over 0 < m < n of q**n - |S(m)||S(n-m)|, and
-    never fewer than it includes.
+    Layer n holds at most cap[n] = included[n] + undecided[n] words.  At
+    every node the search bounds, propagation has already forced x.y out
+    for each x and y in, and concatenation is injective, so cap[n] is at
+    most q**n - |S(m)||S(n-m)| for every 0 < m < n.
 
     Every layer below n0, the lowest with an open word, is final.  Let m be
     the one with the heaviest f = |S(m)| words among those with m + n0 <= N,
@@ -202,7 +197,7 @@ def _bound_weight(
     the first G(c) above floor (returning the capped layers) or once G
     stops rising (returning its maximum).
     """
-    top_layer = len(pair) - 1
+    top_layer = len(layer_weight) - 1
     # total sums the capped layers, and cut the weight the chain takes off
     # them; step is m and links[n] is c(n) for n >= low, n0.
     total = heaviest = step = f = cut = 0
@@ -224,16 +219,10 @@ def _bound_weight(
             if w > heaviest:
                 heaviest, step = w, n
         f = included[step]
-    caps = included[:low]
-    links = caps[:]
+    links = included[:low]
     joint = low + step if step else top_layer + 1
     for n in range(low, top_layer + 1):
-        inc = included[n]
-        cap = inc + undecided[n]
-        top = pair[n]
-        if top < cap:
-            cap = top if top > inc else inc
-        caps.append(cap)
+        cap = included[n] + undecided[n]
         w = layer_weight[n]
         total += cap * w
         if n >= joint:
@@ -251,9 +240,7 @@ def _bound_weight(
     if 2 * low > top_layer:
         return total
     count = included[low]
-    low_cap = caps[low]
-    if low_cap == count:
-        return total
+    low_cap = count + undecided[low]
     weight = layer_weight[low]
     # rest weighs the layers whose term is constant for c <= low_cap.  A
     # term of layer L stays at cap[L] while c is at most its flat point;
@@ -267,7 +254,7 @@ def _bound_weight(
         factor = 0 if other == low else included[other]
         if not factor and other != low:
             continue
-        cap = caps[n]
+        cap = included[n] + undecided[n]
         # q**n is layer_weight[top_layer - n].
         size = layer_weight[top_layer - n]
         slack = size - cap
@@ -345,13 +332,11 @@ class _BudgetExceeded(Exception):
 class _Search:
     """Depth-first branch and bound with one undo trail.
 
-    Each branch pushes one record on the trail.  An exclusion of idx pushes
-    (idx, alive) as it was before it; an inclusion pushes
-    (idx, alive, pair tail, forced): the pair caps above its length as they
-    were before, and the list of open words it forced out.  Undo pops one
-    record, assigns alive and the pair tail back and reopens idx and every
-    forced word.  The weight of a completion is read from the layer counts
-    where one is recorded.
+    Each branch pushes one record (idx, alive, forced) on the trail: alive
+    as it was before the branch, and the open words an inclusion forced
+    out, () for an exclusion.  Undo pops one record, assigns alive back and
+    reopens idx and every forced word.  The weight of a completion is read
+    from the layer counts where one is recorded.
 
     The lex-leader state is passed down the recursion instead: one
     (pairs, pos, a, b) per symmetry that may still beat the assignment,
@@ -362,13 +347,11 @@ class _Search:
     """
 
     def __init__(self, alphabet: Alphabet, horizon: int, node_budget: int):
-        self.horizon = horizon
         self.node_budget = node_budget
         self.items = _universe(alphabet, horizon)
         self.nitems = len(self.items)
         self.length = [n for n, _ in self.items]
-        self.sizes = _layer_sizes(alphabet.q, horizon)
-        self.layer_weight = self.sizes[::-1]
+        self.layer_weight = [alphabet.q**n for n in range(horizon, -1, -1)]
         self.triples = _triples(alphabet, horizon)
         self.keep = _member_masks(self.nitems, self.triples)
         offset = _layer_offsets(alphabet.q, horizon)
@@ -390,8 +373,6 @@ class _Search:
         self.undecided = [0] * (horizon + 1)
         for n in self.length:
             self.undecided[n] += 1
-        # Every count is zero, so each pair cap starts at q**n.
-        self.pair = list(self.sizes)
         self.trail: list[tuple] = []
         self.nodes = 0
         # Pruning floor, plus the best found completion and its true value.
@@ -402,7 +383,7 @@ class _Search:
     # -- propagation with undo trail ------------------------------------
 
     def _exclude(self, idx: int) -> None:
-        self.trail.append((idx, self.alive))
+        self.trail.append((idx, self.alive, ()))
         self.status[idx] = 2
         self.undecided[self.length[idx]] -= 1
         self.alive &= self.keep[idx]
@@ -411,21 +392,13 @@ class _Search:
         """Mark idx in and exclude the words it forces; False on contradiction."""
         status, length = self.status, self.length
         included, undecided = self.included, self.undecided
-        alive, pair = self.alive, self.pair
-        n, sizes = length[idx], self.sizes
+        alive = self.alive
+        n = length[idx]
         forced: list[int] = []
-        self.trail.append((idx, alive, pair[n + 1:], forced))
+        self.trail.append((idx, alive, forced))
         status[idx] = 1
         undecided[n] -= 1
         included[n] += 1
-        # The new |S(n)| enters only the terms q**L - |S(n)||S(L-n)| for
-        # L > n, and only lowers them, so each pair[L] takes the min with
-        # its new term.
-        count = included[n]
-        for top in range(n + 1, self.horizon + 1):
-            term = sizes[top] - count * included[top - n]
-            if term < pair[top]:
-                pair[top] = term
         triples, keep = self.triples, self.keep
         ins = 0
         hits = alive ^ (alive & keep[idx])
@@ -454,14 +427,13 @@ class _Search:
 
     def _undo(self) -> None:
         status, length, undecided = self.status, self.length, self.undecided
-        idx, self.alive, *inclusion = self.trail.pop()
+        idx, self.alive, forced = self.trail.pop()
         n = length[idx]
-        if inclusion:
-            self.pair[n + 1:], forced = inclusion
-            for out in forced:
-                status[out] = 0
-                undecided[length[out]] += 1
+        if status[idx] == 1:
             self.included[n] -= 1
+        for out in forced:
+            status[out] = 0
+            undecided[length[out]] += 1
         status[idx] = 0
         undecided[n] += 1
 
@@ -529,9 +501,7 @@ class _Search:
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
         floor = self.floor
-        bound = _bound_weight(
-            self.included, self.undecided, self.pair, self.layer_weight, floor
-        )
+        bound = _bound_weight(self.included, self.undecided, self.layer_weight, floor)
         if bound <= floor:
             return
         # The bound is admissible, so a node it cuts has no completion to

@@ -234,10 +234,15 @@ def _scan_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, str]:
                 if (alphabet if key == "alphabet" else horizon) is not None:
                     raise FormatError(f"line {lineno}: duplicate {key} header")
                 try:
+                    value = value.strip()
                     if key == "alphabet":
-                        alphabet = Alphabet(value.strip())
+                        alphabet = Alphabet(value)
+                    elif value.isascii() and value.isdecimal():
+                        horizon = int(value)
                     else:
-                        horizon = int(value.strip())
+                        # int() would also take a sign, '_' and any
+                        # Unicode digit.
+                        raise ValueError(value)
                 except ValueError as exc:
                     why = exc if key == "alphabet" else "bad horizon"
                     raise FormatError(f"line {lineno}: {why}") from exc

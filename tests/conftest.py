@@ -93,8 +93,12 @@ def read_by_line(text: str) -> LayeredSet:
         if line.startswith("horizon:"):
             if horizon is not None:
                 raise FormatError(f"line {lineno}: duplicate horizon header")
+            value = line.split(":", 1)[1].strip()
+            # ASCII digits only: int() takes signs, '_' and Unicode digits.
             try:
-                horizon = int(line.split(":", 1)[1].strip())
+                if not (value.isascii() and value.isdecimal()):
+                    raise ValueError(value)
+                horizon = int(value)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad horizon") from exc
             continue

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from prodfree.productfree import check_explicit
 from prodfree.search import (
     _bound_weight,
-    _layer_sizes,
     _scale,
     _Search,
     _symmetry_maps,
@@ -102,21 +101,25 @@ class TestResultContracts:
         assert r.value >= Fraction(1, 2)
 
 
-def _pair_caps(sizes: list[int], included: list[int]) -> list[int]:
-    """pair[n] = min over 0 < m < n of q**n - |S(m)||S(n-m)|, or q**n when
-    n has no split: the caps _Search keeps up to date, recomputed."""
-    return [
-        sizes[n] - max((included[m] * included[n - m] for m in range(1, n)), default=0)
-        for n in range(len(sizes))
-    ]
+def _weights(q: int, horizon: int) -> list[int]:
+    """q**(horizon - n), the weight of a length-n word, for n = 0..horizon."""
+    return [q ** (horizon - n) for n in range(horizon + 1)]
 
 
 def bound_weight(alphabet, horizon, included, undecided, floor=-1) -> int:
     """The search bound on a partial assignment, as an integer weight."""
-    sizes = _layer_sizes(alphabet.q, horizon)
-    return _bound_weight(
-        included, undecided, _pair_caps(sizes, included), sizes[::-1], floor
-    )
+    return _bound_weight(included, undecided, _weights(alphabet.q, horizon), floor)
+
+
+def assert_propagated(search: _Search) -> None:
+    """The invariant propagation keeps, and the capped layers rest on: as
+    x.y is out once x and y are in, and concatenation is injective, layer
+    n holds at most q**n - |S(m)||S(n-m)| words in or open, 0 < m < n."""
+    included, undecided = search.included, search.undecided
+    sizes = search.layer_weight[::-1]
+    for n in range(2, len(included)):
+        for m in range(1, n):
+            assert included[n] + undecided[n] <= sizes[n] - included[m] * included[n - m], (n, m)
 
 
 def upper_bound(alphabet, horizon, included, undecided, floor=-1) -> Fraction:
@@ -139,9 +142,13 @@ class TestUpperBound:
         assert upper_bound(AB, 2, included, undecided) == Fraction(5, 8)
 
     def test_full_first_layer_caps_second(self):
-        included = [0, 2, 0]
-        undecided = [0, 0, 4]
-        assert upper_bound(AB, 2, included, undecided) <= Fraction(1, 2)
+        # With a and b in, propagation forces aa, ab, ba and bb out, so
+        # layer 2 has no open word left and the bound is S(1) alone.
+        search = _Search(AB, 2, node_budget=0)
+        assert search._include(0) and search._include(1)
+        assert search.included == [0, 2, 0]
+        assert search.undecided == [0, 0, 0]
+        assert upper_bound(AB, 2, search.included, search.undecided) == Fraction(1, 2)
 
     def test_admissible_on_partial_assignments(self):
         # Against the exhaustive optimum of every completion: fix S(1) = {a}.
@@ -184,8 +191,7 @@ class TestUpperBound:
         # pass would give c4 = 16 - 8 = 8 and c5 = 32 - 24 = 8, 96, but
         # the relaxation under both constraints reaches 100 at c3 = 4, so
         # that pass is no bound.  2 n0 = 6 > 5, so G is not tried.
-        sizes = _layer_sizes(2, 5)
-        args = ([0, 1, 3, 0, 0, 0], [0, 0, 0, 8, 16, 32], sizes, sizes[::-1])
+        args = ([0, 1, 3, 0, 0, 0], [0, 0, 0, 8, 16, 32], _weights(2, 5))
         assert _bound_weight(*args, 136) == 136
         assert _bound_weight(*args, 135) == 112
         assert _bound_weight(*args, 112) == 112
@@ -260,22 +266,19 @@ def _refined_bounds(search: _Search) -> tuple[int, int, int | None]:
     """The three bounds on the search's partial assignment, from their
     definitions: the capped layers; the chain along the heaviest final
     layer m below n0, the lowest layer with an open word, that links two
-    layers from n0 up; and, when n0 can hold more than it includes and
-    2 n0 <= N, the max over the counts c that n0 can take of G(c), each
-    layer L above n0 capped by q**L - c |S(L - n0)|, else None."""
-    horizon, included, sizes = search.horizon, search.included, search.sizes
-    weight = search.layer_weight
-    cap = [
-        max(inc, min(inc + und, top))
-        for inc, und, top in zip(included, search.undecided, search.pair)
-    ]
+    layers from n0 up; and, when 2 n0 <= N, the max over the counts c
+    that n0 can take of G(c), each layer L above n0 capped by
+    q**L - c |S(L - n0)|, else None."""
+    included, weight = search.included, search.layer_weight
+    horizon, sizes = len(weight) - 1, weight[::-1]
+    cap = [inc + und for inc, und in zip(included, search.undecided)]
     capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
     low = next((n for n in range(1, horizon + 1) if search.undecided[n]), None)
     if low is None:
         return capped, capped, None
     linking = _heaviest_linking_layer(included, weight, low)
     chain = _chain(sizes, weight, included, cap, low, linking)
-    if cap[low] == included[low] or 2 * low > horizon:
+    if 2 * low > horizon:
         return capped, chain, None
 
     def g(c: int) -> int:
@@ -304,14 +307,17 @@ class TestBoundAdmissible:
         data=st.data(),
     )
     def test_bound_dominates_the_best_completion(self, case, data):
-        # A random walk of inclusions, exclusions and undos.  At each state
-        # the bound is the first of the capped layers, the chain and G at
-        # most the floor, else the capped layers; with at most 16 open
-        # words, each of the three is also at least the heaviest
-        # completion, so a cut never drops one that beats the floor.
+        # A random walk of inclusions, exclusions and undos.  Every state
+        # keeps propagation's invariant, and at each state after an
+        # inclusion or exclusion the bound is the first of the capped
+        # layers, the chain and G at most the floor, else the capped
+        # layers; with at most 16 open words, each of the three is also at
+        # least the heaviest completion, so a cut never drops one that
+        # beats the floor.
         alphabet, horizon = case
         search = _Search(alphabet, horizon, node_budget=0)
         for _ in range(data.draw(st.integers(0, 60))):
+            assert_propagated(search)
             open_words = [i for i, value in enumerate(search.status) if not value]
             action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
             if action == "undo" or not open_words:
@@ -328,7 +334,7 @@ class TestBoundAdmissible:
                 continue
             bounds = _refined_bounds(search)
             capped = bounds[0]
-            args = (search.included, search.undecided, search.pair, search.layer_weight)
+            args = (search.included, search.undecided, search.layer_weight)
             floors = {data.draw(st.integers(-1, capped))}
             floors.update(b + d for b in bounds if b is not None for d in (-1, 0))
             for floor in floors:
@@ -342,6 +348,7 @@ class TestBoundAdmissible:
                 assert bound >= best
                 if best > floor:
                     assert bound > floor
+        assert_propagated(search)
 
 
 class TestChainRelaxation:
@@ -383,7 +390,6 @@ class TestChainRelaxation:
         horizon = data.draw(st.integers(low, min(2 * low - 1, low + 3)))
         included = [0] * (horizon + 1)
         undecided = [0] * (horizon + 1)
-        pair = [1] * (horizon + 1)
         for n in range(1, horizon + 1):
             size = q**n
             included[n] = data.draw(st.integers(0, size - (n == low)))
@@ -391,24 +397,19 @@ class TestChainRelaxation:
                 undecided[n] = data.draw(
                     st.integers(n == low, size - included[n])
                 )
-                pair[n] = data.draw(st.integers(0, size))
-        cap = [
-            max(inc, min(inc + und, top))
-            for inc, und, top in zip(included, undecided, pair)
-        ]
-        weight = [q ** (horizon - n) for n in range(horizon + 1)]
+        cap = [inc + und for inc, und in zip(included, undecided)]
+        weight = _weights(q, horizon)
         capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
         linking = _heaviest_linking_layer(included, weight, low)
         relaxed = self._relaxation_max(q, horizon, included, cap, low, linking)
-        sizes = _layer_sizes(q, horizon)
-        assert relaxed == _chain(sizes, weight, included, cap, low, linking)
-        assert _bound_weight(included, undecided, pair, weight, capped - 1) == relaxed
+        assert relaxed == _chain(weight[::-1], weight, included, cap, low, linking)
+        assert _bound_weight(included, undecided, weight, capped - 1) == relaxed
 
 
 def _state(search: _Search) -> tuple:
     return (
         list(search.status), search.alive, list(search.included),
-        list(search.undecided), list(search.pair),
+        list(search.undecided),
     )
 
 
@@ -422,7 +423,14 @@ class TestSearchState:
         initial = _state(search)
 
         def check():
-            assert search.pair == _pair_caps(search.sizes, search.included)
+            # A contradiction stays on the trail until it is undone, and
+            # its inclusion stopped forcing words out; every other state
+            # keeps propagation's invariant.
+            if all(
+                any(search.status[i] != 1 for i in members)
+                for members in search.triples
+            ):
+                assert_propagated(search)
             no_out = sum(
                 1 << t for t, members in enumerate(search.triples)
                 if all(search.status[i] != 2 for i in members)
@@ -486,9 +494,11 @@ def test_proved_optimum_at_horizon_seven():
 # sha256 of write_explicit(best), with the value, of every proved run,
 # frozen from the search before it broke symmetries (abc N=4: before the
 # bound let the lowest open layer's count vary, in 1,433,539 nodes; abc N=5
-# and abcd N=4: before the chain bound, in 1,475 and 126,933 nodes): no cut
-# may move the DFS-first optimum.  Node counts are those of the search with
-# every cut, from the top-layer seed.
+# and abcd N=4: before the chain bound, in 1,475 and 126,933 nodes; abcd
+# N=5 and abcde N=3: while the bound still kept pairwise caps beside
+# propagation, in the same node counts): no cut may move the DFS-first
+# optimum.  Node counts are those of the search with every cut, from the
+# top-layer seed.
 FROZEN_WITNESSES = [
     ("ab", 1, "1", 1, "74103c1ed7f8bf423a119822eaefeedb9981df946736ab4e583036811f44bad6"),
     ("ab", 2, "5/8", 5, "bc0500199119ba32966a203891f54237ac73ff323532a04e2db8e08ad7fc658b"),
@@ -504,6 +514,8 @@ FROZEN_WITNESSES = [
     ("abc", 5, "3/5", 605, "bf5fd108d3e02a16591fa5f5ce18d5f63f3d9d1c995c068f84bfaf7fbe368dbf"),
     ("abcd", 2, "5/8", 9, "98227128a69748acd331aec8b682e5fb56156481114288627639af84a469bc36"),
     ("abcd", 4, "9/16", 125953, "63b6a9f87d0605ada70da9229654ca2746def1cb2dcffcbed6334a1384ff8cac"),
+    ("abcd", 5, "3/5", 67221, "e83165b54a3161c8d1bad92d142573873088fe8ffb61137cc8013e9e3e22cf3a"),
+    ("abcde", 3, "2/3", 31, "e2d1826820e413de501439e13346a41af8bf4bf14e645b49c5e9dd77f17f943c"),
     ("a", 6, "1/2", 7, "85af8b1337ed876f9ed40d60d7af36c5cb2d05cd3ebfaed80c83c08741172947"),
 ]
 

@@ -638,6 +638,13 @@ LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
 
 
+# Headers that int() reads ('+3' and '\u0663', an Arabic-Indic 3, as 3, and
+# '1_0' as 10) or that no word fits ('-1'): each is refused at its line.
+BAD_HORIZONS = [
+    f"alphabet: ab\nhorizon: {value}\na\n" for value in ["+3", "1_0", "\u0663", "-1"]
+]
+
+
 def outcome(read, text: str):
     """The set read, or the type and message of the error raised."""
     try:
@@ -769,11 +776,18 @@ class TestWordListText:
         "alphabet: ab\nhorizon: 0\n",
         "alphabet: ab\nhorizon: 2\nabc\n",
         "alphabet: ab\nbab\nhorizon: 2\n",
+        *BAD_HORIZONS,
     ])
     def test_format_errors_match(self, text):
         got = outcome(read_explicit, text)
         assert not isinstance(got, LayeredSet)
         assert got == outcome(read_by_line, text)
+
+    @pytest.mark.parametrize("text", BAD_HORIZONS)
+    def test_horizon_takes_ascii_digits_only(self, text):
+        for read in (read_explicit, read_word_list, read_by_line):
+            with pytest.raises(FormatError, match="^line 2: bad horizon$"):
+                read(text)
 
     @pytest.mark.parametrize("header", ["", "horizon: 5\n"])
     def test_word_past_the_int_digit_limit(self, header):
