@@ -378,18 +378,23 @@ def _explore(
 
 
 def _moore_blocks(d: Dfa) -> list[int]:
-    """Partition-refinement equivalence classes (accepting split first)."""
+    """Moore's partition refinement: the equivalence class of each state.
+
+    The accepting states are split from the others first.  Each round keys
+    every state by its block and its successors' blocks, built a symbol
+    column at a time, and numbers the keys in order of first appearance by
+    state index; it stops when the block count stops growing.
+    """
+    columns = list(zip(*d.delta))
     block = [1 if s in d.accepting else 0 for s in range(d.num_states)]
-    q = d.alphabet.q
+    count = len(set(block))
     while True:
-        sigs: dict[tuple[int, ...], int] = {}
-        nxt = [0] * d.num_states
-        for s in range(d.num_states):
-            sig = (block[s],) + tuple(block[d.delta[s][c]] for c in range(q))
-            nxt[s] = sigs.setdefault(sig, len(sigs))
-        if len(sigs) == len(set(block)):
-            return nxt
-        block = nxt
+        ids: dict[tuple[int, ...], int] = {}
+        keys = zip(block, *[map(block.__getitem__, col) for col in columns])
+        block = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            return block
+        count = len(ids)
 
 
 def _minimized(d: Dfa) -> Dfa:
@@ -596,6 +601,7 @@ def read_dfa(source: str | TextIO) -> Dfa:
     start: int | None = None
     accepting: frozenset[int] | None = None
     trans: dict[tuple[int, int], int] = {}
+    symbol_index: dict[str, int] = {}
     headers: set[str] = set()
 
     def fail(lineno: int, msg: str) -> FormatError:
@@ -612,6 +618,29 @@ def read_dfa(source: str | TextIO) -> Dfa:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
+        if key == "trans":
+            toks = rest.split()
+            # A well-formed line costs one dict lookup and one digit test of
+            # both numbers at once; only a bad line goes through the checks
+            # below, in order, to name its first fault.
+            if len(toks) == 3 and toks[1] in symbol_index:
+                digits = toks[0] + toks[2]
+                if digits.isascii() and digits.isdecimal():
+                    s, c = int(toks[0]), symbol_index[toks[1]]
+                    if (s, c) in trans:
+                        raise fail(lineno, f"duplicate transition for state {s} symbol {toks[1]}")
+                    trans[(s, c)] = int(toks[2])
+                    continue
+            if len(toks) != 3:
+                raise fail(lineno, f"expected 'trans: STATE SYMBOL TARGET', got {raw!r}")
+            if alphabet is None:
+                raise fail(lineno, "trans before alphabet header")
+            if not (number(toks[0]) and number(toks[2])):
+                raise fail(lineno, f"bad transition {rest!r}")
+            try:
+                alphabet.index(toks[1])  # the fault left: the symbol
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from exc
         if key in ("alphabet", "states", "start", "accept"):
             if key in headers:
                 raise fail(lineno, f"duplicate {key} header")
@@ -621,6 +650,7 @@ def read_dfa(source: str | TextIO) -> Dfa:
                 alphabet = Alphabet(rest)
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
+            symbol_index = {symbol: c for c, symbol in enumerate(alphabet.symbols)}
         elif key == "states":
             if not number(rest):
                 raise fail(lineno, f"bad state count {rest!r}")
@@ -633,21 +663,6 @@ def read_dfa(source: str | TextIO) -> Dfa:
             if not all(number(tok) for tok in rest.split()):
                 raise fail(lineno, f"bad accept list {rest!r}")
             accepting = frozenset(map(int, rest.split()))
-        elif key == "trans":
-            toks = rest.split()
-            if len(toks) != 3:
-                raise fail(lineno, f"expected 'trans: STATE SYMBOL TARGET', got {raw!r}")
-            if alphabet is None:
-                raise fail(lineno, "trans before alphabet header")
-            try:
-                if not (number(toks[0]) and number(toks[2])):
-                    raise ValueError(f"bad transition {rest!r}")
-                s, t, c = int(toks[0]), int(toks[2]), alphabet.index(toks[1])
-            except ValueError as exc:
-                raise fail(lineno, str(exc)) from exc
-            if (s, c) in trans:
-                raise fail(lineno, f"duplicate transition for state {s} symbol {toks[1]}")
-            trans[(s, c)] = t
         else:
             raise fail(lineno, f"unknown directive {key!r}")
 

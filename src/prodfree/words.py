@@ -237,11 +237,11 @@ def _scan_word_list(source: str | TextIO) -> tuple[Alphabet, int | None, str]:
                     value = value.strip()
                     if key == "alphabet":
                         alphabet = Alphabet(value)
-                    elif value.isascii() and value.isdecimal():
+                    elif value.isascii() and value.isdecimal() and int(value):
                         horizon = int(value)
                     else:
-                        # int() would also take a sign, '_' and any
-                        # Unicode digit.
+                        # A horizon is at least 1, and int() would also
+                        # take a sign, '_' and any Unicode digit.
                         raise ValueError(value)
                 except ValueError as exc:
                     why = exc if key == "alphabet" else "bad horizon"

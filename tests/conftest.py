@@ -31,6 +31,34 @@ def complete_dfas(draw, alphabet: Alphabet, max_states: int = 5) -> Dfa:
     return Dfa(alphabet, k, draw(state), frozenset(draw(st.sets(state))), delta)
 
 
+def moore_blocks_by_state(d: Dfa) -> list[int]:
+    """Moore refinement one state at a time: the oracle for
+    sets._moore_blocks, which builds each round a symbol column at a time.
+
+    Each round gives every state the signature (its block, its successors'
+    blocks) and numbers the signatures in order of first appearance.
+    """
+    block = [1 if s in d.accepting else 0 for s in range(d.num_states)]
+    q = d.alphabet.q
+    while True:
+        sigs: dict[tuple[int, ...], int] = {}
+        nxt = [0] * d.num_states
+        for s in range(d.num_states):
+            sig = (block[s],) + tuple(block[d.delta[s][c]] for c in range(q))
+            nxt[s] = sigs.setdefault(sig, len(sigs))
+        if len(sigs) == len(set(block)):
+            return nxt
+        block = nxt
+
+
+def random_dfa(rng: random.Random, alphabet: Alphabet, k: int, accept: float) -> Dfa:
+    """A complete DFA with k states, uniform transitions and start, and
+    each state accepting with probability accept."""
+    delta = tuple(tuple(rng.randrange(k) for _ in range(alphabet.q)) for _ in range(k))
+    accepting = frozenset(s for s in range(k) if rng.random() < accept)
+    return Dfa(alphabet, k, rng.randrange(k), accepting, delta)
+
+
 @pytest.fixture(scope="session")
 def ab() -> Alphabet:
     return Alphabet("ab")
@@ -94,11 +122,14 @@ def read_by_line(text: str) -> LayeredSet:
             if horizon is not None:
                 raise FormatError(f"line {lineno}: duplicate horizon header")
             value = line.split(":", 1)[1].strip()
-            # ASCII digits only: int() takes signs, '_' and Unicode digits.
+            # ASCII digits only, as int() takes signs, '_' and Unicode
+            # digits, and at least 1.
             try:
                 if not (value.isascii() and value.isdecimal()):
                     raise ValueError(value)
                 horizon = int(value)
+                if horizon < 1:
+                    raise ValueError(value)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad horizon") from exc
             continue

@@ -47,7 +47,8 @@ from prodfree.words import (
 )
 
 from conftest import (
-    A_ONLY, DFA_ALPHABETS, complete_dfas, read_by_line, refined_counts_by_word, write_word_list,
+    A_ONLY, DFA_ALPHABETS, complete_dfas, moore_blocks_by_state, random_dfa, read_by_line,
+    refined_counts_by_word, write_word_list,
 )
 
 AB = Alphabet("ab")
@@ -435,6 +436,33 @@ class TestMinimized:
         assert m == sets._minimized(reachable)
         assert sets._minimized(m) == m
 
+    @settings(deadline=None)
+    @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
+    def test_moore_blocks_match_the_by_state_oracle(self, d):
+        # Whole lists: the numbering itself picks _minimized's representatives.
+        for e in (d, sets._start_normalized(d)):
+            assert sets._moore_blocks(e) == moore_blocks_by_state(e)
+
+    @pytest.mark.parametrize("symbols", ["ab", "abc"])
+    def test_moore_blocks_on_random_200_state_dfas(self, symbols):
+        # Sparse accepting sets take more rounds (up to 14 over ab), and each
+        # 200-state lift of a 20-state automaton (state s runs as s % 20)
+        # merges at least nine states in ten.
+        alphabet = Alphabet(symbols)
+        rng = random.Random(23)
+        for accept in (1 / 2, 1 / 20, 1 / 100):
+            for _ in range(5):
+                d = random_dfa(rng, alphabet, 200, accept)
+                small = random_dfa(rng, alphabet, 20, accept)
+                lift = Dfa(
+                    alphabet, 200, small.start,
+                    frozenset(s for s in range(200) if s % 20 in small.accepting),
+                    tuple(tuple(t + 20 * rng.randrange(10) for t in small.delta[s % 20])
+                          for s in range(200)),
+                )
+                for e in (d, lift):
+                    assert sets._moore_blocks(e) == moore_blocks_by_state(e)
+
 
 # Largest horizon per alphabet size for the word-by-word oracle.
 ORACLE_MAX_LEN = {1: 12, 2: 8, 3: 5, 4: 4}
@@ -641,7 +669,7 @@ LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
 # Headers that int() reads ('+3' and '\u0663', an Arabic-Indic 3, as 3, and
 # '1_0' as 10) or that no word fits ('-1'): each is refused at its line.
 BAD_HORIZONS = [
-    f"alphabet: ab\nhorizon: {value}\na\n" for value in ["+3", "1_0", "\u0663", "-1"]
+    f"alphabet: ab\nhorizon: {value}\na\n" for value in ["+3", "1_0", "\u0663", "-1", "0", "00"]
 ]
 
 
