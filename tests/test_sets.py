@@ -1,11 +1,12 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodfree import sets
-from prodfree.constructions import odd_occurrence
+from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.sets import (
     Dfa,
     FormatError,
@@ -445,7 +446,7 @@ class TestMinimized:
 
     @pytest.mark.parametrize("symbols", ["ab", "abc"])
     def test_moore_blocks_on_random_200_state_dfas(self, symbols):
-        # Sparse accepting sets take more rounds (up to 14 over ab), and each
+        # Sparse accepting sets take more rounds (up to 15 over ab), and each
         # 200-state lift of a 20-state automaton (state s runs as s % 20)
         # merges at least nine states in ten.
         alphabet = Alphabet(symbols)
@@ -453,7 +454,7 @@ class TestMinimized:
         for accept in (1 / 2, 1 / 20, 1 / 100):
             for _ in range(5):
                 d = random_dfa(rng, alphabet, 200, accept)
-                small = random_dfa(rng, alphabet, 20, accept)
+                small = random_dfa(rng, alphabet, 20, 1 / 4)
                 lift = Dfa(
                     alphabet, 200, small.start,
                     frozenset(s for s in range(200) if s % 20 in small.accepting),
@@ -462,6 +463,12 @@ class TestMinimized:
                 )
                 for e in (d, lift):
                     assert sets._moore_blocks(e) == moore_blocks_by_state(e)
+
+    def test_moore_blocks_on_the_asymmetric_triple(self):
+        # Z over ab at n=10 has 755 states and takes 20 rounds.
+        triple = asymmetric_triple(AB, 10, Fraction(1, 10))
+        for e in (triple.x, triple.y, triple.z):
+            assert sets._moore_blocks(e) == moore_blocks_by_state(e)
 
 
 # Largest horizon per alphabet size for the word-by-word oracle.
