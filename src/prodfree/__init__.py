@@ -1,22 +1,18 @@
 """Exact analysis of product-free subsets of the free semigroup."""
 
-from .words import Alphabet, Word, concat, is_prefix, is_suffix, layer_words, rank, unrank
+from .words import Alphabet, Word, concat, rank, unrank
 from .sets import (
     Dfa,
     LayeredSet,
     dfa_complement,
     dfa_concat,
-    dfa_difference,
-    dfa_intersect,
     dfa_is_empty,
     dfa_truncate,
-    dfa_union,
     explicit_from_words,
     minkowski_product,
 )
 from .density import (
     DensityProfile,
-    ball_density,
     layer_counts,
     profile,
     upper_asymptotic,
@@ -37,10 +33,6 @@ from .constructions import (
     greedy_random_productfree,
     odd_occurrence,
 )
-from .search import (
-    SearchResult,
-    exhaustive_max_productfree,
-    max_productfree,
-)
+from .search import SearchResult, max_productfree
 
 __version__ = "0.1.0"

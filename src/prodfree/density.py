@@ -161,12 +161,6 @@ def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
     return DensityProfile(s.alphabet.q, counts, 0 if explicit else s.num_states)
 
 
-def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
-    """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
-    p = profile(s, n)
-    return Fraction(sum(p.counts), sum(p.totals))
-
-
 def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimit:
     """The first window (start, end) of largest mean, and the limit it
     estimates.

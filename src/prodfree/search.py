@@ -41,11 +41,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from .sets import LayeredSet, _iter_bits
-from .words import Alphabet, _over_budget, _relabel_tables
+from .sets import LayeredSet
+from .words import Alphabet, _relabel_tables
 
 DEFAULT_NODE_BUDGET = 2_000_000
-EXHAUSTIVE_ITEM_CAP = 22
 # Each universe word keeps a bitmask over all product triples, so the search
 # needs up to |F_<=(N)| * (number of triples) bits.
 _MASK_BIT_BUDGET = 1 << 28
@@ -115,42 +114,6 @@ def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
                 for y in range(width)
             ]
     return out
-
-
-def exhaustive_max_productfree(
-    alphabet: Alphabet, horizon: int, objective: str = "mean"
-) -> SearchResult:
-    """Brute-force reference: enumerate every subset of the ball."""
-    _check_objective(objective)
-    q = alphabet.q
-    if _over_budget((q**n for n in range(1, horizon + 1)), EXHAUSTIVE_ITEM_CAP):
-        raise ValueError(
-            f"F_<=({horizon}) has over {EXHAUSTIVE_ITEM_CAP} words: "
-            f"it would exceed the exhaustive cap"
-        )
-    items = _universe(alphabet, horizon)
-    weights = [q ** (horizon - n) for n, _ in items]
-    triple_masks = [
-        (1 << x) | (1 << y) | (1 << z) for x, y, z in _triples(alphabet, horizon)
-    ]
-    best_mask = 0
-    best_weight = -1
-    for mask in range(1 << len(items)):
-        if any(tm & mask == tm for tm in triple_masks):
-            continue
-        w = sum(weights[i] for i in _iter_bits(mask))
-        if w > best_weight:
-            best_weight = w
-            best_mask = mask
-    best = _as_layered(alphabet, horizon, items, _iter_bits(best_mask))
-    return SearchResult(
-        horizon,
-        objective,
-        _scale(best_weight, alphabet, horizon, objective),
-        best,
-        nodes=1 << len(items),
-        proved=True,
-    )
 
 
 def _bound_weight(

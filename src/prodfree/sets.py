@@ -189,38 +189,6 @@ def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
     return _from_lines(alphabet, horizon, "")
 
 
-def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
-    _check_horizon(alphabet, horizon, "explicit")
-    layers = [0] + [(1 << alphabet.layer_size(n)) - 1 for n in range(1, horizon + 1)]
-    return LayeredSet(alphabet, horizon, tuple(layers))
-
-
-def _zip_layers(s1: LayeredSet, s2: LayeredSet, op: Callable[[int, int], int]) -> LayeredSet:
-    """The set whose layer n is op(s1.layers[n], s2.layers[n])."""
-    if s1.alphabet != s2.alphabet:
-        raise ValueError("alphabet mismatch")
-    if s1.horizon != s2.horizon:
-        raise ValueError(f"horizon mismatch: {s1.horizon} vs {s2.horizon}")
-    return LayeredSet(s1.alphabet, s1.horizon, tuple(map(op, s1.layers, s2.layers)))
-
-
-def explicit_union(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    return _zip_layers(s1, s2, int.__or__)
-
-
-def explicit_intersect(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    return _zip_layers(s1, s2, int.__and__)
-
-
-def explicit_difference(s1: LayeredSet, s2: LayeredSet) -> LayeredSet:
-    return _zip_layers(s1, s2, lambda a, b: a & ~b)
-
-
-def explicit_complement(s: LayeredSet) -> LayeredSet:
-    """Complement relative to F_<=(horizon)."""
-    return explicit_difference(explicit_full(s.alphabet, s.horizon), s)
-
-
 def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSet:
     """{ w1.w2 : w1 in s1, w2 in s2, |w1|+|w2| <= horizon }."""
     if s1.alphabet != s2.alphabet:
@@ -318,17 +286,6 @@ class Dfa:
         return self.run(w) in self.accepting
 
 
-def dfa_empty(alphabet: Alphabet) -> Dfa:
-    q = alphabet.q
-    return Dfa(alphabet, 1, 0, frozenset(), ((0,) * q,))
-
-
-def dfa_full(alphabet: Alphabet) -> Dfa:
-    """All nonempty words (acceptance of the empty run is ignored anyway)."""
-    q = alphabet.q
-    return Dfa(alphabet, 2, 0, frozenset({1}), ((1,) * q, (1,) * q))
-
-
 def _start_normalized(d: Dfa) -> Dfa:
     """Equivalent DFA whose start state is not accepting.
 
@@ -416,29 +373,6 @@ def _minimized(d: Dfa) -> Dfa:
         lambda s, c: rep[block[d.delta[s][c]]],
         d.accepting.__contains__,
     )
-
-
-def _product(d1: Dfa, d2: Dfa, accept: Callable[[bool, bool], bool]) -> Dfa:
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabet mismatch")
-    return _minimized(_explore(
-        d1.alphabet,
-        (d1.start, d2.start),
-        lambda p, c: (d1.delta[p[0]][c], d2.delta[p[1]][c]),
-        lambda p: accept(p[0] in d1.accepting, p[1] in d2.accepting),
-    ))
-
-
-def dfa_union(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda a, b: a or b)
-
-
-def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda a, b: a and b)
-
-
-def dfa_difference(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda a, b: a and not b)
 
 
 def dfa_complement(d: Dfa) -> Dfa:

@@ -109,33 +109,13 @@ class Word:
         return f"Word({self.text!r})"
 
 
-def _require_same_alphabet(x: Word, y: Word) -> None:
+def concat(x: Word, y: Word) -> Word:
+    """x followed by y; |x.y| = |x| + |y|."""
     if x.alphabet != y.alphabet:
         raise ValueError(
             f"alphabet mismatch: {x.alphabet.symbols!r} vs {y.alphabet.symbols!r}"
         )
-
-
-def concat(x: Word, y: Word) -> Word:
-    """x followed by y; |x.y| = |x| + |y|."""
-    _require_same_alphabet(x, y)
     return Word(x.alphabet, x.indices + y.indices)
-
-
-def is_prefix(x: Word, w: Word) -> bool:
-    """True iff w = x.y for some word y, i.e. x is a *proper* prefix of w.
-
-    Equality does not count: the decompositions this package cares about all
-    take prefixes strictly shorter than the word.
-    """
-    _require_same_alphabet(x, w)
-    return len(x) < len(w) and w.indices[: len(x)] == x.indices
-
-
-def is_suffix(x: Word, w: Word) -> bool:
-    """True iff w = y.x for some word y (proper suffix, mirror of is_prefix)."""
-    _require_same_alphabet(x, w)
-    return len(x) < len(w) and w.indices[len(w) - len(x) :] == x.indices
 
 
 def rank(w: Word) -> int:
@@ -159,24 +139,6 @@ def unrank(alphabet: Alphabet, n: int, r: int) -> Word:
         digits[pos] = r % q
         r //= q
     return Word(alphabet, tuple(digits))
-
-
-def layer_words(alphabet: Alphabet, n: int) -> list[Word]:
-    """All q**n words of length n in lexicographic order."""
-    size = alphabet.layer_size(n)
-    if size > ENUMERATION_BUDGET:
-        raise ValueError(f"layer F({n}) has {size} words, over the enumeration budget")
-    return [unrank(alphabet, n, r) for r in range(size)]
-
-
-def reversed_rank(alphabet: Alphabet, n: int, r: int) -> int:
-    """Rank of the reversal of the length-n word of rank r."""
-    q = alphabet.q
-    out = 0
-    for _ in range(n):
-        out = out * q + r % q
-        r //= q
-    return out
 
 
 def _relabel_tables(

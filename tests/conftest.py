@@ -5,10 +5,13 @@ from typing import Callable, Iterable
 import pytest
 from hypothesis import settings, strategies as st
 
-from prodfree.density import layer_counts
-from prodfree.sets import Dfa, LayeredSet, _first_split
+from prodfree.density import layer_counts, profile
+from prodfree.search import SearchResult, _as_layered, _triples, _universe
+from prodfree.sets import (
+    Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized,
+)
 from prodfree.words import (
-    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, layer_words, rank,
+    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, rank, unrank,
 )
 
 # The property tests run with more examples in CI: pytest --hypothesis-profile ci
@@ -18,6 +21,89 @@ settings.register_profile("ci", max_examples=500)
 A_ONLY = Dfa(Alphabet("ab"), 3, 0, frozenset({1}), ((1, 2), (2, 2), (2, 2)))
 
 DFA_ALPHABETS = [Alphabet("a"), Alphabet("ab"), Alphabet("abc")]
+
+# Largest ball the exhaustive search enumerates every subset of.
+EXHAUSTIVE_ITEM_CAP = 22
+
+
+def layer_words(alphabet: Alphabet, n: int) -> list[Word]:
+    """All q**n words of length n in lexicographic order."""
+    return [unrank(alphabet, n, r) for r in range(alphabet.layer_size(n))]
+
+
+def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
+    """The whole ball F_<=(horizon)."""
+    _check_horizon(alphabet, horizon, "explicit")
+    layers = [0] + [(1 << alphabet.layer_size(n)) - 1 for n in range(1, horizon + 1)]
+    return LayeredSet(alphabet, horizon, tuple(layers))
+
+
+def dfa_empty(alphabet: Alphabet) -> Dfa:
+    return Dfa(alphabet, 1, 0, frozenset(), ((0,) * alphabet.q,))
+
+
+def dfa_full(alphabet: Alphabet) -> Dfa:
+    """All nonempty words (acceptance of the empty run is ignored anyway)."""
+    q = alphabet.q
+    return Dfa(alphabet, 2, 0, frozenset({1}), ((1,) * q, (1,) * q))
+
+
+def _product(d1: Dfa, d2: Dfa, accept: Callable[[bool, bool], bool]) -> Dfa:
+    """The minimal DFA of the product automaton of d1 and d2 under accept."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabet mismatch")
+    return _minimized(_explore(
+        d1.alphabet,
+        (d1.start, d2.start),
+        lambda p, c: (d1.delta[p[0]][c], d2.delta[p[1]][c]),
+        lambda p: accept(p[0] in d1.accepting, p[1] in d2.accepting),
+    ))
+
+
+def dfa_union(d1: Dfa, d2: Dfa) -> Dfa:
+    return _product(d1, d2, lambda a, b: a or b)
+
+
+def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
+    return _product(d1, d2, lambda a, b: a and b)
+
+
+def dfa_difference(d1: Dfa, d2: Dfa) -> Dfa:
+    return _product(d1, d2, lambda a, b: a and not b)
+
+
+def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
+    """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
+    p = profile(s, n)
+    return Fraction(sum(p.counts), sum(p.totals))
+
+
+def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult:
+    """The mean-objective optimum by brute force over every subset of the
+    ball: the oracle for search.max_productfree."""
+    q = alphabet.q
+    if sum(q**n for n in range(1, horizon + 1)) > EXHAUSTIVE_ITEM_CAP:
+        raise ValueError(
+            f"F_<=({horizon}) has over {EXHAUSTIVE_ITEM_CAP} words: "
+            f"it would exceed the exhaustive cap"
+        )
+    items = _universe(alphabet, horizon)
+    weights = [q ** (horizon - n) for n, _ in items]
+    triple_masks = [
+        (1 << x) | (1 << y) | (1 << z) for x, y, z in _triples(alphabet, horizon)
+    ]
+    best_mask = 0
+    best_weight = -1
+    for mask in range(1 << len(items)):
+        if any(tm & mask == tm for tm in triple_masks):
+            continue
+        w = sum(weights[i] for i in _iter_bits(mask))
+        if w > best_weight:
+            best_weight = w
+            best_mask = mask
+    best = _as_layered(alphabet, horizon, items, _iter_bits(best_mask))
+    value = Fraction(best_weight, q**horizon * horizon)
+    return SearchResult(horizon, "mean", value, best, nodes=1 << len(items), proved=True)
 
 
 @st.composite

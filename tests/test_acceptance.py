@@ -21,7 +21,6 @@ from prodfree.constructions import (
 )
 from prodfree.density import (
     WindowSpec,
-    ball_density,
     layer_counts,
     profile,
     upper_asymptotic,
@@ -35,21 +34,21 @@ from prodfree.proofkit import (
     phi_level_set,
     window_bound_certificate,
 )
-from prodfree.search import exhaustive_max_productfree, max_productfree
+from prodfree.search import max_productfree
 from prodfree.sets import (
     Dfa,
     dfa_complement,
     dfa_concat,
-    dfa_difference,
-    dfa_intersect,
     dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
-    dfa_union,
 )
 from prodfree.words import Alphabet
 
-from conftest import refined_density
+from conftest import (
+    ball_density, dfa_difference, dfa_intersect, dfa_union, exhaustive_max_productfree,
+    refined_density,
+)
 
 AB = Alphabet("ab")
 HALF = Fraction(1, 2)

@@ -1,0 +1,59 @@
+"""The library keeps only what the program runs: each public module-level
+name in src/prodfree is used by other code of the package or imported by
+the benchmark, and what only the tests need lives in tests/."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The only names kept for the tests and for readers alone.
+KEEP = {
+    "dfa_is_empty": "a documented operation: emptiness with a shortest witness",
+    "minkowski_product": "a documented operation, and the oracle of dfa_concat",
+    "explicit_empty": "the error message of explicit_from_words names it",
+}
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each public module-level name of tree, with the statement binding it."""
+    out = {}
+    for stmt in tree.body:
+        for target in getattr(stmt, "targets", [getattr(stmt, "target", stmt)]):
+            name = getattr(target, "id", getattr(target, "name", ""))
+            if name and not name.startswith("_"):
+                out[name] = stmt
+    return out
+
+
+def _refs(module: str | None, tree: ast.Module) -> set[tuple[str | None, str]]:
+    """Each (module, name) that code of tree refers to: the names it imports
+    from the package, attributes of the package modules it imports, and its
+    own module-level names read outside the statement binding them.  A name
+    inside a string refers to nothing."""
+    own, modules, out = _defined(tree), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("prodfree")):
+            source = (node.module or "").removeprefix("prodfree").lstrip(".")
+            if source:
+                out |= {(source, alias.name) for alias in node.names}
+            else:
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and own.get(node.id, stmt) is not stmt:
+                out.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                out.add((node.value.id, node.attr))
+    return out
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "prodfree").glob("*.py") if path.stem != "__init__"}
+    used = set().union(*(_refs(module, tree) for module, tree in trees.items()),
+                       *(_refs(None, ast.parse(path.read_text()))
+                         for path in (ROOT / "perfbench").rglob("*.py")))
+    defined = {(module, name) for module, tree in trees.items() for name in _defined(tree)}
+    assert KEEP.keys() <= {name for _, name in defined}
+    assert sorted(f"{m}.{n}" for m, n in defined - used if n not in KEEP) == []

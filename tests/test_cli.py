@@ -11,10 +11,10 @@ from prodfree import cli
 from prodfree.cli import main
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
 from prodfree.productfree import check_explicit
-from prodfree.sets import Dfa, dfa_full, explicit_from_words, read_dfa, write_dfa
+from prodfree.sets import Dfa, explicit_from_words, read_dfa, write_dfa
 from prodfree.words import Alphabet, read_word_list
 
-from conftest import write_word_list
+from conftest import dfa_full, write_word_list
 
 AB = Alphabet("ab")
 
@@ -350,10 +350,13 @@ class TestWordListErrors:
 
 class TestSearch:
     def test_known_optimum_at_horizon_two(self, capsys):
-        assert main(["search", "--alphabet", "ab", "--horizon", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"] == "5/8"
-        assert payload["optimal"] is True
+        for flags, objective, value in [([], "mean", "5/8"),
+                                        (["--objective", "total"], "total", "5/4")]:
+            assert main(["search", "--alphabet", "ab", "--horizon", "2", *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["objective"] == objective
+            assert payload["value"] == value
+            assert payload["optimal"] is True
 
     def test_witness_file_round_trip(self, tmp_path, capsys):
         out = tmp_path / "witness.words"

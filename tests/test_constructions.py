@@ -15,22 +15,21 @@ from prodfree.constructions import (
     pathology_lengths,
     phi_floor,
 )
-from prodfree.density import ball_density, profile, upper_banach
+from prodfree.density import profile, upper_banach
 from prodfree.productfree import check_explicit, check_regular
 from prodfree.proofkit import exceeds_phi
 from prodfree.sets import (
     Dfa,
     dfa_complement,
     dfa_concat,
-    dfa_intersect,
     dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
     write_explicit,
 )
-from prodfree.words import Alphabet, layer_words
+from prodfree.words import Alphabet
 
-from conftest import greedy_every_split
+from conftest import ball_density, dfa_intersect, greedy_every_split, layer_words
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")

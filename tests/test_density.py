@@ -10,7 +10,6 @@ from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.density import (
     DensityProfile,
     _limit,
-    ball_density,
     layer_counts,
     profile,
     upper_asymptotic,
@@ -19,18 +18,19 @@ from prodfree.density import (
 from prodfree.sets import (
     Dfa,
     LayeredSet,
-    dfa_full,
     dfa_layer_counts,
     dfa_truncate,
     explicit_empty,
     explicit_from_words,
-    explicit_full,
     write_dfa,
     write_explicit,
 )
-from prodfree.words import Alphabet, layer_words
+from prodfree.words import Alphabet
 
-from conftest import DFA_ALPHABETS, complete_dfas, refined_density
+from conftest import (
+    DFA_ALPHABETS, ball_density, complete_dfas, dfa_full, explicit_full, layer_words,
+    refined_density,
+)
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")

@@ -22,18 +22,14 @@ from prodfree.sets import (
     _iter_bits,
     _spread,
     dfa_concat,
-    dfa_full,
-    dfa_intersect,
     dfa_is_empty,
     dfa_truncate,
-    dfa_union,
     explicit_empty,
     explicit_from_words,
-    explicit_full,
 )
-from prodfree.words import Alphabet, Word, concat, layer_words, rank
+from prodfree.words import Alphabet, Word, concat, rank
 
-from conftest import A_ONLY
+from conftest import A_ONLY, dfa_full, dfa_intersect, dfa_union, explicit_full, layer_words
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")

@@ -14,10 +14,10 @@ from prodfree.proofkit import (
     chained_inequality_check,
     window_bound_certificate,
 )
-from prodfree.sets import Dfa, LayeredSet, dfa_full, dfa_truncate
+from prodfree.sets import Dfa, LayeredSet, dfa_truncate
 from prodfree.words import Alphabet, Word
 
-from conftest import DFA_ALPHABETS, complete_dfas, refined_counts_by_word
+from conftest import DFA_ALPHABETS, complete_dfas, dfa_full, refined_counts_by_word
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")

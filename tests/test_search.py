@@ -13,11 +13,12 @@ from prodfree.search import (
     _symmetry_maps,
     _triples,
     _universe,
-    exhaustive_max_productfree,
     max_productfree,
 )
 from prodfree.sets import write_explicit
-from prodfree.words import Alphabet, Word, rank, reversed_rank, unrank
+from prodfree.words import Alphabet, Word, rank, unrank
+
+from conftest import exhaustive_max_productfree
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -622,7 +623,8 @@ class TestSymmetryMaps:
     def test_reversal_agrees_with_reversed_rank(self, symbols, horizon):
         alphabet = Alphabet(symbols)
         reversal = [[0]] + [
-            [reversed_rank(alphabet, n, r) for r in range(alphabet.q**n)]
+            [rank(Word(alphabet, unrank(alphabet, n, r).indices[::-1]))
+             for r in range(alphabet.q**n)]
             for n in range(1, horizon + 1)
         ]
         assert reversal in _symmetry_maps(alphabet.q, horizon)

@@ -6,16 +6,12 @@ from prodfree.words import (
     FormatError,
     Word,
     concat,
-    is_prefix,
-    is_suffix,
-    layer_words,
     rank,
     read_word_list,
-    reversed_rank,
     unrank,
 )
 
-from conftest import write_word_list
+from conftest import layer_words, write_word_list
 
 
 def base_q_digits(r: int, q: int, n: int) -> list[int]:
@@ -54,25 +50,6 @@ class TestConcat:
     @given(x=words_st, y=words_st, z=words_st)
     def test_associative(self, x, y, z):
         assert concat(concat(x, y), z) == concat(x, concat(y, z))
-
-
-class TestPrefixSuffix:
-    def test_prefix_examples(self, ab):
-        assert is_prefix(ab.word("a"), ab.word("ab"))
-        assert not is_prefix(ab.word("b"), ab.word("ab"))
-        # Proper-prefix convention: equal words do not count.
-        assert not is_prefix(ab.word("ab"), ab.word("ab"))
-
-    def test_suffix_examples(self, ab):
-        assert is_suffix(ab.word("b"), ab.word("ab"))
-        assert not is_suffix(ab.word("a"), ab.word("ab"))
-        assert is_suffix(ab.word("ba"), ab.word("aba"))
-
-    @given(x=words_st, y=words_st)
-    def test_concat_makes_prefix_and_suffix(self, x, y):
-        w = concat(x, y)
-        assert is_prefix(x, w)
-        assert is_suffix(y, w)
 
 
 class TestLayers:
@@ -120,13 +97,6 @@ class TestLayers:
                         if len(x) == m and len(y) == n and concat(x, y) == w
                     ]
                     assert len(splits) == 1
-
-    def test_reversed_rank(self, ab):
-        for n in range(1, 7):
-            for r in range(2**n):
-                w = unrank(ab, n, r)
-                back = Word(ab, w.indices[::-1])
-                assert reversed_rank(ab, n, r) == rank(back)
 
 
 class TestConstruction:
