@@ -1,22 +1,24 @@
 """Exact maximum-density product-free subset search over a ball F_<=(N).
 
 Branch and bound over words in (length, rank) order, include-branch first,
-with triple propagation over a bitmask of live triples and a per-layer
-relaxation bound.  Propagation enforces the pairwise product constraint
-word by word: once x and y are in, x.y is out, so layer n never holds
-more than q**n - |S(m)||S(n-m)| words in or open, and the capped layers
-count those words alone.  Where they do not cut a node, the same
-constraint is chained across the layers that still have open words: with
-S(m) final and f words in it, |S(L)| + f|S(L-m)| <= q**L along L, L + m,
-L + 2m, ..., which a greedy pass maximises exactly.  Where that does not
-cut either, the count of the lowest layer with an open word is left free:
-every layer above it is then capped by a function of that count, and the
-node is cut when the maximum over the count, a concave function, is at
-most the pruning floor.  The search starts from the top-layer set, which
-is product-free: every length above N/2, plus half of layer N/2 at even
-N, with the floor one below it.  Values are exact rationals; witnesses
-are deterministic (the first optimum in the fixed branching order, which
-greedily includes the earliest words).
+with propagation from the words already in and a per-layer relaxation
+bound.  Propagation enforces the pairwise product constraint word by word:
+including w forces out w.y and y.w for each word y in, found by rank
+arithmetic on the layers of the members, so once x and y are in, x.y is
+out.  Layer n then never holds more than q**n - |S(m)||S(n-m)| words in or
+open, and the capped layers count those words alone.  Where they do not
+cut a node, the same constraint is chained across the layers that still
+have open words: with S(m) final and f words in it,
+|S(L)| + f|S(L-m)| <= q**L along L, L + m, L + 2m, ..., which a greedy
+pass maximises exactly.
+Where that does not cut either, the count of the lowest layer with an open
+word is left free: every layer above it is then capped by a function of
+that count, and the node is cut when the maximum over the count, a concave
+function, is at most the pruning floor.  The search starts from the
+top-layer set, which is product-free: every length above N/2, plus half of
+layer N/2 at even N, with the floor one below it.  Values are exact
+rationals; witnesses are deterministic (the first optimum in the fixed
+branching order, which greedily includes the earliest words).
 
 Symmetries of the ball are broken lex-leader style: read an assignment as
 a word over {OUT < IN} in universe order.  Each adjacent letter swap, the
@@ -297,9 +299,11 @@ class _Search:
 
     Each branch pushes one record (idx, alive, forced) on the trail: alive
     as it was before the branch, and the open words an inclusion forced
-    out, () for an exclusion.  Undo pops one record, assigns alive back and
-    reopens idx and every forced word.  The weight of a completion is read
-    from the layer counts where one is recorded.
+    out, () for an exclusion.  Undo pops one record, assigns alive back,
+    reopens idx and every forced word, and pops idx from the members of its
+    layer if it was in.  alive is kept only for the leaves: once no triple
+    is live, every open word is freely includable.  The weight of a
+    completion is read from the layer counts where one is recorded.
 
     The lex-leader state is passed down the recursion instead: one
     (pairs, pos, a, b) per symmetry that may still beat the assignment,
@@ -315,9 +319,12 @@ class _Search:
         self.nitems = len(self.items)
         self.length = [n for n, _ in self.items]
         self.layer_weight = [alphabet.q**n for n in range(horizon, -1, -1)]
-        self.triples = _triples(alphabet, horizon)
-        self.keep = _member_masks(self.nitems, self.triples)
-        offset = _layer_offsets(alphabet.q, horizon)
+        triples = _triples(alphabet, horizon)
+        self.keep = _member_masks(self.nitems, triples)
+        # Bit t is set while triple t has no OUT member.
+        self.alive = (1 << len(triples)) - 1
+        self.power = [alphabet.q**n for n in range(horizon + 1)]
+        self.offset = offset = _layer_offsets(alphabet.q, horizon)
         self.lex_pairs = [
             [
                 (offset[n] + r, offset[n] + t)
@@ -330,8 +337,8 @@ class _Search:
 
         # UNDECIDED=0, IN=1, OUT=2
         self.status = [0] * self.nitems
-        # Bit t is set while triple t has no OUT member.
-        self.alive = (1 << len(self.triples)) - 1
+        # members[n]: the ranks of the length-n words in, in order of inclusion.
+        self.members: list[list[int]] = [[] for _ in range(horizon + 1)]
         self.included = [0] * (horizon + 1)
         self.undecided = [0] * (horizon + 1)
         for n in self.length:
@@ -351,42 +358,95 @@ class _Search:
         self.undecided[self.length[idx]] -= 1
         self.alive &= self.keep[idx]
 
-    def _include(self, idx: int) -> bool:
-        """Mark idx in and exclude the words it forces; False on contradiction."""
-        status, length = self.status, self.length
-        included, undecided = self.included, self.undecided
+    def _include(self, idx: int, in_order: bool = False) -> bool:
+        """Mark idx in and exclude the words it forces; False on contradiction.
+
+        A product triple through w = idx with another member in forces its
+        third member out, and is a contradiction if that member is in too.
+        The walk finds these third members from the words in, by rank
+        arithmetic, not from the triples: w.y and y.w for each member y of a
+        layer k <= N - |w|; the other factor of each factor pair of w with
+        one factor in; and the other factor of each member with w as a
+        prefix or a suffix.  It stops at the first contradiction.
+
+        in_order vouches for what the search's (length, rank) order keeps:
+        every word shorter than w is decided, no longer word is in, and no
+        contradiction is left undone.  Then no factor pair of w has a factor
+        open, or both in (the later one's inclusion forced w out), and no
+        member is longer than w, so the walk skips the last two kinds.
+        """
+        status, offset, power = self.status, self.offset, self.power
+        undecided, members, keep = self.undecided, self.members, self.keep
         alive = self.alive
-        n = length[idx]
+        n = self.length[idx]
+        r = idx - offset[n]
         forced: list[int] = []
         self.trail.append((idx, alive, forced))
         status[idx] = 1
         undecided[n] -= 1
-        included[n] += 1
-        triples, keep = self.triples, self.keep
-        ins = 0
-        hits = alive ^ (alive & keep[idx])
-        # The walk runs from the top bit down; in any order, it forces out
-        # the open member of each triple with two members in.
-        while hits:
-            t = hits.bit_length() - 1
-            hits ^= 1 << t
-            x, y, z = triples[t]
-            sx, sy, sz = status[x], status[y], status[z]
-            if (sx | sy | sz) & 2:
-                # Killed by an exclusion forced earlier in this loop.
-                continue
-            # No member is OUT, so the statuses count the members in.
-            ins = sx + sy + sz
-            if ins == 3:
-                break
-            if ins == 2:
-                out = z if sx and sy else (y if sx else x)
-                status[out] = 2
-                undecided[length[out]] -= 1
-                alive &= keep[out]
-                forced.append(out)
+        self.included[n] += 1
+        members[n].append(r)
+        top = len(members) - 1
+        width = power[n]
+        # The two products of each member are forced by the same lines,
+        # written out twice: in this, the search's innermost loop, a loop
+        # over the two or a list of them costs a seventh of _include's time
+        # or more.
+        for k in range(1, top - n + 1):
+            row = members[k]
+            if row:
+                left = offset[n + k] + r * power[k]
+                right = offset[n + k] + r
+                for y in row:
+                    z = left + y  # w.y
+                    st = status[z]
+                    if not st:
+                        status[z] = 2
+                        undecided[n + k] -= 1
+                        alive &= keep[z]
+                        forced.append(z)
+                    elif st == 1:
+                        self.alive = alive
+                        return False
+                    z = right + y * width  # y.w
+                    st = status[z]
+                    if not st:
+                        status[z] = 2
+                        undecided[n + k] -= 1
+                        alive &= keep[z]
+                        forced.append(z)
+                    elif st == 1:
+                        self.alive = alive
+                        return False
+        if not in_order:
+            third = []
+            for m in range(1, n):
+                x, y = divmod(r, power[n - m])
+                x += offset[m]
+                y += offset[n - m]
+                if status[x] == 1:
+                    third.append(y)
+                elif status[y] == 1:
+                    third.append(x)
+            for k in range(n + 1, top + 1):
+                low, factor = offset[k - n], power[k - n]
+                for z in members[k]:
+                    if z // factor == r:
+                        third.append(low + z % factor)
+                    if z % width == r:
+                        third.append(low + z // width)
+            for z in third:
+                st = status[z]
+                if not st:
+                    status[z] = 2
+                    undecided[self.length[z]] -= 1
+                    alive &= keep[z]
+                    forced.append(z)
+                elif st == 1:
+                    self.alive = alive
+                    return False
         self.alive = alive
-        return ins != 3
+        return True
 
     def _undo(self) -> None:
         status, length, undecided = self.status, self.length, self.undecided
@@ -394,6 +454,7 @@ class _Search:
         n = length[idx]
         if status[idx] == 1:
             self.included[n] -= 1
+            self.members[n].pop()
         for out in forced:
             status[out] = 0
             undecided[length[out]] += 1
@@ -487,7 +548,8 @@ class _Search:
         while status[cursor]:
             cursor += 1
 
-        if self._include(cursor):
+        # cursor is the first open word, and no later word is in.
+        if self._include(cursor, True):
             self._dfs(cursor + 1, lex)
         self._undo()
         self._exclude(cursor)
@@ -534,7 +596,7 @@ def max_productfree(
     width = q**half
     k = 0 if horizon % 2 else width // 2
     status = [1 if 2 * n > horizon else 2 for n, _ in search.items]
-    offset = _layer_offsets(q, horizon)
+    offset = search.offset
     for x in range(k):
         status[offset[half] + x] = 1
         for y in range(k):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from prodfree.density import layer_counts, profile
-from prodfree.search import SearchResult, _as_layered, _triples, _universe
+from prodfree.search import SearchResult, _Search, _as_layered, _triples, _universe
 from prodfree.sets import (
     Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized,
 )
@@ -104,6 +104,68 @@ def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult
     best = _as_layered(alphabet, horizon, items, _iter_bits(best_mask))
     value = Fraction(best_weight, q**horizon * horizon)
     return SearchResult(horizon, "mean", value, best, nodes=1 << len(items), proved=True)
+
+
+class MaskWalkSearch(_Search):
+    """The search state with inclusion by a walk over the bitmask of live
+    triples: the oracle for _Search._include, which finds the words to force
+    from the words in.
+
+    An inclusion walks the live triples through the new word from the top
+    bit down, forces out the open member of each that now has two members
+    in, and stops at a triple with all three in.  It ignores in_order, and
+    neither it nor undo keeps the members per layer, which it never reads.
+    """
+
+    def __init__(self, alphabet: Alphabet, horizon: int):
+        super().__init__(alphabet, horizon, node_budget=0)
+        self.triples = _triples(alphabet, horizon)
+
+    def _include(self, idx: int, in_order: bool = False) -> bool:
+        status, length = self.status, self.length
+        included, undecided = self.included, self.undecided
+        alive = self.alive
+        n = length[idx]
+        forced: list[int] = []
+        self.trail.append((idx, alive, forced))
+        status[idx] = 1
+        undecided[n] -= 1
+        included[n] += 1
+        triples, keep = self.triples, self.keep
+        ins = 0
+        hits = alive ^ (alive & keep[idx])
+        while hits:
+            t = hits.bit_length() - 1
+            hits ^= 1 << t
+            x, y, z = triples[t]
+            sx, sy, sz = status[x], status[y], status[z]
+            if (sx | sy | sz) & 2:
+                # Killed by an exclusion forced earlier in this loop.
+                continue
+            # No member is OUT, so the statuses count the members in.
+            ins = sx + sy + sz
+            if ins == 3:
+                break
+            if ins == 2:
+                out = z if sx and sy else (y if sx else x)
+                status[out] = 2
+                undecided[length[out]] -= 1
+                alive &= keep[out]
+                forced.append(out)
+        self.alive = alive
+        return ins != 3
+
+    def _undo(self) -> None:
+        status, length, undecided = self.status, self.length, self.undecided
+        idx, self.alive, forced = self.trail.pop()
+        n = length[idx]
+        if status[idx] == 1:
+            self.included[n] -= 1
+        for out in forced:
+            status[out] = 0
+            undecided[length[out]] += 1
+        status[idx] = 0
+        undecided[n] += 1
 
 
 @st.composite

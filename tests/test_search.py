@@ -18,7 +18,7 @@ from prodfree.search import (
 from prodfree.sets import write_explicit
 from prodfree.words import Alphabet, Word, rank, unrank
 
-from conftest import exhaustive_max_productfree
+from conftest import MaskWalkSearch, exhaustive_max_productfree
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -200,14 +200,14 @@ class TestUpperBound:
         assert _bound_weight(*args, 100) == 136
 
 
-def _best_completion(search: _Search) -> int:
+def _best_completion(search: _Search, triples: list[tuple[int, int, int]]) -> int:
     """Weight of the heaviest product-free completion of the search's
     partial assignment: a DFS over its open words that checks every triple
     through a word it includes, cut only when even every open word in would
     not beat the best found."""
     status = list(search.status)
     open_words = [idx for idx, value in enumerate(status) if not value]
-    through = {idx: [t for t in search.triples if idx in t] for idx in open_words}
+    through = {idx: [t for t in triples if idx in t] for idx in open_words}
     best = -1
 
     def dfs(k: int, weight: int, rest: int) -> None:
@@ -317,6 +317,7 @@ class TestBoundAdmissible:
         # beats the floor.
         alphabet, horizon = case
         search = _Search(alphabet, horizon, node_budget=0)
+        triples = _triples(alphabet, horizon)
         for _ in range(data.draw(st.integers(0, 60))):
             assert_propagated(search)
             open_words = [i for i, value in enumerate(search.status) if not value]
@@ -342,7 +343,7 @@ class TestBoundAdmissible:
                 assert _bound_weight(*args, floor) == _expected_bound(bounds, floor)
             if len(open_words) - 1 > 16:
                 continue
-            best = _best_completion(search)
+            best = _best_completion(search, triples)
             assert all(b >= best for b in bounds if b is not None)
             for floor in [best - 1, data.draw(st.integers(best - 1, max(best - 1, capped)))]:
                 bound = _bound_weight(*args, floor)
@@ -414,6 +415,16 @@ def _state(search: _Search) -> tuple:
     )
 
 
+def _members_by_status(search: _Search) -> list[list[int]]:
+    """The ranks of the words in, per layer, ascending, from the statuses."""
+    members = [[] for _ in search.members]
+    for idx, st in enumerate(search.status):
+        if st == 1:
+            n = search.length[idx]
+            members[n].append(idx - search.offset[n])
+    return members
+
+
 class TestSearchState:
     @pytest.mark.parametrize("alphabet,horizon,seed", [
         (AB, 5, 1), (AB, 5, 2), (ABC, 3, 1), (ABC, 3, 2),
@@ -421,6 +432,7 @@ class TestSearchState:
     def test_random_walk_keeps_the_invariants(self, alphabet, horizon, seed):
         rng = random.Random(seed)
         search = _Search(alphabet, horizon, node_budget=0)
+        triples = _triples(alphabet, horizon)
         initial = _state(search)
 
         def check():
@@ -429,11 +441,11 @@ class TestSearchState:
             # keeps propagation's invariant.
             if all(
                 any(search.status[i] != 1 for i in members)
-                for members in search.triples
+                for members in triples
             ):
                 assert_propagated(search)
             no_out = sum(
-                1 << t for t, members in enumerate(search.triples)
+                1 << t for t, members in enumerate(triples)
                 if all(search.status[i] != 2 for i in members)
             )
             assert search.alive == no_out
@@ -443,6 +455,7 @@ class TestSearchState:
                 counts[st][n] += 1
             assert search.included == counts[1]
             assert search.undecided == counts[0]
+            assert [sorted(row) for row in search.members] == _members_by_status(search)
 
         for _ in range(300):
             open_words = [i for i, st in enumerate(search.status) if st == 0]
@@ -454,7 +467,7 @@ class TestSearchState:
                     # every member in (x.x = z with z in, when x comes in).
                     assert ok == all(
                         any(search.status[i] != 1 for i in members)
-                        for members in search.triples if idx in members
+                        for members in triples if idx in members
                     )
                 else:
                     search._exclude(idx)
@@ -464,6 +477,7 @@ class TestSearchState:
         while search.trail:
             search._undo()
         assert _state(search) == initial
+        assert not any(search.members)
 
     def test_square_of_an_included_word_is_a_contradiction(self):
         search = _Search(AB, 2, node_budget=0)
@@ -482,6 +496,99 @@ class TestSearchState:
         with pytest.raises(ValueError, match="enumeration budget"):
             max_productfree(AB, 12, node_budget=1)
         assert not max_productfree(AB, 11, node_budget=1).proved
+
+
+def _index(alphabet: Alphabet, text: str) -> int:
+    """The universe index of a word: its rank after every shorter word."""
+    q, n = alphabet.q, len(text)
+    return sum(q**m for m in range(1, n)) + rank(alphabet.word(text))
+
+
+class TestIncludeOutOfOrder:
+    """The cases of the inclusion walk that the search's (length, rank)
+    order never meets: it decides every factor of a word before the word,
+    and every word before a longer one."""
+
+    def test_factor_open_with_the_other_factor_in(self):
+        for first, forced in [("a", "b"), ("b", "a")]:
+            search = _Search(AB, 2, node_budget=0)
+            assert search._include(_index(AB, first))
+            # a.b = ab: with one factor in, including ab forces the other out.
+            assert search._include(_index(AB, "ab"))
+            assert search.trail[-1][2] == [_index(AB, forced)]
+            assert search.status[_index(AB, forced)] == 2
+
+    @pytest.mark.parametrize("word,forced", [
+        ("a", ["aa", "ab"]),  # a.a = aa, and aab = a.ab has a as its prefix
+        ("b", ["bb", "aa"]),  # b.b = bb, and aab = aa.b has b as its suffix
+        ("ab", ["a"]),  # aab = a.ab has ab as its suffix
+    ])
+    def test_member_with_the_word_as_a_prefix_or_a_suffix(self, word, forced):
+        search = _Search(AB, 3, node_budget=0)
+        assert search._include(_index(AB, "aab"))
+        assert search._include(_index(AB, word))
+        assert sorted(search.trail[-1][2]) == sorted(_index(AB, w) for w in forced)
+
+    def test_both_factors_of_the_word_in(self):
+        # With aa and bb in, including a is a contradiction (a.a = aa), and
+        # the walk stops there, at k = 1, before it reaches bb.a = bba at
+        # k = 2; left undone, it leaves bba open with both factors bb and a
+        # in, so including bba is a contradiction too.
+        search = _Search(AB, 3, node_budget=0)
+        assert search._include(_index(AB, "aa"))
+        assert search._include(_index(AB, "bb"))
+        assert not search._include(_index(AB, "a"))
+        bba = _index(AB, "bba")
+        assert search.status[bba] == 0
+        assert not search._include(bba)
+
+
+class TestIncludeAgainstTheMaskWalk:
+    @settings(deadline=None)
+    @given(
+        case=st.sampled_from([
+            (AB, 1), (AB, 2), (AB, 3), (AB, 4), (AB, 5),
+            (ABC, 2), (ABC, 3), (Alphabet("a"), 6), (Alphabet("abcd"), 2),
+        ]),
+        data=st.data(),
+    )
+    def test_matches_the_mask_walk(self, case, data):
+        # A random walk of inclusions, exclusions and undos in any order,
+        # run in lockstep on the search and on the oracle, each
+        # contradiction undone at once as the search does.  Where the
+        # search's order holds (every shorter word decided, no longer word
+        # in), the inclusion may take the in-order walk.
+        alphabet, horizon = case
+        search = _Search(alphabet, horizon, node_budget=0)
+        oracle = MaskWalkSearch(alphabet, horizon)
+        for _ in range(data.draw(st.integers(0, 80))):
+            open_words = [i for i, value in enumerate(search.status) if not value]
+            action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
+            if action == "undo" or not open_words:
+                if search.trail:
+                    search._undo()
+                    oracle._undo()
+            else:
+                idx = data.draw(
+                    st.sampled_from(open_words[:3]) | st.sampled_from(open_words)
+                )
+                if action == "exclude":
+                    search._exclude(idx)
+                    oracle._exclude(idx)
+                else:
+                    n = search.length[idx]
+                    in_order = (
+                        not any(search.undecided[1:n])
+                        and not any(search.included[n + 1:])
+                        and data.draw(st.booleans())
+                    )
+                    ok = search._include(idx, in_order)
+                    assert ok == oracle._include(idx)
+                    if not ok:
+                        search._undo()
+                        oracle._undo()
+            assert _state(search) == _state(oracle)
+            assert [sorted(row) for row in search.members] == _members_by_status(search)
 
 
 def test_proved_optimum_at_horizon_seven():
