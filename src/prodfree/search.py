@@ -118,137 +118,6 @@ def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _bound_weight(
-    included: list[int],
-    undecided: list[int],
-    layer_weight: list[int],
-    floor: int,
-) -> int:
-    """Admissible bound on the best completion, as an integer weight,
-    layer_weight[n] per word of length n.  It is at most floor exactly when
-    the capped layers, the chain or G below show that no completion beats
-    floor, and is the capped layers otherwise; the three are tried in that
-    order, and the first at most floor is the bound.
-
-    Layer n holds at most cap[n] = included[n] + undecided[n] words.  At
-    every node the search bounds, propagation has already forced x.y out
-    for each x and y in, and concatenation is injective, so cap[n] is at
-    most q**n - |S(m)||S(n-m)| for every 0 < m < n.
-
-    Every layer below n0, the lowest with an open word, is final.  Let m be
-    the one with the heaviest f = |S(m)| words among those with m + n0 <= N,
-    the top layer; a larger m links no two layers from n0 up.  S(m)S(L-m)
-    holds f|S(L-m)| words of length L, none in S(L), so a completion's
-    counts x(L) of the layers L >= n0 obey x(L) <= cap[L] and, where
-    L - m >= n0 too, x(L) + f x(L-m) <= q**L.  Along each chain L, L + m,
-    L + 2m, ... the greedy c(L) = min(cap[L], max(0, q**L - f c(L-m)))
-    maximises this relaxation: as f <= q**m, a word of layer L outweighs
-    the f words of layer L + m that it rules out, and the knock-on effects
-    alternate with shrinking weight.  The chain is the final layers plus
-    c(L) words of each layer L >= n0.  It takes one m: with several, a
-    word of layer L rules out words of several later layers, together
-    heavier than it, so the greedy pass no longer gives the maximum, nor an
-    upper bound.
-
-    The final count c of layer n0 lies in [included[n0], cap[n0]].  As
-    S(n0)S(L-n0) holds c|S(L-n0)| words of length L, none in S(L), a
-    completion weighs at most G(c), the sum of the layers below n0, c
-    words of layer n0, and min(cap[L], q**L - c * included[L - n0]) words
-    of each layer L above it, the factor being c * c at L = 2 n0.  G is
-    tried only when 2 n0 <= N: only G has the c * c term, and without it
-    each term of G couples n0 with one other layer, as the chain couples
-    pairs of layers.  Each term is linear or the min of a constant and a
-    concave function of c, so G is concave: the scan upward in c stops at
-    the first G(c) above floor (returning the capped layers) or once G
-    stops rising (returning its maximum).
-    """
-    top_layer = len(layer_weight) - 1
-    # total sums the capped layers, and cut the weight the chain takes off
-    # them; step is m and links[n] is c(n) for n >= low, n0.
-    total = heaviest = step = f = cut = 0
-    low = 1
-    while not undecided[low]:
-        inc = included[low]
-        w = inc * layer_weight[low]
-        total += w
-        if w > heaviest:
-            heaviest, step, f = w, low, inc
-        low += 1
-        if low > top_layer:
-            return total
-    if low + step > top_layer:
-        # m + n0 > N: take the heaviest of the final layers that link.
-        heaviest = step = 0
-        for n in range(1, top_layer - low + 1):
-            w = included[n] * layer_weight[n]
-            if w > heaviest:
-                heaviest, step = w, n
-        f = included[step]
-    links = included[:low]
-    joint = low + step if step else top_layer + 1
-    for n in range(low, top_layer + 1):
-        cap = included[n] + undecided[n]
-        w = layer_weight[n]
-        total += cap * w
-        if n >= joint:
-            left = layer_weight[top_layer - n] - f * links[n - step]
-            if left < cap:
-                if left < 0:
-                    left = 0
-                cut += (cap - left) * w
-                cap = left
-        links.append(cap)
-    if total <= floor:
-        return total
-    if total - cut <= floor:
-        return total - cut
-    if 2 * low > top_layer:
-        return total
-    count = included[low]
-    low_cap = count + undecided[low]
-    weight = layer_weight[low]
-    # rest weighs the layers whose term is constant for c <= low_cap.  A
-    # term of layer L stays at cap[L] while c is at most its flat point;
-    # G rises by weight per step up to the first flat point, so the scan
-    # starts there, or at included[low] if that is past it.
-    rest = total - low_cap * weight
-    start = low_cap
-    terms = []
-    for n in range(low + 1, top_layer + 1):
-        other = n - low
-        factor = 0 if other == low else included[other]
-        if not factor and other != low:
-            continue
-        cap = included[n] + undecided[n]
-        # q**n is layer_weight[top_layer - n].
-        size = layer_weight[top_layer - n]
-        slack = size - cap
-        flat = isqrt(slack) if other == low else slack // factor
-        if flat >= low_cap:
-            continue
-        if flat < start:
-            start = flat
-        terms.append((layer_weight[n], cap, size, factor))
-        rest -= cap * layer_weight[n]
-    if count < start:
-        count = start
-    best = None
-    while True:
-        g = rest + count * weight
-        for w, cap, size, factor in terms:
-            # factor 0 marks the layer 2 low, whose factor is c itself.
-            left = size - count * (factor or count)
-            g += w * (cap if cap < left else left)
-        if g > floor:
-            return total
-        if best is not None and g <= best:
-            return best
-        best = g
-        if count == low_cap:
-            return best
-        count += 1
-
-
 def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
     """keep[idx] has bit t clear when word idx is a member of triple t, and
     every other bit below len(triples) set."""
@@ -297,20 +166,25 @@ class _BudgetExceeded(Exception):
 class _Search:
     """Depth-first branch and bound with one undo trail.
 
-    Each branch pushes one record (idx, alive, forced) on the trail: alive
-    as it was before the branch, and the open words an inclusion forced
-    out, () for an exclusion.  Undo pops one record, assigns alive back,
-    reopens idx and every forced word, and pops idx from the members of its
-    layer if it was in.  alive is kept only for the leaves: once no triple
-    is live, every open word is freely includable.  The weight of a
-    completion is read from the layer counts where one is recorded.
+    cap[n] counts the words of length n in or open, and capped is the sum
+    of cap[n] * layer_weight[n]: the weight of the completion with every
+    open word in.  Each branch pushes one record (idx, alive, capped,
+    forced) on the trail: alive and capped as they were before the branch,
+    and the open words an inclusion forced out, () for an exclusion.  Undo
+    pops one record, assigns alive and capped back, reopens idx and every
+    forced word, and pops idx from the members of its layer if it was in.
+    alive is kept only for the leaves: once no triple is live, every open
+    word is freely includable.
 
-    The lex-leader state is passed down the recursion instead: one
-    (pairs, pos, a, b) per symmetry that may still beat the assignment,
-    pairs being the index swaps (a, b) with a < b that the symmetry makes,
-    pos the first of them not yet known to agree and (a, b) = pairs[pos].
-    A node only rebuilds the state once both a and b of some entry are
-    decided.
+    The bound's frame and the lex-leader state are passed down the
+    recursion instead.  The frame (n0, m, f, n0 + m) is read from the
+    final layers below n0, the lowest layer with an open word (see
+    _frame), so a node only rebuilds it once layer n0 is final.  The
+    lex-leader state is one (pairs, pos, a, b) per symmetry that may still
+    beat the assignment, pairs being the index swaps (a, b) with a < b that
+    the symmetry makes, pos the first of them not yet known to agree and
+    (a, b) = pairs[pos].  A node only rebuilds it once both a and b of some
+    entry are decided.
     """
 
     def __init__(self, alphabet: Alphabet, horizon: int, node_budget: int):
@@ -340,9 +214,8 @@ class _Search:
         # members[n]: the ranks of the length-n words in, in order of inclusion.
         self.members: list[list[int]] = [[] for _ in range(horizon + 1)]
         self.included = [0] * (horizon + 1)
-        self.undecided = [0] * (horizon + 1)
-        for n in self.length:
-            self.undecided[n] += 1
+        self.cap = [0] + self.power[1:]
+        self.capped = horizon * alphabet.q**horizon
         self.trail: list[tuple] = []
         self.nodes = 0
         # Pruning floor, plus the best found completion and its true value.
@@ -353,37 +226,35 @@ class _Search:
     # -- propagation with undo trail ------------------------------------
 
     def _exclude(self, idx: int) -> None:
-        self.trail.append((idx, self.alive, ()))
+        n = self.length[idx]
+        self.trail.append((idx, self.alive, self.capped, ()))
         self.status[idx] = 2
-        self.undecided[self.length[idx]] -= 1
+        self.cap[n] -= 1
+        self.capped -= self.layer_weight[n]
         self.alive &= self.keep[idx]
 
-    def _include(self, idx: int, in_order: bool = False) -> bool:
-        """Mark idx in and exclude the words it forces; False on contradiction.
+    def _include(self, idx: int) -> None:
+        """Mark idx in and exclude the words it forces.
 
         A product triple through w = idx with another member in forces its
-        third member out, and is a contradiction if that member is in too.
-        The walk finds these third members from the words in, by rank
-        arithmetic, not from the triples: w.y and y.w for each member y of a
-        layer k <= N - |w|; the other factor of each factor pair of w with
-        one factor in; and the other factor of each member with w as a
-        prefix or a suffix.  It stops at the first contradiction.
-
-        in_order vouches for what the search's (length, rank) order keeps:
-        every word shorter than w is decided, no longer word is in, and no
-        contradiction is left undone.  Then no factor pair of w has a factor
-        open, or both in (the later one's inclusion forced w out), and no
-        member is longer than w, so the walk skips the last two kinds.
+        third member out.  The caller keeps the search's (length, rank)
+        order: every word shorter than w is decided and no longer word is
+        in.  Then no factor pair of w has a factor open, or both in (the
+        later one's inclusion forced w out), and no member is longer than
+        w, so the triples to walk are w.y and y.w for each member y of a
+        layer k <= N - |w|, found by rank arithmetic, not from the triples.
+        Neither product is in, being longer than w, so an inclusion never
+        meets a contradiction.  cap and capped fall once per layer k, by
+        the words forced out of layer |w| + k.
         """
         status, offset, power = self.status, self.offset, self.power
-        undecided, members, keep = self.undecided, self.members, self.keep
-        alive = self.alive
+        cap, members, keep = self.cap, self.members, self.keep
+        alive, capped, layer_weight = self.alive, self.capped, self.layer_weight
         n = self.length[idx]
         r = idx - offset[n]
         forced: list[int] = []
-        self.trail.append((idx, alive, forced))
+        self.trail.append((idx, alive, capped, forced))
         status[idx] = 1
-        undecided[n] -= 1
         self.included[n] += 1
         members[n].append(r)
         top = len(members) - 1
@@ -395,71 +266,164 @@ class _Search:
         for k in range(1, top - n + 1):
             row = members[k]
             if row:
+                before = len(forced)
                 left = offset[n + k] + r * power[k]
                 right = offset[n + k] + r
                 for y in row:
                     z = left + y  # w.y
-                    st = status[z]
-                    if not st:
+                    if not status[z]:
                         status[z] = 2
-                        undecided[n + k] -= 1
                         alive &= keep[z]
                         forced.append(z)
-                    elif st == 1:
-                        self.alive = alive
-                        return False
                     z = right + y * width  # y.w
-                    st = status[z]
-                    if not st:
+                    if not status[z]:
                         status[z] = 2
-                        undecided[n + k] -= 1
                         alive &= keep[z]
                         forced.append(z)
-                    elif st == 1:
-                        self.alive = alive
-                        return False
-        if not in_order:
-            third = []
-            for m in range(1, n):
-                x, y = divmod(r, power[n - m])
-                x += offset[m]
-                y += offset[n - m]
-                if status[x] == 1:
-                    third.append(y)
-                elif status[y] == 1:
-                    third.append(x)
-            for k in range(n + 1, top + 1):
-                low, factor = offset[k - n], power[k - n]
-                for z in members[k]:
-                    if z // factor == r:
-                        third.append(low + z % factor)
-                    if z % width == r:
-                        third.append(low + z // width)
-            for z in third:
-                st = status[z]
-                if not st:
-                    status[z] = 2
-                    undecided[self.length[z]] -= 1
-                    alive &= keep[z]
-                    forced.append(z)
-                elif st == 1:
-                    self.alive = alive
-                    return False
-        self.alive = alive
-        return True
+                out = len(forced) - before
+                cap[n + k] -= out
+                capped -= out * layer_weight[n + k]
+        self.alive, self.capped = alive, capped
 
     def _undo(self) -> None:
-        status, length, undecided = self.status, self.length, self.undecided
-        idx, self.alive, forced = self.trail.pop()
+        status, length, cap = self.status, self.length, self.cap
+        idx, self.alive, self.capped, forced = self.trail.pop()
         n = length[idx]
         if status[idx] == 1:
             self.included[n] -= 1
             self.members[n].pop()
+        else:
+            cap[n] += 1
         for out in forced:
             status[out] = 0
-            undecided[length[out]] += 1
+            cap[length[out]] += 1
         status[idx] = 0
-        undecided[n] += 1
+
+    # -- bound -----------------------------------------------------------
+
+    def _frame(self, low: int) -> tuple[int, int, int, int]:
+        """The bound's frame (n0, m, f, n0 + m), given that no layer below
+        low has an open word.
+
+        n0 is the lowest layer with an open word, N + 1 if there is none.
+        Every layer below it is final, and m is the one with the heaviest
+        f = |S(m)| words among those with m + n0 <= N, the first on a tie;
+        a larger m links no two layers from n0 up.  When every such layer
+        is empty, m = f = 0 and n0 + m is N + 1, so the chain is not tried.
+        """
+        cap, included, weight = self.cap, self.included, self.layer_weight
+        top = len(cap) - 1
+        while low <= top and cap[low] == included[low]:
+            low += 1
+        heaviest = step = f = 0
+        for n in range(1, min(low, top - low + 1)):
+            w = included[n] * weight[n]
+            if w > heaviest:
+                heaviest, step, f = w, n, included[n]
+        return low, step, f, low + step if step else top + 1
+
+    def _bound(self, frame: tuple[int, int, int, int], floor: int) -> int:
+        """Admissible bound on the best completion, as an integer weight,
+        layer_weight[n] per word of length n, with frame = _frame(1).  It is
+        at most floor exactly when the capped layers, the chain or G below
+        show that no completion beats floor, and is the capped layers
+        otherwise; the three are tried in that order, and the first at most
+        floor is the bound.
+
+        Layer n holds at most cap[n] words.  At every node the search
+        bounds, propagation has already forced x.y out for each x and y in,
+        and concatenation is injective, so cap[n] is at most
+        q**n - |S(m)||S(n-m)| for every 0 < m < n.
+
+        With (n0, m, f, n0 + m) the frame, S(m)S(L-m) holds f|S(L-m)| words
+        of length L, none in S(L), so a completion's counts x(L) of the
+        layers L >= n0 obey x(L) <= cap[L] and, where L - m >= n0 too,
+        x(L) + f x(L-m) <= q**L.  Along each chain L, L + m, L + 2m, ...
+        the greedy c(L) = min(cap[L], max(0, q**L - f c(L-m))) maximises
+        this relaxation: as f <= q**m, a word of layer L outweighs the f
+        words of layer L + m that it rules out, and the knock-on effects
+        alternate with shrinking weight.  The chain is the final layers plus
+        c(L) words of each layer L >= n0, c(L) = cap[L] below n0 + m.  It
+        takes one m: with several, a word of layer L rules out words of
+        several later layers, together heavier than it, so the greedy pass
+        no longer gives the maximum, nor an upper bound.
+
+        The final count c of layer n0 lies in [included[n0], cap[n0]].  As
+        S(n0)S(L-n0) holds c|S(L-n0)| words of length L, none in S(L), a
+        completion weighs at most G(c), the sum of the layers below n0, c
+        words of layer n0, and min(cap[L], q**L - c * included[L - n0]) words
+        of each layer L above it, the factor being c * c at L = 2 n0.  G is
+        tried only when 2 n0 <= N: only G has the c * c term, and without it
+        each term of G couples n0 with one other layer, as the chain couples
+        pairs of layers.  Each term is linear or the min of a constant and a
+        concave function of c, so G is concave: the scan upward in c stops at
+        the first G(c) above floor (returning the capped layers) or once G
+        stops rising (returning its maximum).
+        """
+        capped = self.capped
+        if capped <= floor:
+            return capped
+        low, step, f, joint = frame
+        cap, included, size = self.cap, self.included, self.power
+        layer_weight = self.layer_weight
+        top = len(cap) - 1
+        # links[i] is c(low + i), and cut the weight the chain takes off
+        # capped.
+        links = cap[low:joint]
+        cut = 0
+        for n in range(joint, top + 1):
+            c = cap[n]
+            left = size[n] - f * links[n - joint]
+            if left < c:
+                if left < 0:
+                    left = 0
+                cut += (c - left) * layer_weight[n]
+                c = left
+            links.append(c)
+        if capped - cut <= floor:
+            return capped - cut
+        if 2 * low > top:
+            return capped
+        count = included[low]
+        low_cap = cap[low]
+        weight = layer_weight[low]
+        # rest weighs the layers whose term is constant for c <= low_cap.  A
+        # term of layer L stays at cap[L] while c is at most its flat point;
+        # G rises by weight per step up to the first flat point, so the scan
+        # starts there, or at included[low] if that is past it.
+        rest = capped - low_cap * weight
+        start = low_cap
+        terms = []
+        for n in range(low + 1, top + 1):
+            other = n - low
+            factor = 0 if other == low else included[other]
+            if not factor and other != low:
+                continue
+            slack = size[n] - cap[n]
+            flat = isqrt(slack) if other == low else slack // factor
+            if flat >= low_cap:
+                continue
+            if flat < start:
+                start = flat
+            terms.append((layer_weight[n], cap[n], size[n], factor))
+            rest -= cap[n] * layer_weight[n]
+        if count < start:
+            count = start
+        best = None
+        while True:
+            g = rest + count * weight
+            for w, c, s, factor in terms:
+                # factor 0 marks the layer 2 low, whose factor is c itself.
+                left = s - count * (factor or count)
+                g += w * (c if c < left else left)
+            if g > floor:
+                return capped
+            if best is not None and g <= best:
+                return best
+            best = g
+            if count == low_cap:
+                return best
+            count += 1
 
     # -- search ----------------------------------------------------------
 
@@ -473,7 +437,7 @@ class _Search:
     def run(self) -> tuple[int, list[int], bool]:
         lex = [(pairs, 0) + pairs[0] for pairs in self.lex_pairs]
         try:
-            self._dfs(0, lex)
+            self._dfs(0, lex, self._frame(1))
             proved = True
         except _BudgetExceeded:
             proved = False
@@ -481,12 +445,8 @@ class _Search:
 
     def _record_completion(self) -> None:
         """Take the assignment with every open word in, if it beats the floor."""
-        value = sum(
-            (inc + und) * w
-            for inc, und, w in zip(self.included, self.undecided, self.layer_weight)
-        )
-        if value > self.floor:
-            self.floor = self.best_value = value
+        if self.capped > self.floor:
+            self.floor = self.best_value = self.capped
             self.best_status = [st or 1 for st in self.status]
 
     def _lex_advance(self, maps: list) -> list | None:
@@ -520,13 +480,16 @@ class _Search:
             # Otherwise a IN, b OUT: the assignment wins on every completion.
         return kept
 
-    def _dfs(self, cursor: int, lex: list) -> None:
+    def _dfs(self, cursor: int, lex: list, frame: tuple) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
+        low = frame[0]
+        if self.cap[low] == self.included[low]:
+            # Layer n0 is final, so the lowest open layer moved up.
+            frame = self._frame(low)
         floor = self.floor
-        bound = _bound_weight(self.included, self.undecided, self.layer_weight, floor)
-        if bound <= floor:
+        if self._bound(frame, floor) <= floor:
             return
         # The bound is admissible, so a node it cuts has no completion to
         # record, the all-open one below included; only the nodes it keeps
@@ -549,11 +512,11 @@ class _Search:
             cursor += 1
 
         # cursor is the first open word, and no later word is in.
-        if self._include(cursor, True):
-            self._dfs(cursor + 1, lex)
+        self._include(cursor)
+        self._dfs(cursor + 1, lex, frame)
         self._undo()
         self._exclude(cursor)
-        self._dfs(cursor + 1, lex)
+        self._dfs(cursor + 1, lex, frame)
         self._undo()
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable
 
 import pytest
@@ -113,7 +114,8 @@ class MaskWalkSearch(_Search):
 
     An inclusion walks the live triples through the new word from the top
     bit down, forces out the open member of each that now has two members
-    in, and stops at a triple with all three in.  It ignores in_order, and
+    in, and stops at a triple with all three in, returning False.  It takes
+    words in any order, keeps cap and capped once per forced word, and
     neither it nor undo keeps the members per layer, which it never reads.
     """
 
@@ -121,16 +123,13 @@ class MaskWalkSearch(_Search):
         super().__init__(alphabet, horizon, node_budget=0)
         self.triples = _triples(alphabet, horizon)
 
-    def _include(self, idx: int, in_order: bool = False) -> bool:
-        status, length = self.status, self.length
-        included, undecided = self.included, self.undecided
-        alive = self.alive
-        n = length[idx]
+    def _include(self, idx: int) -> bool:
+        status, length, cap = self.status, self.length, self.cap
+        alive, capped, weight = self.alive, self.capped, self.layer_weight
         forced: list[int] = []
-        self.trail.append((idx, alive, forced))
+        self.trail.append((idx, alive, capped, forced))
         status[idx] = 1
-        undecided[n] -= 1
-        included[n] += 1
+        self.included[length[idx]] += 1
         triples, keep = self.triples, self.keep
         ins = 0
         hits = alive ^ (alive & keep[idx])
@@ -149,23 +148,117 @@ class MaskWalkSearch(_Search):
             if ins == 2:
                 out = z if sx and sy else (y if sx else x)
                 status[out] = 2
-                undecided[length[out]] -= 1
+                cap[length[out]] -= 1
+                capped -= weight[length[out]]
                 alive &= keep[out]
                 forced.append(out)
-        self.alive = alive
+        self.alive, self.capped = alive, capped
         return ins != 3
 
     def _undo(self) -> None:
-        status, length, undecided = self.status, self.length, self.undecided
-        idx, self.alive, forced = self.trail.pop()
-        n = length[idx]
+        status, length, cap = self.status, self.length, self.cap
+        idx, self.alive, self.capped, forced = self.trail.pop()
         if status[idx] == 1:
-            self.included[n] -= 1
+            self.included[length[idx]] -= 1
+        else:
+            cap[length[idx]] += 1
         for out in forced:
             status[out] = 0
-            undecided[length[out]] += 1
+            cap[length[out]] += 1
         status[idx] = 0
-        undecided[n] += 1
+
+
+def bound_weight_by_scan(
+    included: list[int],
+    undecided: list[int],
+    layer_weight: list[int],
+    floor: int,
+) -> int:
+    """The search bound from the layer counts alone, every layer scanned
+    at every call: the oracle for _Search._bound, which reads capped and
+    the frame that the search keeps (see there for the three relaxations,
+    tried in the same order)."""
+    top_layer = len(layer_weight) - 1
+    # total sums the capped layers, and cut the weight the chain takes off
+    # them; step is m and links[n] is c(n) for n >= low, n0.
+    total = heaviest = step = f = cut = 0
+    low = 1
+    while not undecided[low]:
+        inc = included[low]
+        w = inc * layer_weight[low]
+        total += w
+        if w > heaviest:
+            heaviest, step, f = w, low, inc
+        low += 1
+        if low > top_layer:
+            return total
+    if low + step > top_layer:
+        # m + n0 > N: take the heaviest of the final layers that link.
+        heaviest = step = 0
+        for n in range(1, top_layer - low + 1):
+            w = included[n] * layer_weight[n]
+            if w > heaviest:
+                heaviest, step = w, n
+        f = included[step]
+    links = included[:low]
+    joint = low + step if step else top_layer + 1
+    for n in range(low, top_layer + 1):
+        cap = included[n] + undecided[n]
+        w = layer_weight[n]
+        total += cap * w
+        if n >= joint:
+            left = layer_weight[top_layer - n] - f * links[n - step]
+            if left < cap:
+                if left < 0:
+                    left = 0
+                cut += (cap - left) * w
+                cap = left
+        links.append(cap)
+    if total <= floor:
+        return total
+    if total - cut <= floor:
+        return total - cut
+    if 2 * low > top_layer:
+        return total
+    count = included[low]
+    low_cap = count + undecided[low]
+    weight = layer_weight[low]
+    rest = total - low_cap * weight
+    start = low_cap
+    terms = []
+    for n in range(low + 1, top_layer + 1):
+        other = n - low
+        factor = 0 if other == low else included[other]
+        if not factor and other != low:
+            continue
+        cap = included[n] + undecided[n]
+        # q**n is layer_weight[top_layer - n].
+        size = layer_weight[top_layer - n]
+        slack = size - cap
+        flat = isqrt(slack) if other == low else slack // factor
+        if flat >= low_cap:
+            continue
+        if flat < start:
+            start = flat
+        terms.append((layer_weight[n], cap, size, factor))
+        rest -= cap * layer_weight[n]
+    if count < start:
+        count = start
+    best = None
+    while True:
+        g = rest + count * weight
+        for w, cap, size, factor in terms:
+            # factor 0 marks the layer 2 low, whose factor is c itself.
+            left = size - count * (factor or count)
+            g += w * (cap if cap < left else left)
+        if g > floor:
+            return total
+        if best is not None and g <= best:
+            return best
+        best = g
+        if count == low_cap:
+            return best
+        count += 1
 
 
 @st.composite

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from prodfree.productfree import check_explicit
 from prodfree.search import (
-    _bound_weight,
     _scale,
     _Search,
     _symmetry_maps,
@@ -18,7 +17,7 @@ from prodfree.search import (
 from prodfree.sets import write_explicit
 from prodfree.words import Alphabet, Word, rank, unrank
 
-from conftest import MaskWalkSearch, exhaustive_max_productfree
+from conftest import MaskWalkSearch, bound_weight_by_scan, exhaustive_max_productfree
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -109,18 +108,28 @@ def _weights(q: int, horizon: int) -> list[int]:
 
 def bound_weight(alphabet, horizon, included, undecided, floor=-1) -> int:
     """The search bound on a partial assignment, as an integer weight."""
-    return _bound_weight(included, undecided, _weights(alphabet.q, horizon), floor)
+    return bound_weight_by_scan(included, undecided, _weights(alphabet.q, horizon), floor)
+
+
+def open_counts(search: _Search) -> list[int]:
+    """The open words per layer: those in or open, less those in."""
+    return [c - inc for c, inc in zip(search.cap, search.included)]
+
+
+def scan_args(search: _Search) -> tuple:
+    """The arguments of bound_weight_by_scan but the floor, from a search."""
+    return search.included, open_counts(search), search.layer_weight
 
 
 def assert_propagated(search: _Search) -> None:
     """The invariant propagation keeps, and the capped layers rest on: as
     x.y is out once x and y are in, and concatenation is injective, layer
     n holds at most q**n - |S(m)||S(n-m)| words in or open, 0 < m < n."""
-    included, undecided = search.included, search.undecided
+    included, cap = search.included, search.cap
     sizes = search.layer_weight[::-1]
     for n in range(2, len(included)):
         for m in range(1, n):
-            assert included[n] + undecided[n] <= sizes[n] - included[m] * included[n - m], (n, m)
+            assert cap[n] <= sizes[n] - included[m] * included[n - m], (n, m)
 
 
 def upper_bound(alphabet, horizon, included, undecided, floor=-1) -> Fraction:
@@ -146,10 +155,12 @@ class TestUpperBound:
         # With a and b in, propagation forces aa, ab, ba and bb out, so
         # layer 2 has no open word left and the bound is S(1) alone.
         search = _Search(AB, 2, node_budget=0)
-        assert search._include(0) and search._include(1)
+        search._include(0)
+        search._include(1)
         assert search.included == [0, 2, 0]
-        assert search.undecided == [0, 0, 0]
-        assert upper_bound(AB, 2, search.included, search.undecided) == Fraction(1, 2)
+        assert search.cap == [0, 2, 0]
+        assert upper_bound(AB, 2, search.included, open_counts(search)) == Fraction(1, 2)
+        assert search._bound(search._frame(1), -1) == 4
 
     def test_admissible_on_partial_assignments(self):
         # Against the exhaustive optimum of every completion: fix S(1) = {a}.
@@ -193,11 +204,11 @@ class TestUpperBound:
         # the relaxation under both constraints reaches 100 at c3 = 4, so
         # that pass is no bound.  2 n0 = 6 > 5, so G is not tried.
         args = ([0, 1, 3, 0, 0, 0], [0, 0, 0, 8, 16, 32], _weights(2, 5))
-        assert _bound_weight(*args, 136) == 136
-        assert _bound_weight(*args, 135) == 112
-        assert _bound_weight(*args, 112) == 112
-        assert _bound_weight(*args, 111) == 136
-        assert _bound_weight(*args, 100) == 136
+        assert bound_weight_by_scan(*args, 136) == 136
+        assert bound_weight_by_scan(*args, 135) == 112
+        assert bound_weight_by_scan(*args, 112) == 112
+        assert bound_weight_by_scan(*args, 111) == 136
+        assert bound_weight_by_scan(*args, 100) == 136
 
 
 def _best_completion(search: _Search, triples: list[tuple[int, int, int]]) -> int:
@@ -230,7 +241,7 @@ def _best_completion(search: _Search, triples: list[tuple[int, int, int]]) -> in
     dfs(
         0,
         sum(c * w for c, w in zip(search.included, layer_weight)),
-        sum(c * w for c, w in zip(search.undecided, layer_weight)),
+        sum(c * w for c, w in zip(open_counts(search), layer_weight)),
     )
     return best
 
@@ -270,11 +281,10 @@ def _refined_bounds(search: _Search) -> tuple[int, int, int | None]:
     layers from n0 up; and, when 2 n0 <= N, the max over the counts c
     that n0 can take of G(c), each layer L above n0 capped by
     q**L - c |S(L - n0)|, else None."""
-    included, weight = search.included, search.layer_weight
+    included, weight, cap = search.included, search.layer_weight, search.cap
     horizon, sizes = len(weight) - 1, weight[::-1]
-    cap = [inc + und for inc, und in zip(included, search.undecided)]
     capped = sum(cap[n] * weight[n] for n in range(1, horizon + 1))
-    low = next((n for n in range(1, horizon + 1) if search.undecided[n]), None)
+    low = next((n for n in range(1, horizon + 1) if cap[n] > included[n]), None)
     if low is None:
         return capped, capped, None
     linking = _heaviest_linking_layer(included, weight, low)
@@ -308,7 +318,8 @@ class TestBoundAdmissible:
         data=st.data(),
     )
     def test_bound_dominates_the_best_completion(self, case, data):
-        # A random walk of inclusions, exclusions and undos.  Every state
+        # A random walk of inclusions, exclusions and undos in any order,
+        # so on the mask walk, which takes words so.  Every state
         # keeps propagation's invariant, and at each state after an
         # inclusion or exclusion the bound is the first of the capped
         # layers, the chain and G at most the floor, else the capped
@@ -316,8 +327,8 @@ class TestBoundAdmissible:
         # least the heaviest completion, so a cut never drops one that
         # beats the floor.
         alphabet, horizon = case
-        search = _Search(alphabet, horizon, node_budget=0)
-        triples = _triples(alphabet, horizon)
+        search = MaskWalkSearch(alphabet, horizon)
+        triples = search.triples
         for _ in range(data.draw(st.integers(0, 60))):
             assert_propagated(search)
             open_words = [i for i, value in enumerate(search.status) if not value]
@@ -336,17 +347,18 @@ class TestBoundAdmissible:
                 continue
             bounds = _refined_bounds(search)
             capped = bounds[0]
-            args = (search.included, search.undecided, search.layer_weight)
+            assert search.capped == capped
+            args = scan_args(search)
             floors = {data.draw(st.integers(-1, capped))}
             floors.update(b + d for b in bounds if b is not None for d in (-1, 0))
             for floor in floors:
-                assert _bound_weight(*args, floor) == _expected_bound(bounds, floor)
+                assert bound_weight_by_scan(*args, floor) == _expected_bound(bounds, floor)
             if len(open_words) - 1 > 16:
                 continue
             best = _best_completion(search, triples)
             assert all(b >= best for b in bounds if b is not None)
             for floor in [best - 1, data.draw(st.integers(best - 1, max(best - 1, capped)))]:
-                bound = _bound_weight(*args, floor)
+                bound = bound_weight_by_scan(*args, floor)
                 assert bound >= best
                 if best > floor:
                     assert bound > floor
@@ -405,13 +417,13 @@ class TestChainRelaxation:
         linking = _heaviest_linking_layer(included, weight, low)
         relaxed = self._relaxation_max(q, horizon, included, cap, low, linking)
         assert relaxed == _chain(weight[::-1], weight, included, cap, low, linking)
-        assert _bound_weight(included, undecided, weight, capped - 1) == relaxed
+        assert bound_weight_by_scan(included, undecided, weight, capped - 1) == relaxed
 
 
 def _state(search: _Search) -> tuple:
     return (
         list(search.status), search.alive, list(search.included),
-        list(search.undecided),
+        list(search.cap), search.capped,
     )
 
 
@@ -430,9 +442,10 @@ class TestSearchState:
         (AB, 5, 1), (AB, 5, 2), (ABC, 3, 1), (ABC, 3, 2),
     ])
     def test_random_walk_keeps_the_invariants(self, alphabet, horizon, seed):
+        # Inclusions in any order, so on the mask walk, which takes them.
         rng = random.Random(seed)
-        search = _Search(alphabet, horizon, node_budget=0)
-        triples = _triples(alphabet, horizon)
+        search = MaskWalkSearch(alphabet, horizon)
+        triples = search.triples
         initial = _state(search)
 
         def check():
@@ -454,8 +467,10 @@ class TestSearchState:
             for st, n in zip(search.status, search.length):
                 counts[st][n] += 1
             assert search.included == counts[1]
-            assert search.undecided == counts[0]
-            assert [sorted(row) for row in search.members] == _members_by_status(search)
+            assert search.cap == [i + o for i, o in zip(counts[1], counts[0])]
+            assert search.capped == sum(
+                c * w for c, w in zip(search.cap, search.layer_weight)
+            )
 
         for _ in range(300):
             open_words = [i for i, st in enumerate(search.status) if st == 0]
@@ -477,10 +492,9 @@ class TestSearchState:
         while search.trail:
             search._undo()
         assert _state(search) == initial
-        assert not any(search.members)
 
     def test_square_of_an_included_word_is_a_contradiction(self):
-        search = _Search(AB, 2, node_budget=0)
+        search = MaskWalkSearch(AB, 2)
         assert search._include(2)  # aa
         assert not search._include(0)  # a, and a.a = aa
 
@@ -498,49 +512,14 @@ class TestSearchState:
         assert not max_productfree(AB, 11, node_budget=1).proved
 
 
-def _index(alphabet: Alphabet, text: str) -> int:
-    """The universe index of a word: its rank after every shorter word."""
-    q, n = alphabet.q, len(text)
-    return sum(q**m for m in range(1, n)) + rank(alphabet.word(text))
-
-
-class TestIncludeOutOfOrder:
-    """The cases of the inclusion walk that the search's (length, rank)
-    order never meets: it decides every factor of a word before the word,
-    and every word before a longer one."""
-
-    def test_factor_open_with_the_other_factor_in(self):
-        for first, forced in [("a", "b"), ("b", "a")]:
-            search = _Search(AB, 2, node_budget=0)
-            assert search._include(_index(AB, first))
-            # a.b = ab: with one factor in, including ab forces the other out.
-            assert search._include(_index(AB, "ab"))
-            assert search.trail[-1][2] == [_index(AB, forced)]
-            assert search.status[_index(AB, forced)] == 2
-
-    @pytest.mark.parametrize("word,forced", [
-        ("a", ["aa", "ab"]),  # a.a = aa, and aab = a.ab has a as its prefix
-        ("b", ["bb", "aa"]),  # b.b = bb, and aab = aa.b has b as its suffix
-        ("ab", ["a"]),  # aab = a.ab has ab as its suffix
-    ])
-    def test_member_with_the_word_as_a_prefix_or_a_suffix(self, word, forced):
-        search = _Search(AB, 3, node_budget=0)
-        assert search._include(_index(AB, "aab"))
-        assert search._include(_index(AB, word))
-        assert sorted(search.trail[-1][2]) == sorted(_index(AB, w) for w in forced)
-
-    def test_both_factors_of_the_word_in(self):
-        # With aa and bb in, including a is a contradiction (a.a = aa), and
-        # the walk stops there, at k = 1, before it reaches bb.a = bba at
-        # k = 2; left undone, it leaves bba open with both factors bb and a
-        # in, so including bba is a contradiction too.
-        search = _Search(AB, 3, node_budget=0)
-        assert search._include(_index(AB, "aa"))
-        assert search._include(_index(AB, "bb"))
-        assert not search._include(_index(AB, "a"))
-        bba = _index(AB, "bba")
-        assert search.status[bba] == 0
-        assert not search._include(bba)
+def _draw_in_order(search: _Search, action: str, open_words: list[int], data) -> int:
+    """An open word to decide in the search's order: any one to exclude,
+    and one of the lowest open layer to include, no longer word being in."""
+    if action == "include":
+        low = search.length[open_words[0]]
+        assert not any(search.included[low + 1:])
+        open_words = [i for i in open_words if search.length[i] == low]
+    return data.draw(st.sampled_from(open_words[:3]) | st.sampled_from(open_words))
 
 
 class TestIncludeAgainstTheMaskWalk:
@@ -553,11 +532,9 @@ class TestIncludeAgainstTheMaskWalk:
         data=st.data(),
     )
     def test_matches_the_mask_walk(self, case, data):
-        # A random walk of inclusions, exclusions and undos in any order,
-        # run in lockstep on the search and on the oracle, each
-        # contradiction undone at once as the search does.  Where the
-        # search's order holds (every shorter word decided, no longer word
-        # in), the inclusion may take the in-order walk.
+        # A random walk of inclusions, exclusions and undos in the search's
+        # order, run in lockstep on the search and on the oracle, which
+        # meets no contradiction on it.
         alphabet, horizon = case
         search = _Search(alphabet, horizon, node_budget=0)
         oracle = MaskWalkSearch(alphabet, horizon)
@@ -569,26 +546,91 @@ class TestIncludeAgainstTheMaskWalk:
                     search._undo()
                     oracle._undo()
             else:
-                idx = data.draw(
-                    st.sampled_from(open_words[:3]) | st.sampled_from(open_words)
-                )
+                idx = _draw_in_order(search, action, open_words, data)
                 if action == "exclude":
                     search._exclude(idx)
                     oracle._exclude(idx)
                 else:
-                    n = search.length[idx]
-                    in_order = (
-                        not any(search.undecided[1:n])
-                        and not any(search.included[n + 1:])
-                        and data.draw(st.booleans())
-                    )
-                    ok = search._include(idx, in_order)
-                    assert ok == oracle._include(idx)
-                    if not ok:
-                        search._undo()
-                        oracle._undo()
+                    search._include(idx)
+                    assert oracle._include(idx)
             assert _state(search) == _state(oracle)
             assert [sorted(row) for row in search.members] == _members_by_status(search)
+
+
+class TestKeptBoundState:
+    """capped, kept on the trail, and the frame, kept down the recursion,
+    against the bound that scans every layer at every call."""
+
+    @settings(deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(AB, horizon) for horizon in range(1, 7)]
+            + [(ABC, horizon) for horizon in range(1, 4)]
+        ),
+        data=st.data(),
+    )
+    def test_matches_the_stateless_oracle(self, case, data):
+        # A random walk of inclusions, exclusions and undos in the search's
+        # order, each step keeping the frame as _dfs does: its parent's,
+        # rebuilt only once the frame's lowest open layer is final.  After
+        # every step capped is the weight of the capped layers, the frame
+        # is the one built from scratch, and the bound is the oracle's at
+        # the floors just below and at the capped layers, the chain and G.
+        alphabet, horizon = case
+        search = _Search(alphabet, horizon, node_budget=0)
+        frames = [search._frame(1)]
+        for _ in range(data.draw(st.integers(0, 60))):
+            open_words = [i for i, value in enumerate(search.status) if not value]
+            action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
+            if action == "undo" or not open_words:
+                if search.trail:
+                    search._undo()
+                    frames.pop()
+            else:
+                idx = _draw_in_order(search, action, open_words, data)
+                if action == "exclude":
+                    search._exclude(idx)
+                else:
+                    search._include(idx)
+                frame = frames[-1]
+                if search.cap[frame[0]] == search.included[frame[0]]:
+                    frame = search._frame(frame[0])
+                frames.append(frame)
+            assert search.capped == sum(
+                c * w for c, w in zip(search.cap, search.layer_weight)
+            )
+            assert frames[-1] == search._frame(1)
+            bounds = _refined_bounds(search)
+            for floor in {b + d for b in bounds if b is not None for d in (-1, 0)}:
+                assert search._bound(frames[-1], floor) == bound_weight_by_scan(
+                    *scan_args(search), floor
+                )
+
+    @pytest.mark.parametrize("alphabet,horizon,nodes", [
+        (AB, 6, 1239), (ABC, 4, 959),
+    ], ids=["ab-6", "abc-4"])
+    def test_cut_decisions_match_the_oracle_at_every_node(
+        self, monkeypatch, alphabet, horizon, nodes
+    ):
+        # The proof from the top-layer seed, with the bound that _dfs calls
+        # at each node checked at that node's state and floor: the frame
+        # _dfs kept is the one built from scratch, and the bound, so the
+        # cut decision, is the oracle's.
+        bound = _Search._bound
+        cuts = []
+
+        def checked(search, frame, floor):
+            value = bound(search, frame, floor)
+            assert frame == search._frame(1)
+            assert value == bound_weight_by_scan(*scan_args(search), floor)
+            cuts.append(value <= floor)
+            return value
+
+        monkeypatch.setattr(_Search, "_bound", checked)
+        r = max_productfree(alphabet, horizon)
+        assert r.proved
+        assert r.nodes == nodes == len(cuts)
+        assert any(cuts) and not all(cuts)
 
 
 def test_proved_optimum_at_horizon_seven():
