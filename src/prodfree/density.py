@@ -12,13 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable
+from itertools import accumulate, islice, repeat
+from math import isqrt, lcm
+from operator import mul
+from typing import Iterable, Iterator
 
-from .sets import Dfa, LayeredSet, dfa_layer_counts, explicit_layer_counts
+from .sets import (
+    REGULAR_HORIZON_CAP, Dfa, LayeredSet, _dfa_sweep, dfa_layer_counts, explicit_layer_counts,
+)
 
 DEFAULT_REGULAR_HORIZON = 64
 DEFAULT_MIN_WINDOW = 8
+# Berlekamp-Massey runs modulo these Mersenne primes, each about twice as wide
+# as the one before, which it replaces when no recurrence holds exactly.
+_PRIMES = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497))
 
 
 @dataclass(frozen=True)
@@ -76,13 +83,13 @@ class DensityProfile:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         """q**n for n = 1..horizon."""
-        return tuple(self.q**n for n in range(1, self.horizon + 1))
+        return tuple(accumulate(repeat(self.q, self.horizon), mul))
 
     @cached_property
     def prefix(self) -> tuple[int, ...]:
         """prefix[n] = (d(1) + ... + d(n)) * q**horizon, an exact integer."""
         out = [0]
-        scale = self.q**self.horizon
+        scale = self.totals[-1]
         for count in self.counts:
             scale //= self.q
             out.append(out[-1] + count * scale)
@@ -91,44 +98,74 @@ class DensityProfile:
     def mean(self, window: WindowSpec) -> Fraction:
         """Mean layer density over the window."""
         total = self.prefix[window.end] - self.prefix[window.start - 1]
-        return Fraction(total, window.length * self.q**self.horizon)
+        return Fraction(total, window.length * self.totals[-1])
 
     @cached_property
     def limit(self) -> Fraction | None:
         """The limit of the density means, or None if the counts do not fix it.
 
         The counts of a k-state automaton obey a linear recurrence of order at
-        most k.  Berlekamp-Massey finds the shortest one, of order L, and it
-        holds at every length once it has generated L + k counts (Massey
-        1969).  Then sum c(j+1) t**j = N/C, and the limit is 0 where
+        most k, and _recurrence finds the shortest, of order L, from L + k of
+        them.  Then sum c(j+1) t**j = N/C, and the limit is 0 where
         C(1/q) != 0 and -N(1/q)/C'(1/q) at a simple root; a profile with a
         double root there is no automaton's, and gets None.  All of it is in
-        integers: C <- last*C - gap*t**m*B is divided by its content, and
-        C, C' and N are evaluated at 1/q times q**L.
+        integers: C, C' and N are evaluated at 1/q times q**L.
         """
         k, q, s = self.num_states, self.q, self.counts
-        if not k:
+        found = _recurrence(list(s), k, len(s) - k) if k else None
+        if found is None:
             return None
-        c, b, last, m, order, n = [1], [1], 1, 1, 0, 0
-        while n < order + k:
-            if order + k > len(s):  # the order never falls: n cannot get there
-                return None
-            gap = sum(x * y for x, y in zip(c, s[n::-1]))
-            if gap:
-                new = [last * x for x in c] + [0] * (len(b) + m - len(c))
-                for i, x in enumerate(b):
-                    new[i + m] -= gap * x
-                g = gcd(*new)
-                if 2 * order <= n:
-                    b, last, order, m = c, gap, n + 1 - order, 0
-                c = [x // g for x in new]
-            m, n = m + 1, n + 1
+        order, c = found
         pw = [q ** (order - i) for i in range(order + 1)]  # deg C <= L
-        if sum(x * y for x, y in zip(c, pw)):
+        if sum(map(mul, c, pw)):
             return Fraction(0)
         slope = sum(i * x * y for i, (x, y) in enumerate(zip(c, pw)))  # q**(L-1) C'
         num = sum(sum(x * y for x, y in zip(c, s[i::-1])) * pw[i] for i in range(order))
         return Fraction(-num, q * slope) if slope else None
+
+
+def _recurrence(s: list[int], k: int, most: int,
+                sweep: Iterator[int] = iter(())) -> tuple[int, list[int]] | None:
+    """(L, C) with sum C(i) s(n-i) = 0 for n >= L, the shortest recurrence of
+    the counts s of a k-state automaton, or None once L passes most.
+
+    Berlekamp-Massey modulo a prime stops once n reaches L + k (Massey 1969).
+    C is lifted as symmetric residues, then as fractions (counts that no
+    automaton has can have a rational C), and kept only if it holds exactly
+    on the first L + k counts; otherwise the next prime is tried.  s is
+    extended from sweep when the run needs a count it does not hold.
+    """
+    for p in _PRIMES:
+        c, b, inv, m, order, n, r = [1], [1], 1, 1, 0, 0, []
+        while n < order + k:
+            if order > most:
+                return None
+            if n == len(s):
+                s.append(next(sweep))
+            r.append(s[n] % p)
+            gap = sum(map(mul, c, reversed(r))) % p
+            if gap:
+                f, new = gap * inv % p, c + [0] * (len(b) + m - len(c))
+                new[m:m + len(b)] = [(x - f * y) % p for x, y in zip(new[m:], b)]
+                if 2 * order <= n:
+                    b, inv, order, m = c, pow(gap, -1, p), n + 1 - order, 0
+                c = new
+            m, n = m + 1, n + 1
+        while not c[-1]:  # deg C <= L, so a check reads at most L + 1 counts
+            c.pop()
+        for bound in (p // 2, isqrt(p // 2)):
+            z = []
+            for x in c:  # the first r = t x (mod p) with r <= bound on Euclid's remainders
+                r0, r1, t0, t1 = p, x, 0, 1
+                while r1 > bound:
+                    r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+                z.append(Fraction(r1, t1))
+            den, d = lcm(*(x.denominator for x in z)), len(z) - 1
+            z = [int(x * den) for x in z]
+            if all(sum(map(mul, z, reversed(s[n - d:n + 1]))) == 0
+                   for n in range(order, order + k)):
+                return order, z
+    return None
 
 
 @dataclass(frozen=True)
@@ -153,12 +190,28 @@ def layer_counts(s: LayeredSet | Dfa, horizon: int, ells: Iterable[int] = ()) ->
 
 
 def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
-    """Exact density profile of s up to the horizon (an explicit set's own)."""
+    """Exact density profile of s up to the horizon (an explicit set's own).
+
+    From 4k layers on, an automaton's counts feed _recurrence as they are
+    swept, and the layers past a certified recurrence of order at most k/2
+    come from it.
+    """
     explicit = isinstance(s, LayeredSet)
     if horizon is None:
         horizon = s.horizon if explicit else DEFAULT_REGULAR_HORIZON
-    counts = tuple(layer_counts(s, horizon))
-    return DensityProfile(s.alphabet.q, counts, 0 if explicit else s.num_states)
+    if explicit:
+        return DensityProfile(s.alphabet.q, tuple(layer_counts(s, horizon)), 0)
+    if horizon > REGULAR_HORIZON_CAP:
+        raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
+    k, counts, sweep = s.num_states, [], _dfa_sweep(s)
+    found = _recurrence(counts, k, k // 2, sweep) if horizon >= 4 * k else None
+    if found is None:
+        counts.extend(islice(sweep, max(horizon - len(counts), 0)))
+    else:  # an automaton's C is an integer polynomial with C(0) = 1
+        terms = [(i, x) for i, x in enumerate(found[1]) if i and x]
+        for n in range(len(counts), horizon):
+            counts.append(-sum(x * counts[n - i] for i, x in terms))
+    return DensityProfile(s.alphabet.q, tuple(counts), k)
 
 
 def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimit:

@@ -14,7 +14,7 @@ DFA is { w : |w| >= 1 and run(start, w) is accepting }.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .words import (
@@ -436,31 +436,35 @@ def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
 
 def dfa_layer_counts(d: Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int]:
     """[|S(n; the li below n)| for n = 1..horizon], S = L(d), from one
-    transfer-matrix sweep.
-
-    Each depth is counted first; then, at a depth li, the accepting
-    components are zeroed, which drops exactly the words whose length-li
-    prefix lies in S.  With no lengths these are the layer counts |S ∩ F(n)|.
-    """
+    transfer-matrix sweep."""
     if horizon > REGULAR_HORIZON_CAP:
         raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
     ells = tuple(ells)
     validate_ell_sequence(ells, horizon)
+    return list(islice(_dfa_sweep(d, ells), max(horizon, 0)))
+
+
+def _dfa_sweep(d: Dfa, ells: tuple[int, ...] = ()) -> Iterator[int]:
+    """The transfer-matrix sweep behind dfa_layer_counts, uncapped, a layer
+    per step.  Each depth is counted first; then, at a depth li, the accepting
+    components are zeroed, which drops exactly the words whose length-li
+    prefix lies in S.  With no lengths these are the layer counts |S ∩ F(n)|.
+    """
     vec = [0] * d.num_states
     vec[d.start] = 1
-    out = []
-    for depth in range(1, horizon + 1):
+    depth = 0
+    while True:
+        depth += 1
         nxt = [0] * d.num_states
         for cnt, row in zip(vec, d.delta):
             if cnt:
                 for t in row:
                     nxt[t] += cnt
         vec = nxt
-        out.append(sum(vec[s] for s in d.accepting))
+        yield sum(vec[s] for s in d.accepting)
         if depth in ells:
             for s in d.accepting:
                 vec[s] = 0
-    return out
 
 
 def dfa_truncate(d: Dfa, horizon: int) -> LayeredSet:

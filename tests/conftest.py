@@ -21,6 +21,17 @@ settings.register_profile("ci", max_examples=500)
 # The one-word set {a} over ab: state 1 has read "a", state 2 is the sink.
 A_ONLY = Dfa(Alphabet("ab"), 3, 0, frozenset({1}), ((1, 2), (2, 2), (2, 2)))
 
+
+class Unsteppable:
+    """Odd occurrence of "a" over ab, whose transitions raise when a sweep
+    reads them: a stand-in that shows a refusal comes before any step."""
+
+    alphabet, num_states, start, accepting = Alphabet("ab"), 2, 0, frozenset({1})
+
+    @property
+    def delta(self):
+        raise AssertionError("stepped")
+
 DFA_ALPHABETS = [Alphabet("a"), Alphabet("ab"), Alphabet("abc")]
 
 # Largest ball the exhaustive search enumerates every subset of.

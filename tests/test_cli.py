@@ -14,7 +14,7 @@ from prodfree.productfree import check_explicit
 from prodfree.sets import Dfa, explicit_from_words, read_dfa, write_dfa
 from prodfree.words import Alphabet, read_word_list
 
-from conftest import dfa_full, write_word_list
+from conftest import Unsteppable, dfa_full, write_word_list
 
 AB = Alphabet("ab")
 
@@ -148,6 +148,16 @@ class TestDensity:
         ]) == 0
         out = capsys.readouterr().out
         assert "exactly 1/2" in out
+
+    def test_refuses_past_the_horizon_cap_before_stepping(self, odd_a_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "read_dfa", lambda text: Unsteppable())
+        # The stand-in does catch a step ...
+        with pytest.raises(AssertionError, match="stepped"):
+            main(["density", "--dfa", str(odd_a_file), "--horizon", "8"])
+        # ... and past the cap the profile refuses before taking one.
+        assert main(["density", "--dfa", str(odd_a_file), "--horizon", "8193"]) == 2
+        assert capsys.readouterr().err == (
+            "error: automaton horizon 8193 over the enumeration budget\n")
 
     def test_out_file(self, odd_a_file, tmp_path):
         target = tmp_path / "profile.csv"

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prodfree import density
 from prodfree.cli import main
 from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.density import (
     DensityProfile,
     _limit,
+    _recurrence,
     layer_counts,
     profile,
     upper_asymptotic,
@@ -18,6 +20,7 @@ from prodfree.density import (
 from prodfree.sets import (
     Dfa,
     LayeredSet,
+    _dfa_sweep,
     dfa_layer_counts,
     dfa_truncate,
     explicit_empty,
@@ -212,6 +215,77 @@ class TestLimit:
             assert p.limit == expected and 0 <= p.limit <= 1
             asym, banach = upper_asymptotic(p), upper_banach(p, 4)
             assert asym.exact and banach.exact and asym.value == banach.value == p.limit
+
+
+@st.composite
+def sweep_cases(draw):
+    """(automaton, horizon from 2k to 4k + 40, primes tried before the
+    usual ones), so that profiles both sweep every layer and generate
+    layers from a certified recurrence, and that tiny primes make the
+    Berlekamp-Massey runs wrong and the exact check turn them down."""
+    d = draw(st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 12)))
+    k = d.num_states
+    return d, draw(st.integers(2 * k, 4 * k + 40)), draw(st.sampled_from([(), (2,), (3, 251)]))
+
+
+# Z of the asymmetric triple over ab at n = 4, 27 states: c(n) = 2c(n-1)
+# from n = 9 on, a recurrence of order 8.
+Z4 = asymmetric_triple(AB, 4, Fraction(1, 10)).z
+
+
+class TestRecurrence:
+    """The Berlekamp-Massey kernel modulo a prime, and the profile layers
+    it generates."""
+
+    @settings(deadline=None)
+    @given(case=sweep_cases())
+    @example(case=(Z4, 4 * 27, ()))
+    @example(case=(Z4, 4 * 27 + 1, (2,)))
+    @example(case=(odd_occurrence(Alphabet("abc"), "ab"), 8, (3, 251)))
+    @example(case=(LATE, 4 * 71, ()))
+    def test_profile_counts_match_the_sweep(self, case):
+        d, horizon, small = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_PRIMES", small + density._PRIMES)
+            assert profile(d, horizon).counts == tuple(dfa_layer_counts(d, horizon))
+
+    @pytest.mark.parametrize("d, horizon, swept", [
+        (Z4, 4 * 27 - 1, 4 * 27 - 1),  # below 4k: every layer swept
+        (Z4, 2048, 8 + 27),            # order 8: L + k layers swept
+        (ODD_A, 8, 1 + 2),             # order 1 = k/2: L + k layers swept
+        (ODD_LEN, 8, 8),               # order 2 passes k/2: swept on
+        (LATE, 4 * 71, 4 * 71),        # order 70 passes k/2: swept on
+    ], ids=["short", "generated", "order-half", "order-past-half", "late"])
+    def test_layers_swept(self, d, horizon, swept, monkeypatch):
+        seen = []
+        monkeypatch.setattr(density, "_dfa_sweep", lambda d: map(
+            lambda x: seen.append(x) or x, _dfa_sweep(d)))
+        assert profile(d, horizon).counts == tuple(dfa_layer_counts(d, horizon))
+        assert len(seen) == swept
+
+    def test_coefficients_wider_than_the_first_prime(self, monkeypatch):
+        # All words over a = 3^40 symbols: C = 1 - a t, 64 bits wide, found
+        # only modulo the second prime.
+        a = 3**40
+        counts = [a**n for n in range(1, 3)]
+        assert _recurrence(list(counts), 1, 1) == (1, [1, -a])
+        assert DensityProfile(a, tuple(counts), 1).limit == 1
+        monkeypatch.setattr(density, "_PRIMES", density._PRIMES[:1])
+        assert _recurrence(list(counts), 1, 1) is None
+
+    def test_prime_dividing_a_discrepancy(self, monkeypatch):
+        # Words whose first symbol is one of 2^61 - 1 of 2^62 symbols: every
+        # count is a multiple of 2^61 - 1, so modulo it the order-0
+        # recurrence fits, and the exact check must turn it down.
+        q, m = 2**62, 2**61 - 1
+        counts = tuple(m * q ** (n - 1) for n in range(1, 5))
+        assert DensityProfile(q, counts, 3).limit == Fraction(m, q)
+        monkeypatch.setattr(density, "_PRIMES", (m,))
+        assert DensityProfile(q, counts, 3).limit is None
+
+    def test_rational_recurrence_of_counts_no_automaton_has(self):
+        # C = 1 - t/8 + t^2/64 - t^3/512; C(1/2) != 0, so the limit is 0.
+        assert DensityProfile(2, (0, 0, 8, 1, 0, 0), 3).limit == 0
 
 
 class TestAsymptotic:

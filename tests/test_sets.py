@@ -37,9 +37,9 @@ from prodfree.words import (
 )
 
 from conftest import (
-    A_ONLY, DFA_ALPHABETS, complete_dfas, dfa_difference, dfa_empty, dfa_full, dfa_intersect,
-    dfa_union, explicit_full, layer_words, moore_blocks_by_state, random_dfa, read_by_line,
-    refined_counts_by_word, write_word_list,
+    A_ONLY, DFA_ALPHABETS, Unsteppable, complete_dfas, dfa_difference, dfa_empty, dfa_full,
+    dfa_intersect, dfa_union, explicit_full, layer_words, moore_blocks_by_state, random_dfa,
+    read_by_line, refined_counts_by_word, write_word_list,
 )
 
 AB = Alphabet("ab")
@@ -193,16 +193,9 @@ class TestDfaSliceAndCounts:
         assert dfa_layer_counts(ODD_A, cap, (1,))[-1] == 2 ** (cap - 2)
 
     def test_sweeps_refuse_past_the_horizon_cap_before_stepping(self):
-        class Unsteppable:
-            """ODD_A whose transitions raise when the sweep reads them."""
-
-            num_states, start, accepting = ODD_A.num_states, ODD_A.start, ODD_A.accepting
-
-            @property
-            def delta(self):
-                raise AssertionError("stepped")
-
         d = Unsteppable()
+        assert (d.num_states, d.start, d.accepting) == (
+            ODD_A.num_states, ODD_A.start, ODD_A.accepting)
         # The stand-in does catch a step, plain or refined ...
         for ells in ((), (1,)):
             with pytest.raises(AssertionError, match="stepped"):
