@@ -47,9 +47,11 @@ from .sets import LayeredSet
 from .words import Alphabet, _relabel_tables
 
 DEFAULT_NODE_BUDGET = 2_000_000
-# Each universe word keeps a bitmask over all product triples, so the search
-# needs up to |F_<=(N)| * (number of triples) bits.
-_MASK_BIT_BUDGET = 1 << 28
+# The largest ball max_productfree takes, measured as its words times its
+# product triples.  The search keeps a few lists over the words, so this
+# bounds the size of the problem a horizon poses, not memory: ab N=11
+# passes, where ab N=9 already takes 2.5 million nodes to prove.
+_SEARCH_SIZE_BUDGET = 1 << 28
 
 OBJECTIVES = ("mean", "total")
 
@@ -102,37 +104,6 @@ def _layer_offsets(q: int, horizon: int) -> list[int]:
     return offset
 
 
-def _triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
-    """All (x, y, z) universe indices with x.y = z inside the ball."""
-    q = alphabet.q
-    offset = _layer_offsets(q, horizon)
-    out = []
-    for m in range(1, horizon):
-        for k in range(1, horizon - m + 1):
-            width = q**k
-            out += [
-                (offset[m] + x, offset[k] + y, offset[m + k] + x * width + y)
-                for x in range(q**m)
-                for y in range(width)
-            ]
-    return out
-
-
-def _member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
-    """keep[idx] has bit t clear when word idx is a member of triple t, and
-    every other bit below len(triples) set."""
-    rows = [bytearray((len(triples) + 7) // 8) for _ in range(nitems)]
-    for t, members in enumerate(triples):
-        byte, bit = t >> 3, 1 << (t & 7)
-        for member in members:
-            rows[member][byte] |= bit
-    # Replace rows in place: only one row is held more than once at a time.
-    full = (1 << len(triples)) - 1
-    for idx, row in enumerate(rows):
-        rows[idx] = full ^ int.from_bytes(row, "little")
-    return rows
-
-
 def _symmetry_maps(q: int, horizon: int) -> list[list[list[int]]]:
     """Per-layer rank tables (see words._relabel_tables) of the symmetries
     the search breaks: each adjacent letter swap, the reversal, and each
@@ -168,23 +139,30 @@ class _Search:
 
     cap[n] counts the words of length n in or open, and capped is the sum
     of cap[n] * layer_weight[n]: the weight of the completion with every
-    open word in.  Each branch pushes one record (idx, alive, capped,
-    forced) on the trail: alive and capped as they were before the branch,
-    and the open words an inclusion forced out, () for an exclusion.  Undo
-    pops one record, assigns alive and capped back, reopens idx and every
-    forced word, and pops idx from the members of its layer if it was in.
-    alive is kept only for the leaves: once no triple is live, every open
-    word is freely includable.
+    open word in.  Each branch pushes one record (idx, capped, forced) on
+    the trail: capped as it was before the branch, and the open words an
+    inclusion forced out, () for an exclusion.  Undo pops one record,
+    assigns capped back, reopens idx and every forced word, and pops idx
+    from the members of its layer if it was in.
 
-    The bound's frame and the lex-leader state are passed down the
-    recursion instead.  The frame (n0, m, f, n0 + m) is read from the
-    final layers below n0, the lowest layer with an open word (see
-    _frame), so a node only rebuilds it once layer n0 is final.  The
-    lex-leader state is one (pairs, pos, a, b) per symmetry that may still
-    beat the assignment, pairs being the index swaps (a, b) with a < b that
-    the symmetry makes, pos the first of them not yet known to agree and
-    (a, b) = pairs[pos].  A node only rebuilds it once both a and b of some
-    entry are decided.
+    The bound's frame, the lex-leader state and the watched triple are
+    passed down the recursion instead.  The frame (n0, m, f, n0 + m) is
+    read from the final layers below n0, the lowest layer with an open
+    word (see _frame), so a node only rebuilds it once layer n0 is final.
+    The lex-leader state is one (pairs, pos, a, b) per symmetry that may
+    still beat the assignment, pairs being the index swaps (a, b) with
+    a < b that the symmetry makes, pos the first of them not yet known to
+    agree and (a, b) = pairs[pos].  A node only rebuilds it once both a
+    and b of some entry are decided.
+
+    The watched triple (x, y, z, m), x.y = z with |x| = m, decides the
+    leaves, the nodes where every product triple has a member OUT, so
+    that every open word is freely includable.  It is the first triple
+    with no member OUT in the scan order of _live, so every triple before
+    it has one.  An OUT word stays OUT down the subtree, so a node keeps
+    the triple it inherits while none of the three is OUT, and otherwise
+    resumes the scan right after it; a node whose scan finds none is a
+    leaf.
     """
 
     def __init__(self, alphabet: Alphabet, horizon: int, node_budget: int):
@@ -193,10 +171,6 @@ class _Search:
         self.nitems = len(self.items)
         self.length = [n for n, _ in self.items]
         self.layer_weight = [alphabet.q**n for n in range(horizon, -1, -1)]
-        triples = _triples(alphabet, horizon)
-        self.keep = _member_masks(self.nitems, triples)
-        # Bit t is set while triple t has no OUT member.
-        self.alive = (1 << len(triples)) - 1
         self.power = [alphabet.q**n for n in range(horizon + 1)]
         self.offset = offset = _layer_offsets(alphabet.q, horizon)
         self.lex_pairs = [
@@ -227,11 +201,10 @@ class _Search:
 
     def _exclude(self, idx: int) -> None:
         n = self.length[idx]
-        self.trail.append((idx, self.alive, self.capped, ()))
+        self.trail.append((idx, self.capped, ()))
         self.status[idx] = 2
         self.cap[n] -= 1
         self.capped -= self.layer_weight[n]
-        self.alive &= self.keep[idx]
 
     def _include(self, idx: int) -> None:
         """Mark idx in and exclude the words it forces.
@@ -248,12 +221,12 @@ class _Search:
         the words forced out of layer |w| + k.
         """
         status, offset, power = self.status, self.offset, self.power
-        cap, members, keep = self.cap, self.members, self.keep
-        alive, capped, layer_weight = self.alive, self.capped, self.layer_weight
+        cap, members = self.cap, self.members
+        capped, layer_weight = self.capped, self.layer_weight
         n = self.length[idx]
         r = idx - offset[n]
         forced: list[int] = []
-        self.trail.append((idx, alive, capped, forced))
+        self.trail.append((idx, capped, forced))
         status[idx] = 1
         self.included[n] += 1
         members[n].append(r)
@@ -273,21 +246,19 @@ class _Search:
                     z = left + y  # w.y
                     if not status[z]:
                         status[z] = 2
-                        alive &= keep[z]
                         forced.append(z)
                     z = right + y * width  # y.w
                     if not status[z]:
                         status[z] = 2
-                        alive &= keep[z]
                         forced.append(z)
                 out = len(forced) - before
                 cap[n + k] -= out
                 capped -= out * layer_weight[n + k]
-        self.alive, self.capped = alive, capped
+        self.capped = capped
 
     def _undo(self) -> None:
         status, length, cap = self.status, self.length, self.cap
-        idx, self.alive, self.capped, forced = self.trail.pop()
+        idx, self.capped, forced = self.trail.pop()
         n = length[idx]
         if status[idx] == 1:
             self.included[n] -= 1
@@ -436,8 +407,11 @@ class _Search:
 
     def run(self) -> tuple[int, list[int], bool]:
         lex = [(pairs, 0) + pairs[0] for pairs in self.lex_pairs]
+        # m = 0 marks no triple watched yet: the root scans from the start,
+        # split 1 of the last word.
+        watch = (0, 0, self.nitems - 1, 0)
         try:
-            self._dfs(0, lex, self._frame(1))
+            self._dfs(0, lex, self._frame(1), watch)
             proved = True
         except _BudgetExceeded:
             proved = False
@@ -448,6 +422,31 @@ class _Search:
         if self.capped > self.floor:
             self.floor = self.best_value = self.capped
             self.best_status = [st or 1 for st in self.status]
+
+    def _live(self, z: int, m: int) -> tuple[int, int, int, int] | None:
+        """The first triple (x, y, z', m'), x.y = z' with |x| = m', that has
+        no member OUT and comes after (z, m) in the scan order: z' descending,
+        then the split m' ascending.  None when there is none.
+
+        z' descends from the longest words, which the search decides last,
+        so the triples met first mostly have z' open.
+        """
+        status, length, offset, power = self.status, self.length, self.offset, self.power
+        first = offset[2]
+        while z >= first:
+            if status[z] != 2:
+                n = length[z]
+                r = z - offset[n]
+                for m in range(m + 1, n):
+                    width = power[n - m]
+                    x = offset[m] + r // width
+                    if status[x] != 2:
+                        y = offset[n - m] + r % width
+                        if status[y] != 2:
+                            return x, y, z, m
+            z -= 1
+            m = 0
+        return None
 
     def _lex_advance(self, maps: list) -> list | None:
         """The lex-leader state after some map's current pair was decided,
@@ -480,7 +479,7 @@ class _Search:
             # Otherwise a IN, b OUT: the assignment wins on every completion.
         return kept
 
-    def _dfs(self, cursor: int, lex: list, frame: tuple) -> None:
+    def _dfs(self, cursor: int, lex: list, frame: tuple, watch: tuple) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExceeded
@@ -502,10 +501,14 @@ class _Search:
                     return
                 lex = advanced
                 break
-        if not self.alive:
-            # No triple can still fire: every open word is freely includable.
-            self._record_completion()
-            return
+        x, y, z, m = watch
+        if not m or status[x] == 2 or status[y] == 2 or status[z] == 2:
+            watch = self._live(z, m)
+            if watch is None:
+                # No triple can still fire: every open word is freely
+                # includable.
+                self._record_completion()
+                return
         # A live triple has an open member, as all three in would have been
         # a contradiction, so the scan stops before the end.
         while status[cursor]:
@@ -513,10 +516,10 @@ class _Search:
 
         # cursor is the first open word, and no later word is in.
         self._include(cursor)
-        self._dfs(cursor + 1, lex, frame)
+        self._dfs(cursor + 1, lex, frame, watch)
         self._undo()
         self._exclude(cursor)
-        self._dfs(cursor + 1, lex, frame)
+        self._dfs(cursor + 1, lex, frame, watch)
         self._undo()
 
 
@@ -537,16 +540,16 @@ def max_productfree(
     if node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     # There are (n - 1) * q**n triples x.y = z per |z| = n.  Both factors of
-    # the mask size grow with the horizon, so stop at the first one over.
+    # the size grow with the horizon, so stop at the first one over.
     q = alphabet.q
     words = triples = 0
     for n in range(1, horizon + 1):
         words += q**n
         triples += (n - 1) * q**n
-        if words * triples > _MASK_BIT_BUDGET:
+        if words * triples > _SEARCH_SIZE_BUDGET:
             raise ValueError(
-                f"search horizon {horizon} needs over {_MASK_BIT_BUDGET} "
-                f"triple-mask bits, over the enumeration budget"
+                f"search horizon {horizon} has over {_SEARCH_SIZE_BUDGET} "
+                f"(word, triple) pairs, over the enumeration budget"
             )
     search = _Search(alphabet, horizon, node_budget)
     # The top-layer set is always product-free, so it makes a safe starting

@@ -23,8 +23,6 @@ from .words import (
     FormatError,
     Word,
     _scan_word_list,
-    rank,
-    unrank,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -61,14 +59,6 @@ class LayeredSet:
             if self.layers[n] >> self.alphabet.layer_size(n):
                 raise ValueError(f"layer {n} bitset wider than q**{n}")
 
-    def contains_rank(self, n: int, r: int) -> bool:
-        return 1 <= n <= self.horizon and (self.layers[n] >> r) & 1 == 1
-
-    def contains(self, w: Word) -> bool:
-        if w.alphabet != self.alphabet:
-            raise ValueError("alphabet mismatch")
-        return self.contains_rank(len(w), rank(w))
-
     def layer_count(self, n: int) -> int:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"layer {n} outside horizon {self.horizon}")
@@ -77,14 +67,6 @@ class LayeredSet:
     def total_count(self) -> int:
         return sum(self.layer_count(n) for n in range(1, self.horizon + 1))
 
-    def words(self) -> Iterator[Word]:
-        """Members in (length, rank) order."""
-        for n in range(1, self.horizon + 1):
-            for r in _iter_bits(self.layers[n]):
-                yield unrank(self.alphabet, n, r)
-
-    def is_empty(self) -> bool:
-        return all(b == 0 for b in self.layers)
 
 
 def _check_horizon(alphabet: Alphabet, horizon: int, what: str) -> None:

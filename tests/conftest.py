@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import pytest
 from hypothesis import settings, strategies as st
 
 from prodfree.density import layer_counts, profile
-from prodfree.search import SearchResult, _Search, _as_layered, _triples, _universe
+from prodfree.search import SearchResult, _Search, _as_layered, _layer_offsets, _universe
 from prodfree.sets import (
     Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized,
 )
@@ -84,10 +84,55 @@ def dfa_difference(d1: Dfa, d2: Dfa) -> Dfa:
     return _product(d1, d2, lambda a, b: a and not b)
 
 
+def set_words(s: LayeredSet) -> Iterator[Word]:
+    """The members of s in (length, rank) order."""
+    for n in range(1, s.horizon + 1):
+        for r in _iter_bits(s.layers[n]):
+            yield unrank(s.alphabet, n, r)
+
+
+def set_contains(s: LayeredSet, w: Word) -> bool:
+    """Whether w is a member of s."""
+    if w.alphabet != s.alphabet:
+        raise ValueError("alphabet mismatch")
+    return 1 <= len(w) <= s.horizon and (s.layers[len(w)] >> rank(w)) & 1 == 1
+
+
 def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
     """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
     p = profile(s, n)
     return Fraction(sum(p.counts), sum(p.totals))
+
+
+def product_triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
+    """All (x, y, z) universe indices with x.y = z inside the ball."""
+    q = alphabet.q
+    offset = _layer_offsets(q, horizon)
+    out = []
+    for m in range(1, horizon):
+        for k in range(1, horizon - m + 1):
+            width = q**k
+            out += [
+                (offset[m] + x, offset[k] + y, offset[m + k] + x * width + y)
+                for x in range(q**m)
+                for y in range(width)
+            ]
+    return out
+
+
+def member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
+    """keep[idx] has bit t clear when word idx is a member of triple t, and
+    every other bit below len(triples) set."""
+    rows = [bytearray((len(triples) + 7) // 8) for _ in range(nitems)]
+    for t, members in enumerate(triples):
+        byte, bit = t >> 3, 1 << (t & 7)
+        for member in members:
+            rows[member][byte] |= bit
+    # Replace rows in place: only one row is held more than once at a time.
+    full = (1 << len(triples)) - 1
+    for idx, row in enumerate(rows):
+        rows[idx] = full ^ int.from_bytes(row, "little")
+    return rows
 
 
 def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult:
@@ -102,7 +147,7 @@ def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult
     items = _universe(alphabet, horizon)
     weights = [q ** (horizon - n) for n, _ in items]
     triple_masks = [
-        (1 << x) | (1 << y) | (1 << z) for x, y, z in _triples(alphabet, horizon)
+        (1 << x) | (1 << y) | (1 << z) for x, y, z in product_triples(alphabet, horizon)
     ]
     best_mask = 0
     best_weight = -1
@@ -121,8 +166,12 @@ def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult
 class MaskWalkSearch(_Search):
     """The search state with inclusion by a walk over the bitmask of live
     triples: the oracle for _Search._include, which finds the words to force
-    from the words in.
+    from the words in, and of the leaf test, which watches one live triple.
 
+    alive has bit t set while triple t has no OUT member; keep[idx] clears
+    the bits of the triples through word idx.  An exclusion ANDs in its
+    word's mask, and each record (idx, alive, capped, forced) on the trail
+    keeps alive as it was before the branch, for undo to assign back.
     An inclusion walks the live triples through the new word from the top
     bit down, forces out the open member of each that now has two members
     in, and stops at a triple with all three in, returning False.  It takes
@@ -132,7 +181,17 @@ class MaskWalkSearch(_Search):
 
     def __init__(self, alphabet: Alphabet, horizon: int):
         super().__init__(alphabet, horizon, node_budget=0)
-        self.triples = _triples(alphabet, horizon)
+        self.triples = product_triples(alphabet, horizon)
+        self.keep = member_masks(self.nitems, self.triples)
+        self.alive = (1 << len(self.triples)) - 1
+
+    def _exclude(self, idx: int) -> None:
+        n = self.length[idx]
+        self.trail.append((idx, self.alive, self.capped, ()))
+        self.status[idx] = 2
+        self.cap[n] -= 1
+        self.capped -= self.layer_weight[n]
+        self.alive &= self.keep[idx]
 
     def _include(self, idx: int) -> bool:
         status, length, cap = self.status, self.length, self.cap
@@ -453,7 +512,7 @@ def refined_counts_by_word(member: Callable[[Word], bool], alphabet: Alphabet,
     """|S(n; the li below n)| for n = 1..horizon, one word at a time: the
     members of layer n with no length-li prefix in S for an li < n.  The
     oracle for sets.explicit_layer_counts and for the refined terms of
-    proofkit; member is LayeredSet.contains or Dfa.accepts."""
+    proofkit; member is a set_contains of a LayeredSet or Dfa.accepts."""
     ells = tuple(ells)
     return [
         sum(1 for w in layer_words(alphabet, n) if member(w) and not any(

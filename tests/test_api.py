@@ -1,6 +1,7 @@
 """The library keeps only what the program runs: each public module-level
-name in src/prodfree is used by other code of the package or imported by
-the benchmark, and what only the tests need lives in tests/."""
+name in src/prodfree, and each public method and property of its public
+classes, is used by other code of the package or by the benchmark, and what
+only the tests need lives in tests/."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ KEEP = {
     "dfa_is_empty": "a documented operation: emptiness with a shortest witness",
     "minkowski_product": "a documented operation, and the oracle of dfa_concat",
     "explicit_empty": "the error message of explicit_from_words names it",
+    "rank": "a documented operation: the inverse of unrank",
 }
 
 
@@ -48,12 +50,57 @@ def _refs(module: str | None, tree: ast.Module) -> set[tuple[str | None, str]]:
     return out
 
 
+def _trees() -> dict[str, ast.Module]:
+    """Each module of the package but __init__, which only re-exports."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in (ROOT / "src" / "prodfree").glob("*.py") if path.stem != "__init__"}
+
+
+def _benchmark() -> list[ast.Module]:
+    return [ast.parse(path.read_text()) for path in (ROOT / "perfbench").rglob("*.py")]
+
+
+def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Each public method and property of the public classes of tree, by
+    "Class.name"."""
+    return {
+        f"{cls.name}.{func.name}": func
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")
+    }
+
+
+def _attributes(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The attribute names that code of tree calls, as in obj.name(...), and
+    those it reads in any way."""
+    calls = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return calls, reads
+
+
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in (ROOT / "src" / "prodfree").glob("*.py") if path.stem != "__init__"}
+    trees = _trees()
     used = set().union(*(_refs(module, tree) for module, tree in trees.items()),
-                       *(_refs(None, ast.parse(path.read_text()))
-                         for path in (ROOT / "perfbench").rglob("*.py")))
+                       *(_refs(None, tree) for tree in _benchmark()))
     defined = {(module, name) for module, tree in trees.items() for name in _defined(tree)}
     assert KEEP.keys() <= {name for _, name in defined}
     assert sorted(f"{m}.{n}" for m, n in defined - used if n not in KEEP) == []
+
+
+def test_every_public_method_is_used_by_the_package_or_the_benchmark():
+    # By name, as the type of an object is not known statically: a method
+    # is used where some code calls an attribute of its name, and a
+    # property (any decorated function) where some code reads one.
+    trees = list(_trees().values())
+    calls, reads = set(), set()
+    for tree in trees + _benchmark():
+        called, read = _attributes(tree)
+        calls |= called
+        reads |= read
+    unused = [
+        name for tree in trees for name, func in _methods(tree).items()
+        if func.name not in (reads if func.decorator_list else calls)
+    ]
+    assert sorted(unused) == []

@@ -14,7 +14,7 @@ from prodfree.productfree import check_explicit
 from prodfree.sets import Dfa, explicit_from_words, read_dfa, write_dfa
 from prodfree.words import Alphabet, read_word_list
 
-from conftest import Unsteppable, dfa_full, write_word_list
+from conftest import Unsteppable, dfa_full, set_words, write_word_list
 
 AB = Alphabet("ab")
 
@@ -41,7 +41,7 @@ def odd_words_file(tmp_path):
         4,
     )
     path = tmp_path / "odd.words"
-    path.write_text(write_word_list(s.words(), AB, 4))
+    path.write_text(write_word_list(set_words(s), AB, 4))
     return path
 
 

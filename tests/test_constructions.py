@@ -29,7 +29,7 @@ from prodfree.sets import (
 )
 from prodfree.words import Alphabet
 
-from conftest import ball_density, dfa_intersect, greedy_every_split, layer_words
+from conftest import ball_density, dfa_intersect, greedy_every_split, layer_words, set_words
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -144,7 +144,7 @@ class TestAsymmetricTriple:
     def test_w_is_lex_least_block(self):
         triple = asymmetric_triple(AB, 4, Fraction(1, 10))
         assert triple.w_set.layer_count(4) == 9
-        texts = {w.text for w in triple.w_set.words()}
+        texts = {w.text for w in set_words(triple.w_set)}
         assert texts == {w.text for w in layer_words(AB, 4)[:9]}
 
     def test_x_and_y_densities(self):
@@ -161,13 +161,13 @@ class TestAsymmetricTriple:
 
     def test_x_contains_w_itself(self):
         triple = asymmetric_triple(AB, 4, Fraction(1, 10))
-        for w in triple.w_set.words():
+        for w in set_words(triple.w_set):
             assert triple.x.accepts(w)
             assert triple.y.accepts(w)
 
     def test_membership_oracle(self):
         triple = asymmetric_triple(AB, 4, Fraction(1, 10))
-        w_texts = {w.text for w in triple.w_set.words()}
+        w_texts = {w.text for w in set_words(triple.w_set)}
         for n in (4, 5, 6, 7):
             for w in layer_words(AB, n):
                 assert triple.x.accepts(w) == (w.text[:4] in w_texts)

@@ -29,7 +29,10 @@ from prodfree.sets import (
 )
 from prodfree.words import Alphabet, Word, concat, rank
 
-from conftest import A_ONLY, dfa_full, dfa_intersect, dfa_union, explicit_full, layer_words
+from conftest import (
+    A_ONLY, dfa_full, dfa_intersect, dfa_union, explicit_full, layer_words, set_contains,
+    set_words,
+)
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -38,7 +41,7 @@ ODD_LEN = odd_occurrence(AB, "ab")
 
 def naive_product_scan(s) -> WitnessTriple | None:
     """Independent oracle: double loop over all member pairs."""
-    members = list(s.words())
+    members = list(set_words(s))
     lookup = {(len(w), tuple(w.indices)) for w in members}
     found = []
     for x in members:
@@ -157,7 +160,7 @@ class TestCheckExplicit:
         s = explicit_full(AB, 3)
         w = check_explicit(s)
         assert concat(w.x, w.y) == w.z
-        assert s.contains(w.x) and s.contains(w.y) and s.contains(w.z)
+        assert set_contains(s, w.x) and set_contains(s, w.y) and set_contains(s, w.z)
 
 
 class TestCheckRegular:

@@ -17,7 +17,9 @@ from prodfree.proofkit import (
 from prodfree.sets import Dfa, LayeredSet, dfa_truncate
 from prodfree.words import Alphabet, Word
 
-from conftest import DFA_ALPHABETS, complete_dfas, dfa_full, refined_counts_by_word
+from conftest import (
+    DFA_ALPHABETS, complete_dfas, dfa_full, refined_counts_by_word, set_contains, set_words,
+)
 
 AB = Alphabet("ab")
 ODD_A = odd_occurrence(AB, "a")
@@ -123,8 +125,8 @@ class TestExtraction:
         assert lseq.terms == (Fraction(5, 8), Fraction(21, 128))
         assert lseq.cumulative == (Fraction(5, 8), Fraction(101, 128))
         assert sum(
-            1 for w in s.words()
-            if len(w) == 9 and not s.contains(Word(AB, w.indices[:7]))
+            1 for w in set_words(s)
+            if len(w) == 9 and not set_contains(s, Word(AB, w.indices[:7]))
         ) == 84
         # Stage 1 skips 8..11 (mean 1041/2048, not above 1/2 + 1/16), picks
         # 9 in 9..12, and stage 2 has no window of length 4 above 9.

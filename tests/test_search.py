@@ -10,14 +10,16 @@ from prodfree.search import (
     _scale,
     _Search,
     _symmetry_maps,
-    _triples,
     _universe,
     max_productfree,
 )
 from prodfree.sets import write_explicit
 from prodfree.words import Alphabet, Word, rank, unrank
 
-from conftest import MaskWalkSearch, bound_weight_by_scan, exhaustive_max_productfree
+from conftest import (
+    MaskWalkSearch, bound_weight_by_scan, exhaustive_max_productfree, product_triples,
+    set_words,
+)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -56,12 +58,12 @@ class TestKnownOptima:
     def test_n1(self):
         r = max_productfree(AB, 1)
         assert r.value == 1
-        assert [w.text for w in r.best.words()] == ["a", "b"]
+        assert [w.text for w in set_words(r.best)] == ["a", "b"]
 
     def test_n2_five_eighths(self):
         r = max_productfree(AB, 2)
         assert r.value == Fraction(5, 8)
-        assert [w.text for w in r.best.words()] == ["a", "ab", "ba", "bb"]
+        assert [w.text for w in set_words(r.best)] == ["a", "ab", "ba", "bb"]
 
     def test_n3_regression(self):
         r = max_productfree(AB, 3)
@@ -421,9 +423,9 @@ class TestChainRelaxation:
 
 
 def _state(search: _Search) -> tuple:
+    """The fields that the search and the mask walk share."""
     return (
-        list(search.status), search.alive, list(search.included),
-        list(search.cap), search.capped,
+        list(search.status), list(search.included), list(search.cap), search.capped,
     )
 
 
@@ -506,7 +508,8 @@ class TestSearchState:
         assert max_productfree(alphabet, horizon).nodes == nodes
 
     def test_mask_budget(self):
-        # ab N=12 would need 8190 words x 81924 triples > 2**28 mask bits.
+        # ab N=12 has 8190 words x 81924 triples > 2**28 (word, triple)
+        # pairs, and is refused before the search state is built.
         with pytest.raises(ValueError, match="enumeration budget"):
             max_productfree(AB, 12, node_budget=1)
         assert not max_productfree(AB, 11, node_budget=1).proved
@@ -631,6 +634,134 @@ class TestKeptBoundState:
         assert r.proved
         assert r.nodes == nodes == len(cuts)
         assert any(cuts) and not all(cuts)
+
+
+def _scan_order(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:
+    """Every product triple (x, y, z), with z descending and then the split
+    |x| ascending: the order in which the search looks for a live one."""
+    return sorted(product_triples(alphabet, horizon), key=lambda t: (-t[2], t[0]))
+
+
+def _first_live(search: _Search, order: list[tuple[int, int, int]]):
+    """The first triple of order with no member OUT, as (x, y, z, |x|), or
+    None."""
+    status = search.status
+    for x, y, z in order:
+        if status[x] != 2 and status[y] != 2 and status[z] != 2:
+            return x, y, z, search.length[x]
+    return None
+
+
+def _watched(search: _Search, watch):
+    """The triple a node watches given its parent's, as _dfs decides it:
+    the parent's while none of its members is OUT, else the next live one
+    after it, None for a leaf and below it."""
+    if watch is None:
+        return None
+    x, y, z, m = watch
+    status = search.status
+    if not m or status[x] == 2 or status[y] == 2 or status[z] == 2:
+        return search._live(z, m)
+    return watch
+
+
+class TestWatchedTriple:
+    """The leaf test from one watched live triple, against the bitmask of
+    live triples and against a scan of every triple."""
+
+    @settings(deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(AB, horizon) for horizon in range(1, 7)]
+            + [(ABC, horizon) for horizon in range(1, 4)]
+            + [(Alphabet("a"), 6), (Alphabet("abcd"), 2)]
+        ),
+        in_order=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_mask_walk(self, case, in_order, data):
+        # A random walk of inclusions, exclusions and undos on the mask
+        # walk, in the search's order or in any order, each step keeping
+        # the watched triple as _dfs does: its parent's, rescanned from
+        # after it once a member is OUT.  After every step the watch is None
+        # exactly when no triple is live, and otherwise a triple x.y = z
+        # with |x| = m, no member OUT, and the first such in the scan order.
+        alphabet, horizon = case
+        search = MaskWalkSearch(alphabet, horizon)
+        order = _scan_order(alphabet, horizon)
+        watches = [_watched(search, (0, 0, search.nitems - 1, 0))]
+        for _ in range(data.draw(st.integers(0, 60))):
+            open_words = [i for i, value in enumerate(search.status) if not value]
+            action = data.draw(st.sampled_from(["include", "exclude", "undo"]))
+            if action == "undo" or not open_words:
+                if search.trail:
+                    search._undo()
+                    watches.pop()
+            else:
+                if in_order:
+                    idx = _draw_in_order(search, action, open_words, data)
+                else:
+                    idx = data.draw(st.sampled_from(open_words))
+                if action == "exclude":
+                    search._exclude(idx)
+                elif not search._include(idx):
+                    # A contradiction, out of the search's order: the
+                    # search would undo it.
+                    search._undo()
+                    continue
+                watches.append(_watched(search, watches[-1]))
+            watch = watches[-1]
+            assert (watch is None) == (search.alive == 0)
+            assert watch == _first_live(search, order)
+            if watch is not None:
+                x, y, z, m = watch
+                words = [unrank(alphabet, *search.items[i]) for i in (x, y, z)]
+                assert words[0].indices + words[1].indices == words[2].indices
+                assert len(words[0]) == m
+                assert all(search.status[i] != 2 for i in (x, y, z))
+
+    @pytest.mark.parametrize("alphabet,horizon,nodes", [
+        (AB, 6, 1239), (ABC, 4, 959),
+    ], ids=["ab-6", "abc-4"])
+    def test_leaf_decisions_match_a_full_scan_at_every_node(
+        self, monkeypatch, alphabet, horizon, nodes
+    ):
+        # The proof from the top-layer seed, with every node's watched
+        # triple checked: the triple a child inherits is its parent's
+        # decision, which must be the first live triple at the parent by a
+        # scan of every triple, and a node that records a completion, a
+        # leaf, must have none.  So every leaf test the search makes is the
+        # one the bitmask of live triples would make.
+        dfs, record = _Search._dfs, _Search._record_completion
+        order = _scan_order(alphabet, horizon)
+        path = []
+        seen = leaves = 0
+
+        def checked_dfs(search, cursor, lex, frame, watch):
+            nonlocal seen
+            seen += 1
+            if path:
+                assert watch == path[-1]
+            else:
+                assert watch[3] == 0
+            path.append(_first_live(search, order))
+            try:
+                dfs(search, cursor, lex, frame, watch)
+            finally:
+                path.pop()
+
+        def checked_record(search):
+            nonlocal leaves
+            assert path[-1] is None
+            leaves += 1
+            record(search)
+
+        monkeypatch.setattr(_Search, "_dfs", checked_dfs)
+        monkeypatch.setattr(_Search, "_record_completion", checked_record)
+        r = max_productfree(alphabet, horizon)
+        assert r.proved
+        assert r.nodes == nodes == seen
+        assert leaves > 0
 
 
 def test_proved_optimum_at_horizon_seven():
@@ -758,7 +889,7 @@ class TestSymmetryMaps:
         alphabet = Alphabet(symbols)
         items = _universe(alphabet, horizon)
         index = {item: i for i, item in enumerate(items)}
-        triples = _triples(alphabet, horizon)
+        triples = product_triples(alphabet, horizon)
         triple_set = set(triples)
         for tables in _symmetry_maps(alphabet.q, horizon):
             image = [index[(n, tables[n][r])] for n, r in items]

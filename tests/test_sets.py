@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ from prodfree.words import (
 from conftest import (
     A_ONLY, DFA_ALPHABETS, Unsteppable, complete_dfas, dfa_difference, dfa_empty, dfa_full,
     dfa_intersect, dfa_union, explicit_full, layer_words, moore_blocks_by_state, random_dfa,
-    read_by_line, refined_counts_by_word, write_word_list,
+    read_by_line, refined_counts_by_word, set_contains, set_words, write_word_list,
 )
 
 AB = Alphabet("ab")
@@ -59,7 +60,7 @@ def truncation_oracle(d: Dfa, horizon: int) -> set[str]:
 
 
 def explicit_members(s: LayeredSet) -> set[str]:
-    return {w.text for w in s.words()}
+    return {w.text for w in set_words(s)}
 
 
 class TestExplicitSets:
@@ -72,7 +73,7 @@ class TestExplicitSets:
 
     def test_empty(self):
         s = explicit_empty(AB, 3)
-        assert s.is_empty()
+        assert not any(s.layers)
 
     def test_word_longer_than_horizon(self):
         with pytest.raises(ValueError, match="longer than horizon"):
@@ -95,8 +96,8 @@ class TestExplicitSets:
         product = minkowski_product(s1, s2, 3)
         pairs = {
             concat(x, y).text
-            for x in s1.words()
-            for y in s2.words()
+            for x in set_words(s1)
+            for y in set_words(s2)
         }
         assert len(pairs) == 6
         assert explicit_members(product) == pairs
@@ -254,7 +255,7 @@ class TestTruncate:
             n = rng.randint(1, 10)
             r = rng.randrange(2**n)
             w = unrank(AB, n, r)
-            assert t.contains(w) == ODD_A.accepts(w)
+            assert set_contains(t, w) == ODD_A.accepts(w)
 
     def test_ball_truncated_in_linear_time(self):
         # 2**20 end states in layer 20; packing them one bit at a time took
@@ -267,7 +268,7 @@ class TestTruncate:
 
 def _dfa_from_explicit_layer(s: LayeredSet, n: int) -> Dfa:
     """Small helper: a DFA for the (single-layer) explicit set via a trie."""
-    words = list(s.words())
+    words = list(set_words(s))
     q = s.alphabet.q
     # Trie over prefixes; complete with a dead sink.
     nodes: dict[tuple[int, ...], int] = {(): 0}
@@ -441,7 +442,7 @@ class TestPrefixExcluded:
     def test_matches_the_word_by_word_oracle(self, case):
         s, ells = case
         assert explicit_layer_counts(s, s.horizon, ells) == refined_counts_by_word(
-            s.contains, s.alphabet, s.horizon, ells
+            partial(set_contains, s), s.alphabet, s.horizon, ells
         )
 
     def test_odd_length_all_covered(self):
@@ -476,7 +477,7 @@ class TestPrefixExcluded:
                 for m in range(1, n):
                     cover = minkowski_product(
                         explicit_from_words(
-                            [w for w in t.words() if len(w) == m], m
+                            [w for w in set_words(t) if len(w) == m], m
                         ) if t.layers[m] else explicit_empty(AB, m),
                         explicit_full(AB, n - m),
                         n,
@@ -699,7 +700,7 @@ class TestWordListText:
     @given(s=layered_sets())
     def test_write_matches_the_word_path(self, s):
         text = write_explicit(s)
-        assert text == write_word_list(s.words(), s.alphabet, s.horizon)
+        assert text == write_word_list(set_words(s), s.alphabet, s.horizon)
         assert read_explicit(text) == s
 
     @given(case=word_list_texts())
