@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable
 
 from .sets import LayeredSet
@@ -53,29 +52,21 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # passes, where ab N=9 already takes 2.5 million nodes to prove.
 _SEARCH_SIZE_BUDGET = 1 << 28
 
-OBJECTIVES = ("mean", "total")
-
 
 @dataclass(frozen=True)
 class SearchResult:
     horizon: int
-    objective: str
     value: Fraction
     best: LayeredSet
     nodes: int
     proved: bool
 
 
-def _check_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def _scale(total_weight: int, alphabet: Alphabet, horizon: int, objective: str) -> Fraction:
+def _scale(total_weight: int, alphabet: Alphabet, horizon: int) -> Fraction:
     # Integer weights are q**(horizon - n) per word of length n, so the exact
     # total layer-density sum is total_weight / q**horizon.
     value = Fraction(total_weight, alphabet.layer_size(horizon))
-    return value / horizon if objective == "mean" else value
+    return value / horizon
 
 
 def _universe(alphabet: Alphabet, horizon: int) -> list[tuple[int, int]]:
@@ -327,9 +318,9 @@ class _Search:
         tried only when 2 n0 <= N: only G has the c * c term, and without it
         each term of G couples n0 with one other layer, as the chain couples
         pairs of layers.  Each term is linear or the min of a constant and a
-        concave function of c, so G is concave: the scan upward in c stops at
-        the first G(c) above floor (returning the capped layers) or once G
-        stops rising (returning its maximum).
+        concave function of c, so G is concave: the scan upward in c from
+        included[n0] stops at the first G(c) above floor (returning the
+        capped layers) or once G stops rising (returning its maximum).
         """
         capped = self.capped
         if capped <= floor:
@@ -358,28 +349,16 @@ class _Search:
         count = included[low]
         low_cap = cap[low]
         weight = layer_weight[low]
-        # rest weighs the layers whose term is constant for c <= low_cap.  A
-        # term of layer L stays at cap[L] while c is at most its flat point;
-        # G rises by weight per step up to the first flat point, so the scan
-        # starts there, or at included[low] if that is past it.
+        # rest weighs the layers with no term: those below low, and those
+        # above it that no word in couples to low.
         rest = capped - low_cap * weight
-        start = low_cap
         terms = []
         for n in range(low + 1, top + 1):
             other = n - low
             factor = 0 if other == low else included[other]
-            if not factor and other != low:
-                continue
-            slack = size[n] - cap[n]
-            flat = isqrt(slack) if other == low else slack // factor
-            if flat >= low_cap:
-                continue
-            if flat < start:
-                start = flat
-            terms.append((layer_weight[n], cap[n], size[n], factor))
-            rest -= cap[n] * layer_weight[n]
-        if count < start:
-            count = start
+            if factor or other == low:
+                terms.append((layer_weight[n], cap[n], size[n], factor))
+                rest -= cap[n] * layer_weight[n]
         best = None
         while True:
             g = rest + count * weight
@@ -526,15 +505,14 @@ class _Search:
 def max_productfree(
     alphabet: Alphabet,
     horizon: int,
-    objective: str = "mean",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Exact optimum over all product-free subsets of F_<=(horizon).
+    """Exact optimum of the mean layer density over all product-free
+    subsets of F_<=(horizon).
 
     Falls back to an anytime result with proved=False when the node budget
     runs out; the reported witness always passes the explicit check.
     """
-    _check_objective(objective)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if node_budget < 0:
@@ -573,8 +551,7 @@ def max_productfree(
     best = _as_layered(alphabet, horizon, search.items, chosen)
     return SearchResult(
         horizon,
-        objective,
-        _scale(weight, alphabet, horizon, objective),
+        _scale(weight, alphabet, horizon),
         best,
         search.nodes,
         proved,

@@ -20,13 +20,13 @@ MAX_SYMBOLS = 16
 ENUMERATION_BUDGET = 1 << 22
 
 
-def _over_budget(sizes: Iterable[int], budget: int = ENUMERATION_BUDGET) -> bool:
-    """Whether the sizes sum past the budget.  Stops at the first partial sum
-    over it, so a huge horizon is refused after a few terms."""
+def _over_budget(sizes: Iterable[int]) -> bool:
+    """Whether the sizes sum past ENUMERATION_BUDGET.  Stops at the first
+    partial sum over it, so a huge horizon is refused after a few terms."""
     total = 0
     for size in sizes:
         total += size
-        if total > budget:
+        if total > ENUMERATION_BUDGET:
             return True
     return False
 

@@ -136,8 +136,8 @@ def member_masks(nitems: int, triples: list[tuple[int, int, int]]) -> list[int]:
 
 
 def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult:
-    """The mean-objective optimum by brute force over every subset of the
-    ball: the oracle for search.max_productfree."""
+    """The optimum of the mean layer density by brute force over every
+    subset of the ball: the oracle for search.max_productfree."""
     q = alphabet.q
     if sum(q**n for n in range(1, horizon + 1)) > EXHAUSTIVE_ITEM_CAP:
         raise ValueError(
@@ -160,7 +160,7 @@ def exhaustive_max_productfree(alphabet: Alphabet, horizon: int) -> SearchResult
             best_mask = mask
     best = _as_layered(alphabet, horizon, items, _iter_bits(best_mask))
     value = Fraction(best_weight, q**horizon * horizon)
-    return SearchResult(horizon, "mean", value, best, nodes=1 << len(items), proved=True)
+    return SearchResult(horizon, value, best, nodes=1 << len(items), proved=True)
 
 
 class MaskWalkSearch(_Search):

@@ -383,6 +383,15 @@ class TestSearch:
         assert "nodes=" in captured.err
         assert "nodes" not in captured.out
 
+    def test_unknown_objective_exit_two(self, capsys):
+        # argparse refuses the objective before any search runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--horizon", "2", "--objective", "median"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--objective" in captured.err
+        assert captured.out == ""
+
     def test_negative_budget_exit_two(self, capsys):
         assert main(["search", "--horizon", "2", "--budget", "-1"]) == 2
         captured = capsys.readouterr()

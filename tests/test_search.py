@@ -23,6 +23,7 @@ from conftest import (
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
+ABCD = Alphabet("abcd")
 
 
 def recomputed_objective(result) -> Fraction:
@@ -30,7 +31,7 @@ def recomputed_objective(result) -> Fraction:
         Fraction(result.best.layer_count(n), result.best.alphabet.q**n)
         for n in range(1, result.horizon + 1)
     )
-    return total / result.horizon if result.objective == "mean" else total
+    return total / result.horizon
 
 
 class TestAgainstExhaustive:
@@ -69,15 +70,6 @@ class TestKnownOptima:
         r = max_productfree(AB, 3)
         assert r.value == Fraction(2, 3)
         assert r.proved
-
-    def test_total_objective_scales(self):
-        mean = max_productfree(AB, 3, objective="mean")
-        total = max_productfree(AB, 3, objective="total")
-        assert total.value == mean.value * 3
-
-    def test_bad_objective(self):
-        with pytest.raises(ValueError, match="objective"):
-            max_productfree(AB, 2, objective="median")
 
 
 class TestResultContracts:
@@ -137,7 +129,7 @@ def assert_propagated(search: _Search) -> None:
 def upper_bound(alphabet, horizon, included, undecided, floor=-1) -> Fraction:
     """The search bound on a partial assignment, as a mean layer density."""
     weight = bound_weight(alphabet, horizon, included, undecided, floor)
-    return _scale(weight, alphabet, horizon, "mean")
+    return _scale(weight, alphabet, horizon)
 
 
 class TestUpperBound:
@@ -211,6 +203,23 @@ class TestUpperBound:
         assert bound_weight_by_scan(*args, 112) == 112
         assert bound_weight_by_scan(*args, 111) == 136
         assert bound_weight_by_scan(*args, 100) == 136
+
+    def test_g_keeps_the_term_of_a_one_word_layer(self):
+        # abc at N=4 with S(1) = {a}, so aa is out, and the layers 2..4
+        # open; weights 27, 9, 3, 1, and the capped layers weigh 261.  The
+        # chain (m = 1, f = 1) gives 27 + 9 * 8 + 3 * 19 + 62 = 218.  G(c) =
+        # 27 + 9c + 3(27 - c) + (81 - c * c) = 189 + 6c - c * c peaks at 198,
+        # at c = 3.  Without the term of layer 3, whose factor is the one
+        # word of S(1), G would peak at 209 and cut nothing at floor 198.
+        search = _Search(ABC, 4, node_budget=0)
+        search._include(0)
+        search._exclude(1)
+        search._exclude(2)
+        assert search.capped == 261
+        frame = search._frame(1)
+        for floor, bound in [(218, 218), (217, 198), (198, 198), (197, 261)]:
+            assert search._bound(frame, floor) == bound
+            assert bound_weight_by_scan(*scan_args(search), floor) == bound
 
 
 def _best_completion(search: _Search, triples: list[tuple[int, int, int]]) -> int:
@@ -568,7 +577,7 @@ class TestKeptBoundState:
     @given(
         case=st.sampled_from(
             [(AB, horizon) for horizon in range(1, 7)]
-            + [(ABC, horizon) for horizon in range(1, 4)]
+            + [(ABC, horizon) for horizon in range(1, 5)]
         ),
         data=st.data(),
     )
@@ -610,8 +619,8 @@ class TestKeptBoundState:
                 )
 
     @pytest.mark.parametrize("alphabet,horizon,nodes", [
-        (AB, 6, 1239), (ABC, 4, 959),
-    ], ids=["ab-6", "abc-4"])
+        (AB, 6, 1239), (ABC, 4, 959), (ABCD, 4, 125953),
+    ], ids=["ab-6", "abc-4", "abcd-4"])
     def test_cut_decisions_match_the_oracle_at_every_node(
         self, monkeypatch, alphabet, horizon, nodes
     ):
