@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -130,10 +129,11 @@ def _recurrence(s: list[int], k: int, most: int,
     the counts s of a k-state automaton, or None once L passes most.
 
     Berlekamp-Massey modulo a prime stops once n reaches L + k (Massey 1969).
-    C is lifted as symmetric residues, then as fractions (counts that no
-    automaton has can have a rational C), and kept only if it holds exactly
-    on the first L + k counts; otherwise the next prime is tried.  s is
-    extended from sweep when the run needs a count it does not hold.
+    The counts have a rational generating function, so by Fatou's lemma
+    (Fatou 1906) the shortest C is an integer polynomial with C(0) = 1.  C
+    is lifted as symmetric residues and kept only if it holds exactly on the
+    first L + k counts; otherwise the next prime is tried.  s is extended
+    from sweep when the run needs a count it does not hold.
     """
     for p in _PRIMES:
         c, b, inv, m, order, n, r = [1], [1], 1, 1, 0, 0, []
@@ -153,18 +153,10 @@ def _recurrence(s: list[int], k: int, most: int,
             m, n = m + 1, n + 1
         while not c[-1]:  # deg C <= L, so a check reads at most L + 1 counts
             c.pop()
-        for bound in (p // 2, isqrt(p // 2)):
-            z = []
-            for x in c:  # the first r = t x (mod p) with r <= bound on Euclid's remainders
-                r0, r1, t0, t1 = p, x, 0, 1
-                while r1 > bound:
-                    r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
-                z.append(Fraction(r1, t1))
-            den, d = lcm(*(x.denominator for x in z)), len(z) - 1
-            z = [int(x * den) for x in z]
-            if all(sum(map(mul, z, reversed(s[n - d:n + 1]))) == 0
-                   for n in range(order, order + k)):
-                return order, z
+        z = [x - p if 2 * x > p else x for x in c]
+        if all(sum(map(mul, z, reversed(s[n - len(z) + 1:n + 1]))) == 0
+               for n in range(order, order + k)):
+            return order, z
     return None
 
 
@@ -205,9 +197,9 @@ def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
         raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
     k, counts, sweep = s.num_states, [], _dfa_sweep(s)
     found = _recurrence(counts, k, k // 2, sweep) if horizon >= 4 * k else None
-    if found is None:
-        counts.extend(islice(sweep, max(horizon - len(counts), 0)))
-    else:  # an automaton's C is an integer polynomial with C(0) = 1
+    if found is None:  # the attempt read at most k//2 + k <= horizon counts
+        counts.extend(islice(sweep, horizon - len(counts)))
+    else:  # C is an integer polynomial with C(0) = 1
         terms = [(i, x) for i, x in enumerate(found[1]) if i and x]
         for n in range(len(counts), horizon):
             counts.append(-sum(x * counts[n - i] for i, x in terms))

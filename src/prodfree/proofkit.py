@@ -201,7 +201,6 @@ def extract_lsequence(
 class WindowCertificate:
     window: WindowSpec
     k: int
-    last_length: int
     bound: Fraction
     mean: Fraction
     holds: bool
@@ -232,7 +231,7 @@ def window_bound_certificate(
         raise ValueError(f"window ends past the profile horizon {p.horizon}")
     mean = p.mean(window)
     bound = Fraction(2**k, 2 ** (k + 1) - 1) + Fraction(2 * (lk + 1), window.length)
-    return WindowCertificate(window, k, lk, bound, mean, mean <= bound)
+    return WindowCertificate(window, k, bound, mean, mean <= bound)
 
 
 # ---------------------------------------------------------------------------

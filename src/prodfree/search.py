@@ -301,25 +301,26 @@ class _Search:
         of length L, none in S(L), so a completion's counts x(L) of the
         layers L >= n0 obey x(L) <= cap[L] and, where L - m >= n0 too,
         x(L) + f x(L-m) <= q**L.  Along each chain L, L + m, L + 2m, ...
-        the greedy c(L) = min(cap[L], max(0, q**L - f c(L-m))) maximises
-        this relaxation: as f <= q**m, a word of layer L outweighs the f
-        words of layer L + m that it rules out, and the knock-on effects
-        alternate with shrinking weight.  The chain is the final layers plus
-        c(L) words of each layer L >= n0, c(L) = cap[L] below n0 + m.  It
-        takes one m: with several, a word of layer L rules out words of
-        several later layers, together heavier than it, so the greedy pass
-        no longer gives the maximum, nor an upper bound.
+        the greedy c(L) = min(cap[L], q**L - f c(L-m)) maximises this
+        relaxation, and is never negative, as f <= q**m and c(L-m) <=
+        cap[L-m] <= q**(L-m).  As f <= q**m, a word of layer L outweighs
+        the f words of layer L + m that it rules out, and the knock-on
+        effects alternate with shrinking weight.  The chain is the final
+        layers plus c(L) words of each layer L >= n0, c(L) = cap[L] below
+        n0 + m.  It takes one m: with several, a word of layer L rules out
+        words of several later layers, together heavier than it, so the
+        greedy pass no longer gives the maximum, nor an upper bound.
 
         The final count c of layer n0 lies in [included[n0], cap[n0]].  As
         S(n0)S(L-n0) holds c|S(L-n0)| words of length L, none in S(L), a
         completion weighs at most G(c), the sum of the layers below n0, c
         words of layer n0, and min(cap[L], q**L - c * included[L - n0]) words
         of each layer L above it, the factor being c * c at L = 2 n0.  G is
-        tried only when 2 n0 <= N: only G has the c * c term, and without it
-        each term of G couples n0 with one other layer, as the chain couples
-        pairs of layers.  Each term is linear or the min of a constant and a
-        concave function of c, so G is concave: the scan upward in c from
-        included[n0] stops at the first G(c) above floor (returning the
+        tried only when 2 n0 <= N, for its cost per node: past that it still
+        cuts, but over ab and abc its scan there costs more time than the
+        nodes it cuts save.  Each term is linear or the min of a constant
+        and a concave function of c, so G is concave: the scan upward in c
+        from included[n0] stops at the first G(c) above floor (returning the
         capped layers) or once G stops rising (returning its maximum).
         """
         capped = self.capped
@@ -337,8 +338,6 @@ class _Search:
             c = cap[n]
             left = size[n] - f * links[n - joint]
             if left < c:
-                if left < 0:
-                    left = 0
                 cut += (c - left) * layer_weight[n]
                 c = left
             links.append(c)

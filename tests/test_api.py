@@ -1,7 +1,8 @@
 """The library keeps only what the program runs: each public module-level
-name in src/prodfree, and each public method and property of its public
-classes, is used by other code of the package or by the benchmark, and what
-only the tests need lives in tests/."""
+name in src/prodfree, each public method and property of its public classes
+and each public field of its public dataclasses, is used by other code of
+the package or by the benchmark, and what only the tests need lives in
+tests/."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,17 @@ def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
     }
 
 
+def _fields(tree: ast.Module) -> dict[str, str]:
+    """Each public field of the public dataclasses of tree, by "Class.name"."""
+    return {
+        f"{cls.name}.{stmt.target.id}": stmt.target.id
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and not stmt.target.id.startswith("_")
+    }
+
+
 def _attributes(tree: ast.Module) -> tuple[set[str], set[str]]:
     """The attribute names that code of tree calls, as in obj.name(...), and
     those it reads in any way."""
@@ -103,4 +115,14 @@ def test_every_public_method_is_used_by_the_package_or_the_benchmark():
         name for tree in trees for name, func in _methods(tree).items()
         if func.name not in (reads if func.decorator_list else calls)
     ]
+    assert sorted(unused) == []
+
+
+def test_every_public_field_is_read_by_the_package_or_the_benchmark():
+    # By name, as for properties: a field is used where some code reads an
+    # attribute of its name.
+    trees = list(_trees().values())
+    reads = set().union(*(_attributes(tree)[1] for tree in trees + _benchmark()))
+    unused = [name for tree in trees for name, field in _fields(tree).items()
+              if field not in reads]
     assert sorted(unused) == []

@@ -278,6 +278,7 @@ class TestGreedyGenerator:
     # every-split scan at a few milliseconds.
     MAX_LEN = {1: 40, 2: 10, 3: 6, 4: 5}
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(q=st.sampled_from(sorted(MAX_LEN)), data=st.data(),
            seed=st.integers(0, 2**64), schedule=st.sampled_from(["uniform", "odd-first"]))

@@ -203,6 +203,7 @@ class TestLimit:
         # at 1/2, where C' vanishes.
         assert DensityProfile(2, tuple(n * 2**n for n in range(1, 20)), 3).limit is None
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)),
            horizon=st.integers(4, 40))
@@ -228,6 +229,19 @@ def sweep_cases(draw):
     return d, draw(st.integers(2 * k, 4 * k + 40)), draw(st.sampled_from([(), (2,), (3, 251)]))
 
 
+@st.composite
+def recurrence_cases(draw):
+    """(counts, k, whether an integer recurrence must be found): hand-built
+    counts with any k up to their number, or a random automaton's first 2k
+    to 2k + 20 layer counts, whose order L <= k recurrence is integral."""
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=30))
+        return counts, draw(st.integers(1, len(counts))), False
+    d = draw(st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
+    k = d.num_states
+    return dfa_layer_counts(d, draw(st.integers(2 * k, 2 * k + 20))), k, True
+
+
 # Z of the asymmetric triple over ab at n = 4, 27 states: c(n) = 2c(n-1)
 # from n = 9 on, a recurrence of order 8.
 Z4 = asymmetric_triple(AB, 4, Fraction(1, 10)).z
@@ -237,6 +251,7 @@ class TestRecurrence:
     """The Berlekamp-Massey kernel modulo a prime, and the profile layers
     it generates."""
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(case=sweep_cases())
     @example(case=(Z4, 4 * 27, ()))
@@ -284,8 +299,23 @@ class TestRecurrence:
         assert DensityProfile(q, counts, 3).limit is None
 
     def test_rational_recurrence_of_counts_no_automaton_has(self):
-        # C = 1 - t/8 + t^2/64 - t^3/512; C(1/2) != 0, so the limit is 0.
-        assert DensityProfile(2, (0, 0, 8, 1, 0, 0), 3).limit == 0
+        # The shortest C = 1 - t/8 + t^2/64 - t^3/512 is not integral, so by
+        # Fatou's lemma no automaton has these counts, and they fix no limit.
+        assert DensityProfile(2, (0, 0, 8, 1, 0, 0), 3).limit is None
+
+    @pytest.mark.ci_profile
+    @settings(deadline=None)
+    @given(case=recurrence_cases())
+    @example(case=([0, 0, 8, 1, 0, 0], 3, False))
+    def test_integral_or_none(self, case):
+        counts, k, must_find = case
+        found = _recurrence(list(counts), k, len(counts) - k)
+        assert found is not None or not must_find
+        if found is not None:
+            order, c = found
+            assert all(type(x) is int for x in c) and c[0] == 1 and len(c) <= order + 1
+            assert all(sum(x * counts[n - i] for i, x in enumerate(c)) == 0
+                       for n in range(order, order + k))
 
 
 class TestAsymptotic:
@@ -346,6 +376,7 @@ class TestBanach:
             prof = profile(d, 48)
             assert upper_banach(prof, 8).value == upper_asymptotic(prof).value
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(case=banach_cases())
     @example(case=(DensityProfile(2, tuple(2 ** (n - 1) for n in range(1, 31)), 2), 7))

@@ -80,6 +80,7 @@ def dense_low_sparse_high(draw) -> LayeredSet:
     return LayeredSet(alphabet, horizon, tuple(layers))
 
 
+@pytest.mark.ci_profile
 class TestSpread:
     @given(left=st.integers(0, 1 << 80),
            width=st.sampled_from([1, 2, 3, 4, 8, 9, 27, 64, 81, 128]),
@@ -96,6 +97,7 @@ class TestSpread:
         assert _spread(left, block, width) == spread_by_bits(left, block, width)
 
 
+@pytest.mark.ci_profile
 class TestCheckExplicit:
     def test_full_ball_witness(self):
         s = explicit_full(AB, 2)

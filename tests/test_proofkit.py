@@ -174,6 +174,7 @@ def dfa_checks(draw):
     return d, horizon, n, lengths, eps, draw(st.integers(1, horizon))
 
 
+@pytest.mark.ci_profile
 class TestRepresentations:
     @settings(deadline=None)
     @given(case=dfa_checks())
@@ -224,7 +225,7 @@ class TestWindowBound:
         prof = profile(s)
         for end, holds in ((6, True), (17, False)):
             cert = window_bound_certificate(prof, WindowSpec(3, end), lseq)
-            assert (cert.k, cert.last_length, cert.mean) == (2, 2, 1)
+            assert (cert.k, cert.mean) == (2, 1)
             assert cert.bound == Fraction(4, 7) + Fraction(2 * 3, end - 2)
             assert cert.holds is holds
 

@@ -319,6 +319,7 @@ def _expected_bound(bounds: tuple[int, int, int | None], floor: int) -> int:
     return next((b for b in bounds if b is not None and b <= floor), bounds[0])
 
 
+@pytest.mark.ci_profile
 class TestBoundAdmissible:
     @settings(deadline=None)
     @given(
@@ -376,6 +377,7 @@ class TestBoundAdmissible:
         assert_propagated(search)
 
 
+@pytest.mark.ci_profile
 class TestChainRelaxation:
     @staticmethod
     def _relaxation_max(q, horizon, included, cap, low, linking) -> int:
@@ -534,6 +536,7 @@ def _draw_in_order(search: _Search, action: str, open_words: list[int], data) ->
     return data.draw(st.sampled_from(open_words[:3]) | st.sampled_from(open_words))
 
 
+@pytest.mark.ci_profile
 class TestIncludeAgainstTheMaskWalk:
     @settings(deadline=None)
     @given(
@@ -573,6 +576,7 @@ class TestKeptBoundState:
     """capped, kept on the trail, and the frame, kept down the recursion,
     against the bound that scans every layer at every call."""
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(
         case=st.sampled_from(
@@ -678,6 +682,7 @@ class TestWatchedTriple:
     """The leaf test from one watched live triple, against the bitmask of
     live triples and against a scan of every triple."""
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(
         case=st.sampled_from(

@@ -346,6 +346,7 @@ def dfa_lengths(draw) -> tuple[Dfa, int, tuple[int, ...]]:
     return d, horizon, tuple(sorted(ells))
 
 
+@pytest.mark.ci_profile
 class TestRandomDfas:
     """Truncation, concatenation and the refined layer counts on random
     automata, against word-by-word, product and explicit layer-count
@@ -374,6 +375,7 @@ class TestRandomDfas:
         )
 
 
+@pytest.mark.ci_profile
 class TestMinimized:
     @settings(deadline=None)
     @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
@@ -437,6 +439,7 @@ def explicit_lengths(draw) -> tuple[LayeredSet, tuple[int, ...]]:
 
 
 class TestPrefixExcluded:
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(case=explicit_lengths())
     def test_matches_the_word_by_word_oracle(self, case):
@@ -696,6 +699,7 @@ def word_list_texts(draw) -> tuple[str, set[str]]:
     return text, {w.strip() for w in words}
 
 
+@pytest.mark.ci_profile
 class TestWordListText:
     @given(s=layered_sets())
     def test_write_matches_the_word_path(self, s):
