@@ -1,15 +1,13 @@
 """Exact analysis of product-free subsets of the free semigroup."""
 
-from .words import Alphabet, Word, concat, rank, unrank
+from .words import Alphabet, Word, concat, unrank
 from .sets import (
     Dfa,
     LayeredSet,
     dfa_complement,
     dfa_concat,
-    dfa_is_empty,
     dfa_truncate,
     explicit_from_words,
-    minkowski_product,
 )
 from .density import (
     DensityProfile,

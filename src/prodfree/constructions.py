@@ -9,6 +9,7 @@ fixtures throughout.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -20,7 +21,6 @@ from .sets import (
     _check_horizon,
     _explore,
     _first_split,
-    _live_splits,
     _minimized,
     dfa_complement,
     dfa_concat,
@@ -200,7 +200,8 @@ def greedy_random_productfree(
     with layers m and n + m both nonempty (w.y or y.w a member).  This is
     exact: a product with a factor or the product in an empty layer does
     not exist.  The two lists change only when a layer gets its first
-    member, so they are rebuilt then, at most max_len times, in O(max_len**2).
+    member, and then gain only the entries with that layer as a factor or
+    the product, O(max_len) of them, each inserted in order.
     """
     q = alphabet.q
     if _over_budget(q**n for n in range(1, max_len + 1)):
@@ -223,8 +224,10 @@ def greedy_random_productfree(
     reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
     fwd = [0] * (max_len + 1)
     rev = [0] * (max_len + 1)
-    # splits[n] and longer[n]: the live splits and extensions of length n.
-    splits = longer = [()] * (max_len + 1)
+    # splits[n] and longer[n]: the live splits and extensions of length n,
+    # each ascending.
+    splits = [[] for _ in range(max_len + 1)]
+    longer = [[] for _ in range(max_len + 1)]
     for n, r in items:
         rr = reversal[n][r]
         # w = x.y with both factors already in, or w.w already in.
@@ -245,7 +248,13 @@ def greedy_random_productfree(
             fwd[n] |= 1 << r
             rev[n] |= 1 << rr
             if first:
-                splits = [_live_splits(fwd, k) for k in range(max_len + 1)]
-                longer = [[m for m in range(1, max_len - k + 1) if fwd[m] and fwd[k + m]]
-                          for k in range(max_len + 1)]
+                for j in range(1, max_len + 1):
+                    if not fwd[j]:
+                        continue
+                    if n + j <= max_len:  # n.j and j.n, once if j = n
+                        insort(splits[n + j], n)
+                        if j != n:
+                            insort(splits[n + j], j)
+                    if j != n:  # the shorter of n and j extends to the longer
+                        insort(longer[abs(j - n)], min(j, n))
     return LayeredSet(alphabet, max_len, tuple(fwd))

@@ -3,8 +3,8 @@
 Layer density d(n) = |S ∩ F(n)| / q**n is computed from big-integer layer
 counts; the asymptotic and Banach values over a finite horizon are honest
 estimates unless the profile is backed by an automaton whose counts already
-fix their minimal linear recurrence, in which case both are the exact limit
-read off the counts' generating function.
+fix their minimal linear recurrence, in which case the profile carries the
+exact limit, read off the counts' generating function, and both equal it.
 """
 
 from __future__ import annotations
@@ -48,14 +48,17 @@ class DensityProfile:
     """Layer counts |S ∩ F(n)| for n = 1..horizon over a q-symbol alphabet.
 
     num_states is the size of the automaton behind the profile, or 0 for an
-    explicit truncation, whose counts say nothing past its horizon, so no
-    limit claimed from it is ever flagged exact.  Densities and prefix sums
-    are derived from the counts on first use and kept.
+    explicit truncation.  limit is the limit of the density means where
+    profile certified the automaton's counts' recurrence, and None otherwise:
+    an explicit truncation's counts say nothing past its horizon, so no limit
+    claimed from it is ever flagged exact.  Densities and prefix sums are
+    derived from the counts on first use and kept.
     """
 
     q: int
     counts: tuple[int, ...]
     num_states: int
+    limit: Fraction | None = None
 
     def __post_init__(self) -> None:
         if not self.counts:
@@ -99,29 +102,6 @@ class DensityProfile:
         total = self.prefix[window.end] - self.prefix[window.start - 1]
         return Fraction(total, window.length * self.totals[-1])
 
-    @cached_property
-    def limit(self) -> Fraction | None:
-        """The limit of the density means, or None if the counts do not fix it.
-
-        The counts of a k-state automaton obey a linear recurrence of order at
-        most k, and _recurrence finds the shortest, of order L, from L + k of
-        them.  Then sum c(j+1) t**j = N/C, and the limit is 0 where
-        C(1/q) != 0 and -N(1/q)/C'(1/q) at a simple root; a profile with a
-        double root there is no automaton's, and gets None.  All of it is in
-        integers: C, C' and N are evaluated at 1/q times q**L.
-        """
-        k, q, s = self.num_states, self.q, self.counts
-        found = _recurrence(list(s), k, len(s) - k) if k else None
-        if found is None:
-            return None
-        order, c = found
-        pw = [q ** (order - i) for i in range(order + 1)]  # deg C <= L
-        if sum(map(mul, c, pw)):
-            return Fraction(0)
-        slope = sum(i * x * y for i, (x, y) in enumerate(zip(c, pw)))  # q**(L-1) C'
-        num = sum(sum(x * y for x, y in zip(c, s[i::-1])) * pw[i] for i in range(order))
-        return Fraction(-num, q * slope) if slope else None
-
 
 def _recurrence(s: list[int], k: int, most: int,
                 sweep: Iterator[int] = iter(())) -> tuple[int, list[int]] | None:
@@ -160,6 +140,23 @@ def _recurrence(s: list[int], k: int, most: int,
     return None
 
 
+def _exact_limit(q: int, s: list[int], order: int, c: list[int]) -> Fraction | None:
+    """The limit of the density means of the counts s over q symbols, whose
+    shortest recurrence _recurrence certified as C of order L.
+
+    Then sum c(j+1) t**j = N/C, and the limit is 0 where C(1/q) != 0 and
+    -N(1/q)/C'(1/q) at a simple root; counts with a double root there are
+    no automaton's, and get None.  All of it is in integers: C, C' and N are
+    evaluated at 1/q times q**L.
+    """
+    pw = [q ** (order - i) for i in range(order + 1)]  # deg C <= L
+    if sum(map(mul, c, pw)):
+        return Fraction(0)
+    slope = sum(i * x * y for i, (x, y) in enumerate(zip(c, pw)))  # q**(L-1) C'
+    num = sum(sum(x * y for x, y in zip(c, s[i::-1])) * pw[i] for i in range(order))
+    return Fraction(-num, q * slope) if slope else None
+
+
 @dataclass(frozen=True)
 class DensityLimit:
     """Result of an asymptotic/Banach evaluation over a finite profile.
@@ -184,35 +181,37 @@ def layer_counts(s: LayeredSet | Dfa, horizon: int, ells: Iterable[int] = ()) ->
 def profile(s: LayeredSet | Dfa, horizon: int | None = None) -> DensityProfile:
     """Exact density profile of s up to the horizon (an explicit set's own).
 
-    From 4k layers on, an automaton's counts feed _recurrence as they are
-    swept, and the layers past a certified recurrence of order at most k/2
-    come from it.
+    An automaton's counts feed _recurrence as they are swept, for as many
+    as the horizon holds.  Once it certifies their recurrence, from L + k
+    counts, the layers past them come from it and so does the limit;
+    otherwise every layer is swept and there is no limit.
     """
     explicit = isinstance(s, LayeredSet)
     if horizon is None:
         horizon = s.horizon if explicit else DEFAULT_REGULAR_HORIZON
+    q = s.alphabet.q
     if explicit:
-        return DensityProfile(s.alphabet.q, tuple(layer_counts(s, horizon)), 0)
+        return DensityProfile(q, tuple(layer_counts(s, horizon)), 0)
     if horizon > REGULAR_HORIZON_CAP:
         raise ValueError(f"automaton horizon {horizon} over the enumeration budget")
     k, counts, sweep = s.num_states, [], _dfa_sweep(s)
-    found = _recurrence(counts, k, k // 2, sweep) if horizon >= 4 * k else None
-    if found is None:  # the attempt read at most k//2 + k <= horizon counts
+    found = _recurrence(counts, k, horizon - k, sweep)
+    if found is None:  # the run read at most horizon counts
         counts.extend(islice(sweep, horizon - len(counts)))
-    else:  # C is an integer polynomial with C(0) = 1
-        terms = [(i, x) for i, x in enumerate(found[1]) if i and x]
-        for n in range(len(counts), horizon):
-            counts.append(-sum(x * counts[n - i] for i, x in terms))
-    return DensityProfile(s.alphabet.q, tuple(counts), k)
+        return DensityProfile(q, tuple(counts), k)
+    order, c = found  # C is an integer polynomial with C(0) = 1
+    terms = [(i, x) for i, x in enumerate(c) if i and x]
+    for n in range(len(counts), horizon):
+        counts.append(-sum(x * counts[n - i] for i, x in terms))
+    return DensityProfile(q, tuple(counts), k, _exact_limit(q, counts, order, c))
 
 
 def _limit(p: DensityProfile, windows: Iterable[tuple[int, int]]) -> DensityLimit:
     """The first window (start, end) of largest mean, and the limit it
     estimates.
 
-    The value is exact when the counts fix the profile's limit
-    (DensityProfile.limit), which both limsups equal, and is the largest
-    mean otherwise.
+    The value is exact when the profile carries its limit, which both
+    limsups equal, and is the largest mean otherwise.
     """
     prefix = p.prefix
     # Means compared by cross-multiplication over the common q**horizon;

@@ -43,8 +43,7 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     layers = s.layers
     for n in range(2, s.horizon + 1):
         target = layers[n]
-        splits = _live_splits(layers, n)
-        if not target or not splits:
+        if not target or not (splits := _live_splits(layers, n)):
             continue
         if 64 * target.bit_count() < q**n:
             z = next((r for r in _iter_bits(target)

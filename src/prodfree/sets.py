@@ -159,32 +159,11 @@ def explicit_from_words(words: Iterable[Word], horizon: int) -> LayeredSet:
     """Build the explicit set with exactly the given members."""
     words = list(words)
     if not words:
-        raise ValueError("cannot infer the alphabet from an empty word list; "
-                         "use explicit_empty instead")
+        raise ValueError("cannot infer the alphabet from an empty word list")
     alphabet = words[0].alphabet
     if any(w.alphabet != alphabet for w in words):
         raise ValueError("alphabet mismatch in word list")
     return _from_lines(alphabet, horizon, "\n".join(w.text for w in words))
-
-
-def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
-    return _from_lines(alphabet, horizon, "")
-
-
-def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSet:
-    """{ w1.w2 : w1 in s1, w2 in s2, |w1|+|w2| <= horizon }."""
-    if s1.alphabet != s2.alphabet:
-        raise ValueError("alphabet mismatch")
-    _check_horizon(s1.alphabet, horizon, "product")
-    q = s1.alphabet.q
-    layers = [0] * (horizon + 1)
-    for m in range(1, min(s1.horizon, horizon - 1) + 1):
-        if not s1.layers[m]:
-            continue
-        for k in range(1, min(s2.horizon, horizon - m) + 1):
-            if s2.layers[k]:
-                layers[m + k] |= _spread(s1.layers[m], s2.layers[k], q**k)
-    return LayeredSet(s1.alphabet, horizon, tuple(layers))
 
 
 def validate_ell_sequence(ells: tuple[int, ...], n: int) -> None:
@@ -390,30 +369,6 @@ def dfa_concat(d1: Dfa, d2: Dfa) -> Dfa:
         lambda state: not state[1].isdisjoint(d2.accepting),
         DEFAULT_STATE_CAP,
     ))
-
-
-def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
-    """Emptiness plus a shortest witness (lex-least among the shortest)."""
-    q = d.alphabet.q
-    # Per level, the lex-least word reaching each state.
-    current: dict[int, tuple[int, ...]] = {}
-    for c in range(q):
-        t = d.delta[d.start][c]
-        if t not in current:
-            current[t] = (c,)
-    for _ in range(d.num_states):
-        hits = [w for s, w in current.items() if s in d.accepting]
-        if hits:
-            return False, Word(d.alphabet, min(hits))
-        nxt: dict[int, tuple[int, ...]] = {}
-        for s, w in current.items():
-            for c in range(q):
-                t = d.delta[s][c]
-                cand = w + (c,)
-                if t not in nxt or cand < nxt[t]:
-                    nxt[t] = cand
-        current = nxt
-    return True, None
 
 
 def dfa_layer_counts(d: Dfa, horizon: int, ells: Iterable[int] = ()) -> list[int]:

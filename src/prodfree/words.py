@@ -118,15 +118,6 @@ def concat(x: Word, y: Word) -> Word:
     return Word(x.alphabet, x.indices + y.indices)
 
 
-def rank(w: Word) -> int:
-    """Position of w in the lexicographic enumeration of its layer."""
-    r = 0
-    q = w.alphabet.q
-    for i in w.indices:
-        r = r * q + i
-    return r
-
-
 def unrank(alphabet: Alphabet, n: int, r: int) -> Word:
     """Inverse of rank on F(n): the word of length n with rank r."""
     if n < 1:

@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from prodfree.density import layer_counts, profile
+from prodfree.density import _recurrence, layer_counts, profile
 from prodfree.search import SearchResult, _Search, _as_layered, _layer_offsets, _universe
 from prodfree.sets import (
-    Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized,
+    Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized, _spread,
 )
 from prodfree.words import (
-    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, rank, unrank,
+    ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, unrank,
 )
 
 # The property tests run with more examples in CI: pytest --hypothesis-profile ci
@@ -38,6 +38,16 @@ DFA_ALPHABETS = [Alphabet("a"), Alphabet("ab"), Alphabet("abc")]
 EXHAUSTIVE_ITEM_CAP = 22
 
 
+def rank(w: Word) -> int:
+    """Position of w in the lexicographic enumeration of its layer: the
+    inverse of unrank."""
+    r = 0
+    q = w.alphabet.q
+    for i in w.indices:
+        r = r * q + i
+    return r
+
+
 def layer_words(alphabet: Alphabet, n: int) -> list[Word]:
     """All q**n words of length n in lexicographic order."""
     return [unrank(alphabet, n, r) for r in range(alphabet.layer_size(n))]
@@ -48,6 +58,29 @@ def explicit_full(alphabet: Alphabet, horizon: int) -> LayeredSet:
     _check_horizon(alphabet, horizon, "explicit")
     layers = [0] + [(1 << alphabet.layer_size(n)) - 1 for n in range(1, horizon + 1)]
     return LayeredSet(alphabet, horizon, tuple(layers))
+
+
+def explicit_empty(alphabet: Alphabet, horizon: int) -> LayeredSet:
+    """The empty subset of F_<=(horizon)."""
+    _check_horizon(alphabet, horizon, "explicit")
+    return LayeredSet(alphabet, horizon, (0,) * (horizon + 1))
+
+
+def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSet:
+    """{ w1.w2 : w1 in s1, w2 in s2, |w1|+|w2| <= horizon }: the oracle of
+    dfa_concat."""
+    if s1.alphabet != s2.alphabet:
+        raise ValueError("alphabet mismatch")
+    _check_horizon(s1.alphabet, horizon, "product")
+    q = s1.alphabet.q
+    layers = [0] * (horizon + 1)
+    for m in range(1, min(s1.horizon, horizon - 1) + 1):
+        if not s1.layers[m]:
+            continue
+        for k in range(1, min(s2.horizon, horizon - m) + 1):
+            if s2.layers[k]:
+                layers[m + k] |= _spread(s1.layers[m], s2.layers[k], q**k)
+    return LayeredSet(s1.alphabet, horizon, tuple(layers))
 
 
 def dfa_empty(alphabet: Alphabet) -> Dfa:
@@ -84,6 +117,30 @@ def dfa_difference(d1: Dfa, d2: Dfa) -> Dfa:
     return _product(d1, d2, lambda a, b: a and not b)
 
 
+def dfa_is_empty(d: Dfa) -> tuple[bool, Word | None]:
+    """Emptiness plus a shortest witness (lex-least among the shortest)."""
+    q = d.alphabet.q
+    # Per level, the lex-least word reaching each state.
+    current: dict[int, tuple[int, ...]] = {}
+    for c in range(q):
+        t = d.delta[d.start][c]
+        if t not in current:
+            current[t] = (c,)
+    for _ in range(d.num_states):
+        hits = [w for s, w in current.items() if s in d.accepting]
+        if hits:
+            return False, Word(d.alphabet, min(hits))
+        nxt: dict[int, tuple[int, ...]] = {}
+        for s, w in current.items():
+            for c in range(q):
+                t = d.delta[s][c]
+                cand = w + (c,)
+                if t not in nxt or cand < nxt[t]:
+                    nxt[t] = cand
+        current = nxt
+    return True, None
+
+
 def set_words(s: LayeredSet) -> Iterator[Word]:
     """The members of s in (length, rank) order."""
     for n in range(1, s.horizon + 1):
@@ -102,6 +159,27 @@ def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
     """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
     p = profile(s, n)
     return Fraction(sum(p.counts), sum(p.totals))
+
+
+def limit_from_counts(q: int, counts: Sequence[int], k: int) -> Fraction | None:
+    """The limit that the counts of a k-state automaton fix, from a
+    Berlekamp-Massey run over all of them and arithmetic of its own: the
+    oracle of the limit that density.profile takes from its one run.
+
+    With sum c(j+1) t**j = N/C for the recurrence C of order L, the limit
+    is 0 where C(1/q) != 0, -N(1/q)/C'(1/q) at a simple root, and None at a
+    double root; C, C' and N are evaluated at 1/q times q**L.
+    """
+    found = _recurrence(list(counts), k, len(counts) - k) if k else None
+    if found is None:
+        return None
+    order, c = found
+    pw = [q ** (order - i) for i in range(order + 1)]
+    if sum(x * y for x, y in zip(c, pw)):
+        return Fraction(0)
+    slope = sum(i * x * y for i, (x, y) in enumerate(zip(c, pw)))
+    num = sum(sum(x * y for x, y in zip(c, counts[i::-1])) * pw[i] for i in range(order))
+    return Fraction(-num, q * slope) if slope else None
 
 
 def product_triples(alphabet: Alphabet, horizon: int) -> list[tuple[int, int, int]]:

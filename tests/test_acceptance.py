@@ -39,15 +39,14 @@ from prodfree.sets import (
     Dfa,
     dfa_complement,
     dfa_concat,
-    dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
 )
 from prodfree.words import Alphabet
 
 from conftest import (
-    ball_density, dfa_difference, dfa_intersect, dfa_union, exhaustive_max_productfree,
-    refined_density,
+    ball_density, dfa_difference, dfa_intersect, dfa_is_empty, dfa_union,
+    exhaustive_max_productfree, refined_density,
 )
 
 AB = Alphabet("ab")

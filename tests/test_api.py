@@ -9,14 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The only names kept for the tests and for readers alone.
-KEEP = {
-    "dfa_is_empty": "a documented operation: emptiness with a shortest witness",
-    "minkowski_product": "a documented operation, and the oracle of dfa_concat",
-    "explicit_empty": "the error message of explicit_from_words names it",
-    "rank": "a documented operation: the inverse of unrank",
-}
-
 
 def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
     """Each public module-level name of tree, with the statement binding it."""
@@ -97,8 +89,7 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     used = set().union(*(_refs(module, tree) for module, tree in trees.items()),
                        *(_refs(None, tree) for tree in _benchmark()))
     defined = {(module, name) for module, tree in trees.items() for name in _defined(tree)}
-    assert KEEP.keys() <= {name for _, name in defined}
-    assert sorted(f"{m}.{n}" for m, n in defined - used if n not in KEEP) == []
+    assert sorted(f"{m}.{n}" for m, n in defined - used) == []
 
 
 def test_every_public_method_is_used_by_the_package_or_the_benchmark():

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -7,6 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodfree import constructions
 from prodfree.constructions import (
     asymmetric_triple,
     counting_pathology,
@@ -22,14 +24,15 @@ from prodfree.sets import (
     Dfa,
     dfa_complement,
     dfa_concat,
-    dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
     write_explicit,
 )
 from prodfree.words import Alphabet
 
-from conftest import ball_density, dfa_intersect, greedy_every_split, layer_words, set_words
+from conftest import (
+    ball_density, dfa_intersect, dfa_is_empty, greedy_every_split, layer_words, set_words,
+)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -273,6 +276,20 @@ class TestGreedyGenerator:
         assert check_explicit(s) is None
         u = greedy_random_productfree(Alphabet("a"), 12, seed=1)
         assert check_explicit(u) is None
+
+    def test_one_letter_inserts_each_split_and_extension_once(self, monkeypatch):
+        # Over one symbol each member is its layer's first, so the live
+        # splits and extensions change at every insertion.  Each entry goes
+        # in once, in order, and nothing is rebuilt: a split m of n for
+        # members m and n - m, an extension of n to j for members n < j.
+        calls = []
+        monkeypatch.setattr(constructions, "insort",
+                            lambda a, x: calls.append(x) or insort(a, x))
+        s = greedy_random_productfree(Alphabet("a"), 300, seed=1)
+        live = [n for n in range(1, 301) if s.layers[n]]
+        assert len(live) == 41
+        splits = sum(1 for n in live for j in live if n + j <= 300)
+        assert len(calls) == splits + 41 * 40 // 2 == 577 + 820
 
     # The longest max_len per alphabet size that keeps the oracle's
     # every-split scan at a few milliseconds.

@@ -10,6 +10,7 @@ from prodfree.cli import main
 from prodfree.constructions import asymmetric_triple, odd_occurrence
 from prodfree.density import (
     DensityProfile,
+    _exact_limit,
     _limit,
     _recurrence,
     layer_counts,
@@ -23,7 +24,6 @@ from prodfree.sets import (
     _dfa_sweep,
     dfa_layer_counts,
     dfa_truncate,
-    explicit_empty,
     explicit_from_words,
     write_dfa,
     write_explicit,
@@ -31,8 +31,8 @@ from prodfree.sets import (
 from prodfree.words import Alphabet
 
 from conftest import (
-    DFA_ALPHABETS, ball_density, complete_dfas, dfa_full, explicit_full, layer_words,
-    refined_density,
+    DFA_ALPHABETS, ball_density, complete_dfas, dfa_full, explicit_empty, explicit_full,
+    layer_words, limit_from_counts, refined_density,
 )
 
 AB = Alphabet("ab")
@@ -201,7 +201,9 @@ class TestLimit:
     def test_double_root_at_one_over_q_has_no_limit(self):
         # n * 2^n is no bounded density: C = (1 - 2t)^2 has a double root
         # at 1/2, where C' vanishes.
-        assert DensityProfile(2, tuple(n * 2**n for n in range(1, 20)), 3).limit is None
+        counts = [n * 2**n for n in range(1, 20)]
+        assert _recurrence(list(counts), 3, len(counts) - 3) == (2, [1, -4, 4])
+        assert _exact_limit(2, counts, 2, [1, -4, 4]) is None
 
     @pytest.mark.ci_profile
     @settings(deadline=None)
@@ -220,13 +222,13 @@ class TestLimit:
 
 @st.composite
 def sweep_cases(draw):
-    """(automaton, horizon from 2k to 4k + 40, primes tried before the
-    usual ones), so that profiles both sweep every layer and generate
-    layers from a certified recurrence, and that tiny primes make the
-    Berlekamp-Massey runs wrong and the exact check turn them down."""
+    """(automaton, horizon from 1 to 4k + 40, primes tried before the usual
+    ones), so that profiles both sweep every layer and generate layers from
+    a certified recurrence, and that tiny primes make the Berlekamp-Massey
+    runs wrong and the exact check turn them down."""
     d = draw(st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 12)))
     k = d.num_states
-    return d, draw(st.integers(2 * k, 4 * k + 40)), draw(st.sampled_from([(), (2,), (3, 251)]))
+    return d, draw(st.integers(1, 4 * k + 40)), draw(st.sampled_from([(), (2,), (3, 251)]))
 
 
 @st.composite
@@ -260,17 +262,22 @@ class TestRecurrence:
     @example(case=(LATE, 4 * 71, ()))
     def test_profile_counts_match_the_sweep(self, case):
         d, horizon, small = case
+        counts = tuple(dfa_layer_counts(d, horizon))
+        limit = limit_from_counts(d.alphabet.q, counts, d.num_states)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_PRIMES", small + density._PRIMES)
-            assert profile(d, horizon).counts == tuple(dfa_layer_counts(d, horizon))
+            p = profile(d, horizon)
+        assert p.counts == counts and p.limit == limit
 
     @pytest.mark.parametrize("d, horizon, swept", [
-        (Z4, 4 * 27 - 1, 4 * 27 - 1),  # below 4k: every layer swept
-        (Z4, 2048, 8 + 27),            # order 8: L + k layers swept
-        (ODD_A, 8, 1 + 2),             # order 1 = k/2: L + k layers swept
-        (ODD_LEN, 8, 8),               # order 2 passes k/2: swept on
-        (LATE, 4 * 71, 4 * 71),        # order 70 passes k/2: swept on
-    ], ids=["short", "generated", "order-half", "order-past-half", "late"])
+        # L + k layers swept: order 8 of k = 27, below 4k too
+        (Z4, 4 * 27 - 1, 8 + 27),
+        (Z4, 2048, 8 + 27),
+        (ODD_A, 8, 1 + 2),            # order 1 = k/2
+        (ODD_LEN, 8, 2 + 2),          # order 2 = k
+        (LATE, 4 * 71, 70 + 71),      # order 70 of k = 71
+        (LATE, 70 + 71 - 1, 70 + 70),  # L + k past the horizon: every layer swept
+    ], ids=["short", "generated", "order-half", "order-past-half", "late", "past-horizon"])
     def test_layers_swept(self, d, horizon, swept, monkeypatch):
         seen = []
         monkeypatch.setattr(density, "_dfa_sweep", lambda d: map(
@@ -284,7 +291,7 @@ class TestRecurrence:
         a = 3**40
         counts = [a**n for n in range(1, 3)]
         assert _recurrence(list(counts), 1, 1) == (1, [1, -a])
-        assert DensityProfile(a, tuple(counts), 1).limit == 1
+        assert _exact_limit(a, counts, 1, [1, -a]) == 1
         monkeypatch.setattr(density, "_PRIMES", density._PRIMES[:1])
         assert _recurrence(list(counts), 1, 1) is None
 
@@ -293,15 +300,16 @@ class TestRecurrence:
         # count is a multiple of 2^61 - 1, so modulo it the order-0
         # recurrence fits, and the exact check must turn it down.
         q, m = 2**62, 2**61 - 1
-        counts = tuple(m * q ** (n - 1) for n in range(1, 5))
-        assert DensityProfile(q, counts, 3).limit == Fraction(m, q)
+        counts = [m * q ** (n - 1) for n in range(1, 5)]
+        assert _recurrence(list(counts), 3, 1) == (1, [1, -q])
+        assert _exact_limit(q, counts, 1, [1, -q]) == Fraction(m, q)
         monkeypatch.setattr(density, "_PRIMES", (m,))
-        assert DensityProfile(q, counts, 3).limit is None
+        assert _recurrence(list(counts), 3, 1) is None
 
     def test_rational_recurrence_of_counts_no_automaton_has(self):
         # The shortest C = 1 - t/8 + t^2/64 - t^3/512 is not integral, so by
-        # Fatou's lemma no automaton has these counts, and they fix no limit.
-        assert DensityProfile(2, (0, 0, 8, 1, 0, 0), 3).limit is None
+        # Fatou's lemma no automaton has these counts, and no run lifts it.
+        assert _recurrence([0, 0, 8, 1, 0, 0], 3, 3) is None
 
     @pytest.mark.ci_profile
     @settings(deadline=None)

@@ -10,6 +10,7 @@ from prodfree.constructions import (
     greedy_random_productfree,
     odd_occurrence,
 )
+from prodfree import productfree
 from prodfree.productfree import (
     WitnessTriple,
     check_explicit,
@@ -20,21 +21,21 @@ from prodfree.sets import (
     Dfa,
     LayeredSet,
     _iter_bits,
+    _live_splits,
     _spread,
     dfa_concat,
-    dfa_is_empty,
     dfa_truncate,
-    explicit_empty,
     explicit_from_words,
 )
-from prodfree.words import Alphabet, Word, concat, rank
+from prodfree.words import Alphabet, Word, concat
 
 from conftest import (
-    A_ONLY, dfa_full, dfa_intersect, dfa_union, explicit_full, layer_words, set_contains,
-    set_words,
+    A_ONLY, dfa_full, dfa_intersect, dfa_is_empty, dfa_union, explicit_empty, explicit_full,
+    layer_words, rank, set_contains, set_words,
 )
 
 AB = Alphabet("ab")
+A = Alphabet("a")
 ODD_A = odd_occurrence(AB, "a")
 ODD_LEN = odd_occurrence(AB, "ab")
 
@@ -157,6 +158,23 @@ class TestCheckExplicit:
             layers[18] |= 1 << (x * 2**9 + y)
         s = LayeredSet(AB, 18, tuple(layers))
         assert check_explicit(s) == naive_product_scan(s)
+
+    @pytest.mark.parametrize("lengths, horizon, witness", [
+        ((1,), 2000, None),
+        ((1, 5, 7), 300, None),
+        ((1, 3, 4), 300, ("a", "aaa", "aaaa")),
+    ])
+    def test_live_splits_only_of_nonempty_layers(self, lengths, horizon, witness,
+                                                  monkeypatch):
+        # Over one symbol a layer holds one word.  A layer with no member
+        # has no product to find, so its splits are never listed.
+        calls = []
+        monkeypatch.setattr(productfree, "_live_splits",
+                            lambda layers, n: calls.append(n) or _live_splits(layers, n))
+        s = LayeredSet(A, horizon, tuple(int(n in lengths) for n in range(horizon + 1)))
+        w = check_explicit(s)
+        assert (w and (w.x.text, w.y.text, w.z.text)) == witness
+        assert len(calls) <= len(lengths) and all(n in lengths for n in calls)
 
     def test_witness_soundness(self):
         s = explicit_full(AB, 3)

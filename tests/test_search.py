@@ -14,10 +14,10 @@ from prodfree.search import (
     max_productfree,
 )
 from prodfree.sets import write_explicit
-from prodfree.words import Alphabet, Word, rank, unrank
+from prodfree.words import Alphabet, Word, unrank
 
 from conftest import (
-    MaskWalkSearch, bound_weight_by_scan, exhaustive_max_productfree, product_triples,
+    MaskWalkSearch, bound_weight_by_scan, exhaustive_max_productfree, product_triples, rank,
     set_words,
 )
 

@@ -16,13 +16,10 @@ from prodfree.sets import (
     _iter_bits,
     dfa_complement,
     dfa_concat,
-    dfa_is_empty,
     dfa_layer_counts,
     dfa_truncate,
-    explicit_empty,
     explicit_from_words,
     explicit_layer_counts,
-    minkowski_product,
     read_dfa,
     read_explicit,
     write_dfa,
@@ -32,15 +29,15 @@ from prodfree.words import (
     Alphabet,
     Word,
     concat,
-    rank,
     read_word_list,
     unrank,
 )
 
 from conftest import (
     A_ONLY, DFA_ALPHABETS, Unsteppable, complete_dfas, dfa_difference, dfa_empty, dfa_full,
-    dfa_intersect, dfa_union, explicit_full, layer_words, moore_blocks_by_state, random_dfa,
-    read_by_line, refined_counts_by_word, set_contains, set_words, write_word_list,
+    dfa_intersect, dfa_is_empty, dfa_union, explicit_empty, explicit_full, layer_words,
+    minkowski_product, moore_blocks_by_state, random_dfa, rank, read_by_line,
+    refined_counts_by_word, set_contains, set_words, write_word_list,
 )
 
 AB = Alphabet("ab")

@@ -6,12 +6,11 @@ from prodfree.words import (
     FormatError,
     Word,
     concat,
-    rank,
     read_word_list,
     unrank,
 )
 
-from conftest import layer_words, write_word_list
+from conftest import layer_words, rank, write_word_list
 
 
 def base_q_digits(r: int, q: int, n: int) -> list[int]:
