@@ -15,9 +15,13 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
+from itertools import accumulate, repeat, starmap
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from . import constructions, density, productfree, proofkit, search
 from .sets import (
@@ -86,9 +90,15 @@ def cmd_check(args) -> int:
 
 def cmd_density(args) -> int:
     prof = density.profile(_load_set(args), args.horizon)
+    with _all_digits():
+        _emit(_density_text(prof, args), args.out)
+    return 0
+
+
+def _density_text(prof: density.DensityProfile, args) -> str:
     if args.format == "csv":
-        _emit(_csv(prof), args.out)
-        return 0
+        return "".join(["n,count,total,density_num,density_den\n",
+                        *starmap(_CSV_ROW.format, _rows(prof))])
     min_window = args.min_window
     if min_window is None:
         # A horizon below the default length gets one window: all of it.
@@ -96,40 +106,59 @@ def cmd_density(args) -> int:
     asym = density.upper_asymptotic(prof)
     ban = density.upper_banach(prof, min_window)
     if args.format == "json":
-        report = {
+        head = json.dumps({
             "horizon": prof.horizon,
             "extendable": prof.extendable,
             "asymptotic": _limit_fields(asym),
             "banach": dict(_limit_fields(ban), min_window=min_window),
-            "profile": [
-                {"n": n, "count": count, "total": total, "density": _frac(d)}
-                for n, count, total, d in zip(
-                    range(1, prof.horizon + 1), prof.counts, prof.totals, prof.densities
-                )
-            ],
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"horizon {prof.horizon}",
-            _describe_limit("upper asymptotic density", asym),
-            _describe_limit("upper Banach density", ban),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        }, indent=2)
+        # The profile rows as json.dumps(indent=2) would lay them out; its
+        # indenting encoder is pure Python and costs several times more.
+        rows = ",\n".join(starmap(_JSON_ROW.format, _rows(prof)))
+        return f'{head[:-2]},\n  "profile": [\n{rows}\n  ]\n}}\n'
+    lines = [
+        f"horizon {prof.horizon}",
+        _describe_limit("upper asymptotic density", asym),
+        _describe_limit("upper Banach density", ban),
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _csv(p: density.DensityProfile) -> str:
-    """One row per layer, each reduced by one gcd; when it is 1 the count and
-    total are printed once more as they are, since str() of a big int costs
-    more than the gcd.  The rows are freed before the text is written out."""
-    lines = ["n,count,total,density_num,density_den\n"]
-    for n, count, total in zip(range(1, p.horizon + 1), p.counts, p.totals):
-        c, t = str(count), str(total)
+_CSV_ROW = "{},{},{},{},{}\n"
+_JSON_ROW = (
+    '    {{\n      "n": {},\n      "count": {},\n      "total": {},\n'
+    '      "density": "{}/{}"\n    }}'
+)
+# Exact decimal arithmetic: q**n is an integer of at most MAX_PREC digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+
+def _rows(p: density.DensityProfile) -> Iterator[tuple]:
+    """(n, count, total, density numerator, denominator) per layer, each
+    reduced by one gcd; when it is 1 the count and total text serve again.
+    str() of an int takes time quadratic in its digits and of a Decimal
+    linear, so the totals are printed from a running Decimal product."""
+    powers = map(str, accumulate(repeat(Decimal(p.q), p.horizon), _EXACT.multiply))
+    for n, count, total, t in zip(range(1, p.horizon + 1), p.counts, p.totals, powers):
+        c = str(count)
         g = gcd(count, total)
-        num, den = (c, t) if g == 1 else (count // g, total // g)
-        lines.append(f"{n},{c},{t},{num},{den}\n")
-    return "".join(lines)
+        yield (n, c, t, c, t) if g == 1 else (n, c, t, count // g, total // g)
+
+
+@contextmanager
+def _all_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on int-to-decimal conversion (4,300
+    digits by default) while computed integers are printed, and restore it;
+    input is parsed under the limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _limit_fields(limit: density.DensityLimit) -> dict:
@@ -181,14 +210,15 @@ def cmd_verify_prop(args) -> int:
     s = _load_set(args)
     lengths = _parse_lengths(args.lengths)
     report = proofkit.chained_inequality_check(s, lengths, args.n)
-    payload = {
-        "n": report.n,
-        "lengths": list(report.lengths),
-        "refined_terms": [_frac(t) for t in report.refined_terms],
-        "lhs": _frac(report.lhs),
-        "mid": _frac(report.mid),
-        "ok": report.ok,
-    }
+    with _all_digits():
+        payload = {
+            "n": report.n,
+            "lengths": list(report.lengths),
+            "refined_terms": [_frac(t) for t in report.refined_terms],
+            "lhs": _frac(report.lhs),
+            "mid": _frac(report.mid),
+            "ok": report.ok,
+        }
     print(json.dumps(payload, indent=2))
     return 0 if report.ok else 1
 
@@ -196,43 +226,44 @@ def cmd_verify_prop(args) -> int:
 def cmd_certify(args) -> int:
     s = _load_set(args)
     eps = _parse_fraction(args.eps)
-    prof = density.profile(s, args.horizon)
-    horizon = prof.horizon
-    lseq, trace = proofkit.extract_lsequence(s, prof, eps, args.min_window)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            for probe in trace.probes:
-                fh.write(json.dumps({
-                    "stage": probe.stage,
-                    "window": [probe.window.start, probe.window.end],
-                    "mean": _frac(probe.mean),
-                    "qualifies": probe.qualifies,
-                    "chosen": probe.chosen,
-                }) + "\n")
+    with _all_digits():
+        prof = density.profile(s, args.horizon)
+        horizon = prof.horizon
+        lseq, trace = proofkit.extract_lsequence(s, prof, eps, args.min_window)
+        if args.trace:
+            with open(args.trace, "w") as fh:
+                for probe in trace.probes:
+                    fh.write(json.dumps({
+                        "stage": probe.stage,
+                        "window": [probe.window.start, probe.window.end],
+                        "mean": _frac(probe.mean),
+                        "qualifies": probe.qualifies,
+                        "chosen": probe.chosen,
+                    }) + "\n")
 
-    certificates = []
-    all_hold = True
-    if lseq.k >= 1:
-        lk = lseq.lengths[-1]
-        for start in range(lk + 1, horizon - args.min_window + 2):
-            window = density.WindowSpec(start, start + args.min_window - 1)
-            cert = proofkit.window_bound_certificate(prof, window, lseq)
-            certificates.append({
-                "window": [window.start, window.end],
-                "bound": _frac(cert.bound),
-                "mean": _frac(cert.mean),
-                "holds": cert.holds,
-            })
-            all_hold = all_hold and cert.holds
-    payload = {
-        "policy": trace.policy,
-        "stop_reason": trace.stop_reason,
-        "lengths": list(lseq.lengths),
-        "terms": [_frac(t) for t in lseq.terms],
-        "cumulative": [_frac(c) for c in lseq.cumulative],
-        "window_certificates": certificates,
-        "all_hold": all_hold,
-    }
+        certificates = []
+        all_hold = True
+        if lseq.k >= 1:
+            lk = lseq.lengths[-1]
+            for start in range(lk + 1, horizon - args.min_window + 2):
+                window = density.WindowSpec(start, start + args.min_window - 1)
+                cert = proofkit.window_bound_certificate(prof, window, lseq)
+                certificates.append({
+                    "window": [window.start, window.end],
+                    "bound": _frac(cert.bound),
+                    "mean": _frac(cert.mean),
+                    "holds": cert.holds,
+                })
+                all_hold = all_hold and cert.holds
+        payload = {
+            "policy": trace.policy,
+            "stop_reason": trace.stop_reason,
+            "lengths": list(lseq.lengths),
+            "terms": [_frac(t) for t in lseq.terms],
+            "cumulative": [_frac(c) for c in lseq.cumulative],
+            "window_certificates": certificates,
+            "all_hold": all_hold,
+        }
     print(json.dumps(payload, indent=2))
     return 0 if all_hold else 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator
 
 from .sets import (
@@ -238,13 +238,18 @@ def upper_banach(p: DensityProfile, min_window: int = DEFAULT_MIN_WINDOW) -> Den
 
     Lengths below 2*min_window suffice: a longer window of largest mean splits
     into two of length >= min_window and the same mean, the first one earlier.
+    Windows of one length compare by their sums, so only the first of largest
+    sum per length can be the first window of largest mean; _limit gets
+    those, in (start, end) order.
     """
     h = p.horizon
     if not 1 <= min_window <= h:
         raise ValueError(
             f"min window {min_window} outside 1..{h}"
         )
-    return _limit(p, (
-        (m, n) for m in range(1, h - min_window + 2)
-        for n in range(m + min_window - 1, min(h, m + 2 * min_window - 2) + 1)
-    ))
+    prefix, best = p.prefix, []
+    for length in range(min_window, min(h, 2 * min_window - 1) + 1):
+        sums = list(map(sub, prefix[length:], prefix[:h + 1 - length]))
+        m = sums.index(max(sums)) + 1
+        best.append((m, m + length - 1))
+    return _limit(p, sorted(best))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -6,7 +7,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 import pytest
 from hypothesis import settings, strategies as st
 
-from prodfree.density import _recurrence, layer_counts, profile
+from prodfree.density import (
+    DEFAULT_MIN_WINDOW, DensityProfile, _recurrence, layer_counts, profile, upper_asymptotic,
+    upper_banach,
+)
 from prodfree.search import SearchResult, _Search, _as_layered, _layer_offsets, _universe
 from prodfree.sets import (
     Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized, _spread,
@@ -159,6 +163,34 @@ def ball_density(s: LayeredSet | Dfa, n: int) -> Fraction:
     """|S ∩ F_<=(n)| / |F_<=(n)| with exact big-integer counts."""
     p = profile(s, n)
     return Fraction(sum(p.counts), sum(p.totals))
+
+
+def density_json_oracle(p: DensityProfile, min_window: int | None = None) -> str:
+    """What density --format json prints, as json.dumps(indent=2) of the
+    whole report: the oracle of the CLI's row template."""
+    if min_window is None:
+        min_window = min(DEFAULT_MIN_WINDOW, p.horizon)
+
+    def fields(limit):
+        return {
+            "value": f"{limit.value.numerator}/{limit.value.denominator}",
+            "exact": limit.exact,
+            "finite_max": f"{limit.finite_max.numerator}/{limit.finite_max.denominator}",
+            "window": [limit.window.start, limit.window.end],
+        }
+
+    report = {
+        "horizon": p.horizon,
+        "extendable": p.extendable,
+        "asymptotic": fields(upper_asymptotic(p)),
+        "banach": dict(fields(upper_banach(p, min_window)), min_window=min_window),
+        "profile": [
+            {"n": n, "count": count, "total": p.q**n,
+             "density": f"{d.numerator}/{d.denominator}"}
+            for n, (count, d) in enumerate(zip(p.counts, p.densities), start=1)
+        ],
+    }
+    return json.dumps(report, indent=2) + "\n"
 
 
 def limit_from_counts(q: int, counts: Sequence[int], k: int) -> Fraction | None:

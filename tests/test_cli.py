@@ -1,22 +1,41 @@
 import argparse
 import hashlib
+import io
 import json
 import shlex
+import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodfree import cli
 from prodfree.cli import main
 from prodfree.constructions import greedy_random_productfree, odd_occurrence
+from prodfree.density import profile
 from prodfree.productfree import check_explicit
-from prodfree.sets import Dfa, explicit_from_words, read_dfa, write_dfa
+from prodfree.proofkit import chained_inequality_check
+from prodfree.sets import Dfa, LayeredSet, explicit_from_words, read_dfa, write_dfa, write_explicit
 from prodfree.words import Alphabet, read_word_list
 
-from conftest import Unsteppable, dfa_full, set_words, write_word_list
+from conftest import (
+    DFA_ALPHABETS, Unsteppable, complete_dfas, density_json_oracle, dfa_full, set_words,
+    write_word_list,
+)
 
 AB = Alphabet("ab")
+
+
+@st.composite
+def explicit_sets(draw) -> LayeredSet:
+    """An explicit set over a or ab with any members, horizon 1..7."""
+    alphabet = draw(st.sampled_from(DFA_ALPHABETS[:2]))
+    horizon = draw(st.integers(1, 7))
+    layers = [draw(st.integers(0, 2 ** alphabet.layer_size(n) - 1))
+              for n in range(1, horizon + 1)]
+    return LayeredSet(alphabet, horizon, (0, *layers))
 
 
 @pytest.fixture
@@ -166,6 +185,72 @@ class TestDensity:
             "--out", str(target),
         ]) == 0
         assert target.read_text().startswith("n,count")
+
+    @pytest.mark.ci_profile
+    @settings(deadline=None)
+    @given(case=st.one_of(
+        st.tuples(st.sampled_from(DFA_ALPHABETS).flatmap(complete_dfas), st.integers(1, 40)),
+        explicit_sets().map(lambda s: (s, None)),
+    ), window=st.integers(0, 12), out=st.booleans())
+    def test_json_bytes_match_the_oracle(self, case, window, out, tmp_path_factory):
+        s, horizon = case
+        prof = profile(s, horizon)
+        min_window = min(window, prof.horizon) or None  # 0: the default
+        path = tmp_path_factory.mktemp("json") / "in"
+        if isinstance(s, Dfa):
+            path.write_text(write_dfa(s))
+            argv = ["density", "--dfa", str(path), "--horizon", str(horizon)]
+        else:
+            path.write_text(write_explicit(s))
+            argv = ["density", "--words", str(path)]
+        argv += ["--format", "json"]
+        if min_window is not None:
+            argv += ["--min-window", str(min_window)]
+        target = path.with_name("out.json")
+        if out:
+            argv += ["--out", str(target)]
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(argv) == 0
+        written = target.read_text() if out else stdout.getvalue()
+        assert stdout.getvalue() == ("" if out else written)
+        assert written == density_json_oracle(prof, min_window)
+
+    @pytest.mark.parametrize("symbols", ["ab", "abc", "abcd"])
+    def test_csv_totals_are_powers_of_q(self, symbols, tmp_path, capsys):
+        path = tmp_path / "full.dfa"
+        path.write_text(write_dfa(dfa_full(Alphabet(symbols))))
+        assert main(["density", "--dfa", str(path), "--horizon", "2048",
+                     "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        q = len(symbols)
+        assert [row[2] for row in rows] == [str(q**n) for n in range(1, 2049)]
+
+    def test_prints_integers_past_the_digit_limit(self, tmp_path, capsys):
+        # 2**2200 has 663 digits, over the 640 set here (the interpreter's
+        # default is 4,300): the CLI prints them and restores the limit.
+        full, not_a = tmp_path / "full.dfa", tmp_path / "not_a.dfa"
+        full.write_text(write_dfa(dfa_full(AB)))
+        # Words other than a^n, whose densities (2**n - 1)/2**n do not reduce.
+        s = Dfa(AB, 3, 0, frozenset({2}), ((1, 2), (1, 2), (2, 2)))
+        not_a.write_text(write_dfa(s))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            codes = [main(["density", "--dfa", str(full), "--horizon", "2200",
+                           "--format", fmt]) for fmt in ("csv", "json")]
+            codes.append(main(["verify-prop", "--dfa", str(not_a), "--lengths", "1",
+                               "--n", "2200"]))
+            limit = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert codes == [0, 0, 1] and limit == 640
+        out = capsys.readouterr().out
+        csv, report, prop = out.split("\n{")
+        assert int(csv.splitlines()[-1].split(",")[2]) == 2**2200
+        assert json.loads("{" + report)["profile"][-1]["total"] == 2**2200
+        lhs = chained_inequality_check(s, (1,), 2200).lhs
+        assert json.loads("{" + prop)["lhs"] == f"{lhs.numerator}/{lhs.denominator}"
 
 
 class TestConstruct:

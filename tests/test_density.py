@@ -395,6 +395,11 @@ class TestBanach:
     @example(case=(DensityProfile(3, (2, 0, 27, 40, 0, 729), 1), 6))
     @example(case=(DensityProfile(2, (1,), 0), 1))
     @example(case=(DensityProfile(2, tuple(n * 2**n for n in range(1, 20)), 3), 4))
+    # Means 1/2 at [3, 6] and [3, 7], which tie at one start, and at [10, 12]:
+    # the length-3 window comes first by length but last by (start, end).
+    @example(case=(DensityProfile(2, (0, 0, 8, 4, 0, 48, 64, 0, 0, 512, 1024, 2048, 0), 0), 3))
+    # Only the longest length, 2 * min_window - 1, reaches the largest mean.
+    @example(case=(DensityProfile(2, (2, 0, 8), 0), 2))
     def test_matches_full_scan(self, case):
         prof, min_window = case
         bounded = upper_banach(prof, min_window)
