@@ -18,9 +18,11 @@ from .proofkit import exceeds_phi
 from .sets import (
     Dfa,
     LayeredSet,
+    _bits,
     _check_horizon,
     _explore,
     _first_split,
+    _layer_offsets,
     _minimized,
     dfa_complement,
     dfa_concat,
@@ -201,9 +203,16 @@ def greedy_random_productfree(
     exact: a product with a factor or the product in an empty layer does
     not exist.  The two lists change only when a layer gets its first
     member, and then gain only the entries with that layer as a factor or
-    the product, O(max_len) of them, each inserted in order.
+    the product, O(max_len) of them, found by a walk over the lengths that
+    have a member and each inserted in order.
+
+    Membership is kept as 0/1 byte marks over the ball (see sets._marks),
+    so a split test reads two bytes and an insertion writes two, and the
+    layers become ints once, at the end.
     """
     q = alphabet.q
+    if max_len < 1:
+        raise ValueError(f"max length must be >= 1, got {max_len}")
     if _over_budget(q**n for n in range(1, max_len + 1)):
         raise ValueError(f"max length {max_len} over the enumeration budget")
     items = [(n, r) for n in range(1, max_len + 1) for r in range(q**n)]
@@ -220,10 +229,13 @@ def greedy_random_productfree(
         raise ValueError(f"unknown schedule {schedule!r}")
 
     # reversal[n][r] is the rank of the reversal of the length-n word of rank
-    # r, and rev[n] holds the reversals of the members of length n.
+    # r.  fwd marks the members at offset[n] + r, and rev marks the
+    # reversals of the members at offset[n] + reversal[n][r].
     reversal = _relabel_tables(q, max_len, list(range(q)), reverse=True)
-    fwd = [0] * (max_len + 1)
-    rev = [0] * (max_len + 1)
+    offset = _layer_offsets(q, max_len)
+    fwd = bytearray(offset[-1])
+    rev = bytearray(offset[-1])
+    lengths = []  # the lengths with a member
     # splits[n] and longer[n]: the live splits and extensions of length n,
     # each ascending.
     splits = [[] for _ in range(max_len + 1)]
@@ -231,30 +243,31 @@ def greedy_random_productfree(
     for n, r in items:
         rr = reversal[n][r]
         # w = x.y with both factors already in, or w.w already in.
-        if _first_split(fwd, q, n, r, splits[n]) or (
-            2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1
+        if _first_split(fwd, offset, q, n, r, splits[n]) or (
+            2 * n <= max_len and fwd[offset[2 * n] + r * q**n + r]
         ):
             continue
         for m in longer[n]:
-            width = q**m
-            # w.y in S for some member y: the ranks of w.y form one block of
-            # width bits, and fwd[m] fits in it unmasked.  y.w: the same on
-            # the reversals.
-            if ((fwd[n + m] >> (r * width)) & fwd[m]
-                    or (rev[n + m] >> (rr * width)) & rev[m]):
+            # w.y in S for some member y: the ranks of w.y are one block of
+            # width in layer n + m, matched against layer m byte for byte.
+            # y.w: the same on the reversals.
+            width, y, wy = q**m, offset[m], offset[n + m]
+            if (int.from_bytes(fwd[wy + r * width : wy + (r + 1) * width], "big")
+                    & int.from_bytes(fwd[y : y + width], "big")
+                    or int.from_bytes(rev[wy + rr * width : wy + (rr + 1) * width], "big")
+                    & int.from_bytes(rev[y : y + width], "big")):
                 break
         else:
-            first = not fwd[n]
-            fwd[n] |= 1 << r
-            rev[n] |= 1 << rr
-            if first:
-                for j in range(1, max_len + 1):
-                    if not fwd[j]:
-                        continue
+            fwd[offset[n] + r] = 1
+            rev[offset[n] + rr] = 1
+            if n not in lengths:
+                lengths.append(n)
+                for j in lengths:
                     if n + j <= max_len:  # n.j and j.n, once if j = n
                         insort(splits[n + j], n)
                         if j != n:
                             insort(splits[n + j], j)
                     if j != n:  # the shorter of n and j extends to the longer
                         insort(longer[abs(j - n)], min(j, n))
-    return LayeredSet(alphabet, max_len, tuple(fwd))
+    layers = [0] + [_bits(fwd[offset[n] : offset[n + 1]]) for n in range(1, max_len + 1)]
+    return LayeredSet(alphabet, max_len, tuple(layers))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sets import (
-    Dfa, LayeredSet, _first_split, _iter_bits, _live_splits, _spread,
+    Dfa, LayeredSet, _first_split, _iter_bits, _live_splits, _marks, _spread,
     _start_normalized,
 )
 from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
@@ -38,16 +38,19 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     A layer's products are one spread per split, a pass over q**n characters
     each; a layer with under q**n / 64 members probes each member's splits
     instead, at one Python step, some 64 characters of a pass, per split.
+    The probes read the set's byte marks, built the first time one is made.
     """
     q = s.alphabet.q
     layers = s.layers
+    ball = None
     for n in range(2, s.horizon + 1):
         target = layers[n]
         if not target or not (splits := _live_splits(layers, n)):
             continue
         if 64 * target.bit_count() < q**n:
+            ball = ball or _marks(layers, q)
             z = next((r for r in _iter_bits(target)
-                      if _first_split(layers, q, n, r, splits)), -1)
+                      if _first_split(*ball, q, n, r, splits)), -1)
         else:
             products = 0
             for m in splits:
@@ -55,7 +58,8 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
             hits = products & target
             z = (hits & -hits).bit_length() - 1
         if z >= 0:
-            m = _first_split(layers, q, n, z, splits)
+            ball = ball or _marks(layers, q)
+            m = _first_split(*ball, q, n, z, splits)
             tail = q ** (n - m)
             return WitnessTriple(
                 unrank(s.alphabet, m, z // tail),

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .sets import LayeredSet
+from .sets import LayeredSet, _layer_offsets
 from .words import Alphabet, _relabel_tables
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -84,15 +84,6 @@ def _as_layered(
         n, r = items[idx]
         layers[n] |= 1 << r
     return LayeredSet(alphabet, horizon, tuple(layers))
-
-
-def _layer_offsets(q: int, horizon: int) -> list[int]:
-    """offset[n] is the universe index of the first length-n word, for
-    n = 1..horizon + 1."""
-    offset = [0] * (horizon + 2)
-    for n in range(1, horizon + 1):
-        offset[n + 1] = offset[n] + q**n
-    return offset
 
 
 def _symmetry_maps(q: int, horizon: int) -> list[list[list[int]]]:

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -11,9 +12,9 @@ from prodfree.density import (
     DEFAULT_MIN_WINDOW, DensityProfile, _recurrence, layer_counts, profile, upper_asymptotic,
     upper_banach,
 )
-from prodfree.search import SearchResult, _Search, _as_layered, _layer_offsets, _universe
+from prodfree.search import SearchResult, _Search, _as_layered, _universe
 from prodfree.sets import (
-    Dfa, LayeredSet, _check_horizon, _explore, _first_split, _iter_bits, _minimized, _spread,
+    Dfa, LayeredSet, _check_horizon, _explore, _iter_bits, _layer_offsets, _minimized, _spread,
 )
 from prodfree.words import (
     ENUMERATION_BUDGET, Alphabet, FormatError, Word, _relabel_tables, unrank,
@@ -507,6 +508,22 @@ def write_word_list(words: Iterable[Word], alphabet: Alphabet, horizon: int) -> 
     return "\n".join(lines) + "\n"
 
 
+def write_by_member(s: LayeredSet) -> str:
+    """Word-list text of s, each member formatted from its rank by two
+    table lookups: the oracle for sets.write_explicit, which writes its
+    dense layers by selecting from the table with the layer's flags."""
+    symbols = s.alphabet.symbols
+    k = (s.horizon + 1) // 2
+    block = s.alphabet.q**k
+    table = ["".join(p) for p in product(symbols, repeat=k)]
+    lines = [f"alphabet: {symbols}", f"horizon: {s.horizon}"]
+    for n in range(1, s.horizon + 1):
+        high, low = 2 * k - n, max(k - n, 0)
+        lines.extend(table[r // block][high:] + table[r % block][low:]
+                     for r in _iter_bits(s.layers[n]))
+    return "\n".join(lines) + "\n"
+
+
 class _DigitTable(dict):
     """str.translate table from alphabet symbols to base-q digits.  Any
     other character becomes '!', which int() refuses in every base."""
@@ -602,7 +619,9 @@ def greedy_every_split(alphabet: Alphabet, max_len: int, seed: int,
     rev = [0] * (max_len + 1)
     for n, r in items:
         rr = reversal[n][r]
-        if _first_split(fwd, q, n, r, range(1, n)) or (
+        # Its own probe of int layers, sharing nothing with sets._first_split.
+        if any((fwd[m] >> (r // q ** (n - m))) & 1 and (fwd[n - m] >> (r % q ** (n - m))) & 1
+               for m in range(1, n)) or (
             2 * n <= max_len and (fwd[2 * n] >> (r * q**n + r)) & 1
         ):
             continue

@@ -280,6 +280,12 @@ class TestConstruct:
         expected = greedy_random_productfree(AB, 6, 9)
         assert explicit_from_words(words, horizon) == expected
 
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_random_max_len_below_one_exit_two(self, max_len, capsys):
+        assert main(["construct", "random", "--seed", "1", "--max-len", max_len]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: max length must be >= 1, got {max_len}\n")
+
     def test_asymmetric_files(self, tmp_path, capsys):
         prefix = tmp_path / "tri"
         assert main([

@@ -308,8 +308,9 @@ class TestGreedyGenerator:
 
 # sha256 of write_explicit of greedy fixtures, as (symbols, max_len, seed,
 # schedule): the explicit benchmark's size (ab, 12) under both schedules,
-# abc at 7 and the unary ball at 30.  Every odd-first ab-12 fixture is the
-# odd-length truncation, whatever the seed.
+# abc at 7, the unary ball at 30, and wider layers at ab 14 and abcd 6,
+# where the extension tests read slices of q**m words at q = 4.  Every
+# odd-first ab-12 fixture is the odd-length truncation, whatever the seed.
 _ODD_AB_12 = "af0252254187b7d8802682bbea2b9f5f75f5f0943d783f3029434345cc7adf6c"
 PINNED_FIXTURES = {
     ("ab", 12, 0, "uniform"): "b56ae6ee376357f99733de7348c5eb37d401c3022f659fc46c7aea63f92ebd3b",
@@ -325,6 +326,8 @@ PINNED_FIXTURES = {
     ("abc", 7, 1, "uniform"): "d981b311b6294488ceca8c5e396a6b103d917809bdf7e62484790dff3bb46244",
     ("abc", 7, 2, "uniform"): "b95df3cb3134976829748802937e4e3bd32e3d66378939260566065612be847b",
     ("a", 30, 1, "uniform"): "0b77bfa9bdff963728873ea1426582bb8aebdfe6412f5aa3d249aa6438e11986",
+    ("ab", 14, 0, "uniform"): "41a8b3cd79aff82aa59962024ffb7cb5c8af557ae613ed6645c347cccc0e2a65",
+    ("abcd", 6, 0, "uniform"): "76db16abbce6ea7b6961bbc4e05f26323bb014cd23f09722d74062876aafcdb2",
 }
 
 

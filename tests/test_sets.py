@@ -2,6 +2,8 @@ import random
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import compress
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,7 @@ from conftest import (
     A_ONLY, DFA_ALPHABETS, Unsteppable, complete_dfas, dfa_difference, dfa_empty, dfa_full,
     dfa_intersect, dfa_is_empty, dfa_union, explicit_empty, explicit_full, layer_words,
     minkowski_product, moore_blocks_by_state, random_dfa, rank, read_by_line,
-    refined_counts_by_word, set_contains, set_words, write_word_list,
+    refined_counts_by_word, set_contains, set_words, write_by_member, write_word_list,
 )
 
 AB = Alphabet("ab")
@@ -694,6 +696,85 @@ def word_list_texts(draw) -> tuple[str, set[str]]:
         ends[-1] = ""  # no final line boundary
     text = "".join(line + end for line, end in zip(lines, ends))
     return text, {w.strip() for w in words}
+
+
+# Longest horizon per alphabet size for the writer's property: every layer
+# up to a few thousand words.
+WRITER_MAX_LEN = {1: 30, 2: 12, 3: 7, 4: 6}
+
+
+@st.composite
+def writer_sets(draw) -> LayeredSet:
+    """A set whose layers are each drawn empty, full, alternating, random at
+    1/2 or 1/8, a few scattered members, or exactly at write_explicit's
+    dense cut, ceil(q**n / 16) members, or one member under it."""
+    q = draw(st.sampled_from(sorted(WRITER_MAX_LEN)))
+    horizon = draw(st.integers(1, WRITER_MAX_LEN[q]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    layers = [0]
+    for n in range(1, horizon + 1):
+        width = q**n
+        kind = draw(st.sampled_from(["empty", "full", "alternating", "half", "eighth",
+                                     "scattered", "at cut", "under cut"]), label=f"layer {n}")
+        if kind == "empty":
+            bits = 0
+        elif kind == "full":
+            bits = (1 << width) - 1
+        elif kind == "alternating":
+            bits = (int("01" * width, 2) << rng.getrandbits(1)) & ((1 << width) - 1)
+        elif kind == "half":
+            bits = rng.getrandbits(width)
+        elif kind == "eighth":
+            bits = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+        else:
+            count = {"scattered": min(3, width), "at cut": -(-width // 16),
+                     "under cut": -(-width // 16) - 1}[kind]
+            bits = sum(1 << r for r in rng.sample(range(width), count))
+        layers.append(bits)
+    return LayeredSet(Alphabet("abcd"[:q]), horizon, tuple(layers))
+
+
+class TestWriter:
+    """write_explicit against write_by_member (conftest), today's per-member
+    loop, which it keeps for layers under 1/16 full."""
+
+    # Lines, not whole texts, are compared: a failing report then names the
+    # first line that differs instead of diffing two large texts.  The
+    # members selected from the table are exactly those of the layers at or
+    # above the cut.
+    @pytest.mark.ci_profile
+    @given(s=writer_sets())
+    def test_write_matches_the_member_loop(self, s):
+        selected = []
+        with patch.object(sets, "compress",
+                          lambda data, flags: selected.append(sum(flags)) or compress(data, flags)):
+            text = write_explicit(s)
+        assert text.split("\n") == write_by_member(s).split("\n")
+        counts = [s.layer_count(n) for n in range(1, s.horizon + 1)]
+        assert sum(selected) == sum(c for n, c in enumerate(counts, 1)
+                                    if 16 * c >= s.alphabet.q**n)
+
+    # (alphabet, horizon, layer): a top layer and, where the horizon has
+    # room, a layer below the half, whose words are low-half words only.
+    @pytest.mark.parametrize("symbols, horizon, n", [
+        ("a", 5, 3), ("ab", 9, 4), ("ab", 9, 9), ("ab", 10, 10), ("abc", 6, 6),
+        ("abc", 7, 3), ("abcd", 5, 2), ("abcd", 5, 5),
+    ])
+    def test_the_dense_cut(self, symbols, horizon, n, monkeypatch):
+        # A layer of ceil(q**n / 16) members is selected from the table,
+        # one with a member fewer is written member by member.
+        alphabet = Alphabet(symbols)
+        calls = []
+        monkeypatch.setattr(sets, "compress",
+                            lambda data, flags: calls.append(1) or compress(data, flags))
+        at_cut = -(-alphabet.q**n // 16)
+        for count, selected in ((at_cut, True), (at_cut - 1, False)):
+            layers = [0] * (horizon + 1)
+            layers[n] = sum(1 << r for r in random.Random(count).sample(range(alphabet.q**n), count))
+            s = LayeredSet(alphabet, horizon, tuple(layers))
+            calls.clear()
+            assert write_explicit(s).split("\n") == write_by_member(s).split("\n")
+            assert bool(calls) is selected
 
 
 @pytest.mark.ci_profile
