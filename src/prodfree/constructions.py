@@ -12,6 +12,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 from .proofkit import exceeds_phi
@@ -121,7 +122,8 @@ def asymmetric_triple(alphabet: Alphabet, n: int, eps: Fraction) -> AsymmetricTr
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    # W's bitset holds q**n bits and X's automaton one state per proper prefix.
+    # W's bitset holds q**n bits and Y's automaton one state per word of
+    # length at most n.
     if _over_budget(alphabet.q**k for k in range(1, n + 1)):
         raise ValueError(f"layer {n} over the enumeration budget")
     total = alphabet.layer_size(n)
@@ -144,38 +146,41 @@ def asymmetric_triple(alphabet: Alphabet, n: int, eps: Fraction) -> AsymmetricTr
 
 
 def _prefix_set_dfa(alphabet: Alphabet, n: int, size: int) -> Dfa:
-    """Words whose length-n prefix has rank < size (non-strict prefix)."""
+    """Words whose length-n prefix has rank < size (non-strict prefix).
+
+    The prefix is compared with the n base-q digits of size as it is read: a
+    state is (depth, below), below once the prefix is less than the digits
+    so far.  A prefix above them, and size itself at depth n, go to the sink
+    (n, False); (n, True) is the accepting sink."""
     q = alphabet.q
-    # A state is (depth, rank) of the prefix read so far; after n symbols it
-    # becomes the sink (n, 1) when that rank is below size, else (n, 0).
+    digits = [size // q ** (n - 1 - depth) % q for depth in range(n)]
 
-    def step(state: tuple[int, int], c: int) -> tuple[int, int]:
-        depth, r = state
+    def step(state: tuple[int, bool]) -> list[tuple[int, bool]]:
+        depth, below = state
         if depth == n:
-            return state
-        if depth + 1 == n:
-            return (n, int(r * q + c < size))
-        return (depth + 1, r * q + c)
+            return [state] * q
+        if below:
+            return [(depth + 1, True)] * q
+        digit = digits[depth]
+        return [(depth + 1, True)] * digit + [(depth + 1, False)] + [(n, False)] * (q - 1 - digit)
 
-    return _minimized(_explore(alphabet, (0, 0), step, lambda s: s == (n, 1)))
+    # Every prefix is below a size of q**n, which has n + 1 digits.
+    return _minimized(_explore(alphabet, (0, size >= q**n), step, lambda s: s == (n, True)))
 
 
 def _suffix_set_dfa(alphabet: Alphabet, n: int, size: int) -> Dfa:
-    """Words whose final n symbols form a word of rank < size."""
+    """Words whose final n symbols form a word of rank < size.
+
+    In state q**0 + ... + q**(d-1) + r the last d = min(len, n) symbols read
+    have rank r.  Every state is reachable, so the table is written down, not
+    explored: below depth n the successors, state by state, are the states
+    from 1 on, and from depth n, which drops a symbol, all of depth n, q
+    times over."""
     q = alphabet.q
-    high = q ** (n - 1)
-    # A state is (min(len, n), rank) of the last min(len, n) symbols read.
-
-    def step(state: tuple[int, int], c: int) -> tuple[int, int]:
-        depth, r = state
-        if depth < n:
-            return (depth + 1, r * q + c)
-        return (n, (r % high) * q + c)
-
-    def accept(state: tuple[int, int]) -> bool:
-        return state[0] == n and state[1] < size
-
-    return _minimized(_explore(alphabet, (0, 0), step, accept))
+    top, width = sum(q**d for d in range(n)), q**n  # depth n's first state and size
+    targets = chain(range(1, top + width), list(range(top, top + width)) * q)
+    delta = tuple(zip(*[targets] * q))  # q references to one iterator: rows of q
+    return _minimized(Dfa(alphabet, top + width, 0, frozenset(range(top, top + size)), delta))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sets import (
-    Dfa, LayeredSet, _first_split, _iter_bits, _live_splits, _marks, _spread,
+    Dfa, LayeredSet, _bits, _first_split, _iter_bits, _live_splits, _marks, _spread,
     _start_normalized,
 )
 from .words import ENUMERATION_BUDGET, Alphabet, Word, concat, unrank
@@ -43,9 +43,11 @@ def check_explicit(s: LayeredSet) -> WitnessTriple | None:
     q = s.alphabet.q
     layers = s.layers
     ball = None
+    flags = bytes(map(bool, layers))  # see _live_splits
+    nonempty = _bits(flags), _bits(flags[::-1]), s.horizon
     for n in range(2, s.horizon + 1):
         target = layers[n]
-        if not target or not (splits := _live_splits(layers, n)):
+        if not target or not (splits := _live_splits(nonempty, n)):
             continue
         if 64 * target.bit_count() < q**n:
             ball = ball or _marks(layers, q)

@@ -14,7 +14,8 @@ DFA is { w : |w| >= 1 and run(start, w) is accepting }.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, count, filterfalse, islice, product, repeat
+from operator import add, mul
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .words import (
@@ -152,10 +153,14 @@ def _first_split(
     return 0
 
 
-def _live_splits(layers: list[int] | tuple[int, ...], n: int) -> list[int]:
-    """The m in 1..n-1 with layers m and n - m both nonempty: the only
-    splits at which a length-n word can have both factors in layers."""
-    return [m for m in range(1, n) if layers[m] and layers[n - m]]
+def _live_splits(nonempty: tuple[int, int, int], n: int) -> list[int]:
+    """The m in 1..n-1 with layers m and n - m both nonempty, ascending: the
+    only splits of a length-n word into two members.  nonempty is (mask,
+    reversal, H) for layers[0..H], bit m of mask and bit H - m of reversal
+    set when layer m is nonempty: mask & (reversal >> H - n) has them, as
+    layer 0 is empty."""
+    mask, reversal, horizon = nonempty
+    return list(_iter_bits(mask & (reversal >> (horizon - n))))
 
 
 def _from_lines(alphabet: Alphabet, horizon: int | None, lines: str) -> LayeredSet:
@@ -260,16 +265,16 @@ class Dfa:
             raise ValueError("a DFA needs at least one state")
         if not 0 <= self.start < self.num_states:
             raise ValueError(f"start state {self.start} out of range")
-        if any(not 0 <= s < self.num_states for s in self.accepting):
+        if self.accepting and (min(self.accepting) < 0 or max(self.accepting) >= self.num_states):
             raise ValueError("accepting state out of range")
         if len(self.delta) != self.num_states:
             raise ValueError("delta must have one row per state")
-        q = self.alphabet.q
-        for row in self.delta:
-            if len(row) != q:
-                raise ValueError("delta rows must cover every symbol")
-            if any(not 0 <= t < self.num_states for t in row):
-                raise ValueError("transition target out of range")
+        # Every row in one pass at C speed.
+        if set(map(len, self.delta)) != {self.alphabet.q}:
+            raise ValueError("delta rows must cover every symbol")
+        flat = chain.from_iterable
+        if min(flat(self.delta)) < 0 or max(flat(self.delta)) >= self.num_states:
+            raise ValueError("transition target out of range")
 
     def run(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
@@ -297,38 +302,45 @@ def _start_normalized(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, d.num_states + 1, clone, d.accepting, delta)
 
 
+# The most states _explore steps at once: their successors, repeats included,
+# are held until the batch is numbered.
+_EXPLORE_BATCH = 64
+
+
 def _explore(
     alphabet: Alphabet,
     start: Hashable,
-    step: Callable[[Any, int], Hashable],
+    step: Callable[[Any], Iterable[Hashable]],
     accept: Callable[[Any], bool],
     cap: int | None = None,
 ) -> Dfa:
-    """The automaton on the states reachable from start under step.
+    """The automaton on the states reachable from start under step, which
+    gives a state's q successors in symbol order.
 
     States are numbered in breadth-first order, symbols ascending, so start
-    is state 0; a state accepts when accept(state) holds.  Only the subset
-    construction of dfa_concat passes a cap: a state past the first cap
-    raises StateBudgetError.
-    """
-    q = alphabet.q
+    is state 0; a state accepts when accept(state) holds.  Up to
+    _EXPLORE_BATCH states are stepped at once and their successors numbered
+    at C speed: those not numbered before, in order, less repeats, take the
+    next numbers, as one state at a time would give them.  Only dfa_concat
+    passes a cap, and a state past it raises StateBudgetError."""
+    number = {start: 0}
     order = [start]
-    index = {start: 0}
-    rows: list[tuple[int, ...]] = []
-    for s in order:
-        row = []
-        for c in range(q):
-            t = step(s, c)
-            i = index.get(t)
-            if i is None:
-                if cap is not None and len(order) >= cap:
-                    raise StateBudgetError(f"concatenation exceeded the state cap {cap}")
-                i = index[t] = len(order)
-                order.append(t)
-            row.append(i)
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, s in enumerate(order) if accept(s))
-    return Dfa(alphabet, len(order), 0, accepting, tuple(rows))
+    targets: list[int] = []  # q per state, in state order
+    done = 0
+    while done < len(order):
+        batch = order[done : done + _EXPLORE_BATCH]
+        done += len(batch)
+        found = list(chain.from_iterable(map(step, batch)))
+        fresh = list(filterfalse(number.__contains__, dict.fromkeys(found)))
+        if cap is not None and len(order) + len(fresh) > cap:
+            raise StateBudgetError(f"concatenation exceeded the state cap {cap}")
+        number.update(zip(fresh, count(len(order))))
+        order += fresh
+        targets += map(number.__getitem__, found)
+    # q references to one iterator: the targets in rows of q.
+    rows = tuple(zip(*[iter(targets)] * alphabet.q))
+    accepting = frozenset(compress(count(), map(accept, order)))
+    return Dfa(alphabet, len(order), 0, accepting, rows)
 
 
 def _moore_blocks(d: Dfa) -> list[int]:
@@ -358,17 +370,15 @@ def _minimized(d: Dfa) -> Dfa:
     """
     d = _start_normalized(d)
     block = _moore_blocks(d)
-    # The quotient automaton, explored from one representative per block:
-    # Moore classes are a congruence, so any representative will do, and
-    # the exploration from the start's block reaches only reachable blocks.
-    rep: dict[int, int] = {}
-    for s in range(d.num_states):
-        rep.setdefault(block[s], s)
+    # The reachable quotient automaton on block numbers: Moore classes are a
+    # congruence, so a block's row is that of any of its states, here the
+    # last.
+    rows = dict(zip(block, zip(*[map(block.__getitem__, col) for col in zip(*d.delta)])))
     return _explore(
         d.alphabet,
-        rep[block[d.start]],
-        lambda s, c: rep[block[d.delta[s][c]]],
-        d.accepting.__contains__,
+        block[d.start],
+        rows.__getitem__,
+        set(map(block.__getitem__, d.accepting)).__contains__,
     )
 
 
@@ -391,12 +401,13 @@ def dfa_concat(d1: Dfa, d2: Dfa) -> Dfa:
         raise ValueError("alphabet mismatch")
     d2 = _start_normalized(d2)
     bridge = frozenset({d2.start})
+    columns = list(zip(*d2.delta))
 
-    def step(state: tuple[int, frozenset[int]], c: int) -> tuple[int, frozenset[int]]:
+    def step(state: tuple[int, frozenset[int]]) -> list[tuple[int, frozenset[int]]]:
         s1, part = state
-        t1 = d1.delta[s1][c]
-        tpart = frozenset(d2.delta[s][c] for s in part)
-        return t1, (tpart | bridge if t1 in d1.accepting else tpart)
+        parts = [frozenset(map(col.__getitem__, part)) for col in columns]
+        return [(t1, p | bridge if t1 in d1.accepting else p)
+                for t1, p in zip(d1.delta[s1], parts)]
 
     return _minimized(_explore(
         d1.alphabet,
@@ -522,16 +533,46 @@ def write_dfa(d: Dfa) -> str:
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+# The most lines read_dfa hands _trans_run at once, which holds all their
+# tokens: a longer run is read in parts.
+_TRANS_RUN = 4096
+
+
+def _trans_run(lines: list[str], symbol_index: dict[str, int], trans: dict[int, int]) -> bool:
+    """Add lines that start 'trans:' to trans (s * q + c -> target) at once
+    if each is 'trans: STATE SYMBOL TARGET' with ASCII digits, a known symbol
+    and a new transition, else return False.  A line's first token is never
+    a number or a symbol, so the checks on the tokens below hold only if
+    every line has four, the first 'trans:'."""
+    toks = " ".join(lines).split()
+    states, symbols, targets = toks[1::4], toks[2::4], toks[3::4]
+    digits = "".join(states + targets)
+    if (len(toks) != 4 * len(lines) or toks[::4].count("trans:") != len(lines)
+            or not (digits.isascii() and digits.isdecimal())
+            or not symbol_index.keys() >= set(symbols)):
+        return False
+    try:
+        keys = map(add, map(mul, map(int, states), repeat(len(symbol_index))),
+                   map(symbol_index.__getitem__, symbols))
+        run = dict(zip(keys, map(int, targets)))
+    except ValueError:  # a number past int()'s digit limit
+        return False
+    if len(run) < len(lines) or not trans.keys().isdisjoint(run):
+        return False
+    trans.update(run)
+    return True
+
+
 def read_dfa(source: str | TextIO) -> Dfa:
-    """Parse the line-oriented DFA format; completeness is enforced."""
+    """Parse the line-oriented DFA format; completeness is enforced.
+
+    A run of lines that start 'trans:' is read in steps of up to _TRANS_RUN
+    lines (_trans_run) when it can be; every other line is checked on its
+    own, in file order, so the first fault is named at its line."""
     text = source if isinstance(source, str) else source.read()
-    alphabet: Alphabet | None = None
-    num_states: int | None = None
-    start: int | None = None
-    accepting: frozenset[int] | None = None
-    trans: dict[tuple[int, int], int] = {}
+    headers: dict[str, Any] = {}
+    trans: dict[int, int] = {}  # s * q + c -> target
     symbol_index: dict[str, int] = {}
-    headers: set[str] = set()
 
     def fail(lineno: int, msg: str) -> FormatError:
         return FormatError(f"line {lineno}: {msg}")
@@ -540,77 +581,72 @@ def read_dfa(source: str | TextIO) -> Dfa:
         # ASCII only: str.isdecimal and int() accept every Unicode digit.
         return tok.isascii() and tok.isdecimal()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    # 1 per line that starts 'trans:', and a 0 past the end to close a run.
+    is_trans = bytes(map(str.startswith, lines, repeat("trans:"))) + b"\0"
+    tried = 0  # the last line offered to _trans_run
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
+        if lineno > tried and is_trans[lineno - 1] and symbol_index:
+            tried = min(is_trans.find(0, lineno), lineno - 1 + _TRANS_RUN)
+            if _trans_run(lines[lineno - 1 : tried], symbol_index, trans):
+                next(islice(numbered, tried - lineno, tried - lineno), None)  # skip the run
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+        key, rest = key.strip(), rest.strip()
         if key == "trans":
             toks = rest.split()
-            # A well-formed line costs one dict lookup and one digit test of
-            # both numbers at once; only a bad line goes through the checks
-            # below, in order, to name its first fault.
-            if len(toks) == 3 and toks[1] in symbol_index:
-                digits = toks[0] + toks[2]
-                if digits.isascii() and digits.isdecimal():
-                    s, c = int(toks[0]), symbol_index[toks[1]]
-                    if (s, c) in trans:
-                        raise fail(lineno, f"duplicate transition for state {s} symbol {toks[1]}")
-                    trans[(s, c)] = int(toks[2])
-                    continue
             if len(toks) != 3:
                 raise fail(lineno, f"expected 'trans: STATE SYMBOL TARGET', got {raw!r}")
-            if alphabet is None:
+            if not symbol_index:
                 raise fail(lineno, "trans before alphabet header")
             if not (number(toks[0]) and number(toks[2])):
                 raise fail(lineno, f"bad transition {rest!r}")
             try:
-                alphabet.index(toks[1])  # the fault left: the symbol
+                c = headers["alphabet"].index(toks[1])
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
-        if key in ("alphabet", "states", "start", "accept"):
-            if key in headers:
-                raise fail(lineno, f"duplicate {key} header")
-            headers.add(key)
-        if key == "alphabet":
+            s = int(toks[0])
+            if s * len(symbol_index) + c in trans:
+                raise fail(lineno, f"duplicate transition for state {s} symbol {toks[1]}")
+            trans[s * len(symbol_index) + c] = int(toks[2])
+        elif key in headers:
+            raise fail(lineno, f"duplicate {key} header")
+        elif key == "alphabet":
             try:
-                alphabet = Alphabet(rest)
+                headers[key] = Alphabet(rest)
             except ValueError as exc:
                 raise fail(lineno, str(exc)) from exc
-            symbol_index = {symbol: c for c, symbol in enumerate(alphabet.symbols)}
-        elif key == "states":
-            if not number(rest):
-                raise fail(lineno, f"bad state count {rest!r}")
-            num_states = int(rest)
-        elif key == "start":
-            if not number(rest):
-                raise fail(lineno, f"bad start state {rest!r}")
-            start = int(rest)
-        elif key == "accept":
-            if not all(number(tok) for tok in rest.split()):
-                raise fail(lineno, f"bad accept list {rest!r}")
-            accepting = frozenset(map(int, rest.split()))
+            symbol_index = {symbol: c for c, symbol in enumerate(rest)}
+        elif key in ("states", "start", "accept"):
+            values = rest.split() if key == "accept" else [rest]
+            if not all(map(number, values)):
+                what = {"states": "state count", "start": "start state"}.get(key, "accept list")
+                raise fail(lineno, f"bad {what} {rest!r}")
+            headers[key] = frozenset(map(int, values)) if key == "accept" else int(rest)
         else:
             raise fail(lineno, f"unknown directive {key!r}")
 
-    if alphabet is None or num_states is None or start is None or accepting is None:
+    if len(headers) < 4:
         raise FormatError("missing header line (alphabet/states/start/accept)")
-    delta_rows = []
-    for s in range(num_states):
-        row = []
-        for c in range(alphabet.q):
-            if (s, c) not in trans:
-                raise FormatError(
-                    f"incomplete DFA: no transition for state {s} "
-                    f"symbol {alphabet.symbols[c]!r}"
-                )
-            row.append(trans[(s, c)])
-        delta_rows.append(tuple(row))
-    if len(trans) != num_states * alphabet.q:
+    alphabet, q = headers["alphabet"], len(symbol_index)
+    size = headers["states"] * q
+    # The targets in (state, symbol) order, up to the first one missing:
+    # with fewer than size transitions, one of the first len(trans) + 1 is.
+    targets = list(map(trans.get, range(min(size, len(trans) + 1))))
+    if None in targets:
+        s, c = divmod(targets.index(None), q)
+        raise FormatError(
+            f"incomplete DFA: no transition for state {s} symbol {alphabet.symbols[c]!r}"
+        )
+    if len(trans) != size:
         raise FormatError("transitions reference states outside 0..states-1")
     try:
-        return Dfa(alphabet, num_states, start, accepting, tuple(delta_rows))
+        # q references to one iterator: the targets in rows of q.
+        return Dfa(alphabet, headers["states"], headers["start"], headers["accept"],
+                   tuple(zip(*[iter(targets)] * q)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

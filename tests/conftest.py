@@ -88,6 +88,25 @@ def minkowski_product(s1: LayeredSet, s2: LayeredSet, horizon: int) -> LayeredSe
     return LayeredSet(s1.alphabet, horizon, tuple(layers))
 
 
+def explore_by_state(alphabet: Alphabet, start, step, accept) -> Dfa:
+    """Breadth-first numbering one successor at a time: the oracle for
+    sets._explore, which numbers the successors of a batch of states at
+    once."""
+    order = [start]
+    index = {start: 0}
+    rows = []
+    for s in order:
+        row = []
+        for t in step(s):
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, s in enumerate(order) if accept(s))
+    return Dfa(alphabet, len(order), 0, accepting, tuple(rows))
+
+
 def dfa_empty(alphabet: Alphabet) -> Dfa:
     return Dfa(alphabet, 1, 0, frozenset(), ((0,) * alphabet.q,))
 
@@ -105,7 +124,7 @@ def _product(d1: Dfa, d2: Dfa, accept: Callable[[bool, bool], bool]) -> Dfa:
     return _minimized(_explore(
         d1.alphabet,
         (d1.start, d2.start),
-        lambda p, c: (d1.delta[p[0]][c], d2.delta[p[1]][c]),
+        lambda p: tuple(zip(d1.delta[p[0]], d2.delta[p[1]])),
         lambda p: accept(p[0] in d1.accepting, p[1] in d2.accepting),
     ))
 
@@ -653,3 +672,134 @@ def refined_counts_by_word(member: Callable[[Word], bool], alphabet: Alphabet,
 def refined_density(s: LayeredSet | Dfa, n: int, ells: Iterable[int]) -> Fraction:
     """d(n; l1,...,lk) = |S(n; l1,...,lk)| / q**n, from a sweep of its own."""
     return Fraction(layer_counts(s, n, ells)[-1], s.alphabet.layer_size(n))
+
+
+def read_dfa_by_line(text: str) -> Dfa:
+    """DFA text to its automaton, one line at a time: the oracle for
+    sets.read_dfa, which reads each run of transition lines in one step.
+    The same checks in the same order, so the same first fault."""
+    alphabet: Alphabet | None = None
+    num_states: int | None = None
+    start: int | None = None
+    accepting: frozenset[int] | None = None
+    trans: dict[tuple[int, int], int] = {}
+    symbol_index: dict[str, int] = {}
+    headers: set[str] = set()
+
+    def fail(lineno: int, msg: str) -> FormatError:
+        return FormatError(f"line {lineno}: {msg}")
+
+    def number(tok: str) -> bool:
+        # ASCII only: str.isdecimal and int() accept every Unicode digit.
+        return tok.isascii() and tok.isdecimal()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        rest = rest.strip()
+        if key == "trans":
+            toks = rest.split()
+            # A well-formed line costs one dict lookup and one digit test of
+            # both numbers at once; only a bad line goes through the checks
+            # below, in order, to name its first fault.
+            if len(toks) == 3 and toks[1] in symbol_index:
+                digits = toks[0] + toks[2]
+                if digits.isascii() and digits.isdecimal():
+                    s, c = int(toks[0]), symbol_index[toks[1]]
+                    if (s, c) in trans:
+                        raise fail(lineno, f"duplicate transition for state {s} symbol {toks[1]}")
+                    trans[(s, c)] = int(toks[2])
+                    continue
+            if len(toks) != 3:
+                raise fail(lineno, f"expected 'trans: STATE SYMBOL TARGET', got {raw!r}")
+            if alphabet is None:
+                raise fail(lineno, "trans before alphabet header")
+            if not (number(toks[0]) and number(toks[2])):
+                raise fail(lineno, f"bad transition {rest!r}")
+            try:
+                alphabet.index(toks[1])  # the fault left: the symbol
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from exc
+        if key in ("alphabet", "states", "start", "accept"):
+            if key in headers:
+                raise fail(lineno, f"duplicate {key} header")
+            headers.add(key)
+        if key == "alphabet":
+            try:
+                alphabet = Alphabet(rest)
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from exc
+            symbol_index = {symbol: c for c, symbol in enumerate(alphabet.symbols)}
+        elif key == "states":
+            if not number(rest):
+                raise fail(lineno, f"bad state count {rest!r}")
+            num_states = int(rest)
+        elif key == "start":
+            if not number(rest):
+                raise fail(lineno, f"bad start state {rest!r}")
+            start = int(rest)
+        elif key == "accept":
+            if not all(number(tok) for tok in rest.split()):
+                raise fail(lineno, f"bad accept list {rest!r}")
+            accepting = frozenset(map(int, rest.split()))
+        else:
+            raise fail(lineno, f"unknown directive {key!r}")
+
+    if alphabet is None or num_states is None or start is None or accepting is None:
+        raise FormatError("missing header line (alphabet/states/start/accept)")
+    delta_rows = []
+    for s in range(num_states):
+        row = []
+        for c in range(alphabet.q):
+            if (s, c) not in trans:
+                raise FormatError(
+                    f"incomplete DFA: no transition for state {s} "
+                    f"symbol {alphabet.symbols[c]!r}"
+                )
+            row.append(trans[(s, c)])
+        delta_rows.append(tuple(row))
+    if len(trans) != num_states * alphabet.q:
+        raise FormatError("transitions reference states outside 0..states-1")
+    try:
+        return Dfa(alphabet, num_states, start, accepting, tuple(delta_rows))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def prefix_set_by_rank(alphabet: Alphabet, n: int, size: int) -> Dfa:
+    """Words whose length-n prefix has rank < size, explored over (depth,
+    rank) of the prefix read, some q**n states: the oracle for
+    constructions._prefix_set_dfa, which compares the prefix with the
+    digits of size."""
+    q = alphabet.q
+    # After n symbols the prefix becomes the sink (n, 1) when its rank is
+    # below size, else (n, 0).
+
+    def step(state: tuple[int, int]) -> list[tuple[int, int]]:
+        depth, r = state
+        if depth == n:
+            return [state] * q
+        if depth + 1 == n:
+            return [(n, int(r * q + c < size)) for c in range(q)]
+        return [(depth + 1, r * q + c) for c in range(q)]
+
+    return _minimized(_explore(alphabet, (0, 0), step, lambda s: s == (n, 1)))
+
+
+def suffix_set_by_rank(alphabet: Alphabet, n: int, size: int) -> Dfa:
+    """Words whose final n symbols form a word of rank < size, explored over
+    (min(len, n), rank) of the last symbols read: the oracle for
+    constructions._suffix_set_dfa, which writes that table down."""
+    q = alphabet.q
+    high = q ** (n - 1)
+
+    def step(state: tuple[int, int]) -> list[tuple[int, int]]:
+        depth, r = state
+        if depth < n:
+            return [(depth + 1, r * q + c) for c in range(q)]
+        return [(n, (r % high) * q + c) for c in range(q)]
+
+    return _minimized(_explore(alphabet, (0, 0), step, lambda s: s[0] == n and s[1] < size))

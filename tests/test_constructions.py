@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 from bisect import insort
 from fractions import Fraction
@@ -31,7 +32,8 @@ from prodfree.sets import (
 from prodfree.words import Alphabet
 
 from conftest import (
-    ball_density, dfa_intersect, dfa_is_empty, greedy_every_split, layer_words, set_words,
+    ball_density, dfa_intersect, dfa_is_empty, greedy_every_split, layer_words,
+    prefix_set_by_rank, set_words, suffix_set_by_rank,
 )
 
 AB = Alphabet("ab")
@@ -243,6 +245,27 @@ class TestAsymmetricTriple:
                     assert expected, (q, n, d)
                     counts = dfa_layer_counts(triple.x, n)
                     assert counts[-1] == phi_floor(total)
+
+    @pytest.mark.parametrize("symbols, top", [("ab", 12), ("abc", 7), ("abcd", 5)])
+    def test_x_and_y_match_the_rank_oracles(self, symbols, top):
+        # X's digit comparator against an exploration over (depth, rank), at
+        # W's size and at sizes whose digits are all 0 or all q - 1, a power
+        # of q, one digit off the end, and random; Y's table likewise, at
+        # W's size and at q**n - 1.
+        alphabet = Alphabet(symbols)
+        q = alphabet.q
+        rng = random.Random(top)
+        for n in range(1, top + 1):
+            total = q**n
+            sizes = {0, 1, total - 1, total, phi_floor(total), q ** (n // 2),
+                     total - q ** (n - 1), *rng.sample(range(total + 1), min(4, total + 1))}
+            for size in sorted(sizes):
+                x = constructions._prefix_set_dfa(alphabet, n, size)
+                assert x == prefix_set_by_rank(alphabet, n, size), (n, size)
+                assert x.num_states <= 2 * n + 2
+            for size in (phi_floor(total), total - 1):
+                y = constructions._suffix_set_dfa(alphabet, n, size)
+                assert y == suffix_set_by_rank(alphabet, n, size), (n, size)
 
     def test_unary_rejected_by_gap(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,29 @@ class TestCheckExplicit:
         assert (w and (w.x.text, w.y.text, w.z.text)) == witness
         assert len(calls) <= len(lengths) and all(n in lengths for n in calls)
 
+    @given(flags=st.lists(st.booleans(), min_size=1, max_size=80))
+    def test_live_splits_match_the_pairs_of_layers(self, flags):
+        layers = (0,) + tuple(map(int, flags))
+        horizon = len(flags)
+        nonempty = (sum(1 << m for m in range(horizon + 1) if layers[m]),
+                    sum(1 << (horizon - m) for m in range(horizon + 1) if layers[m]), horizon)
+        for n in range(2, horizon + 1):
+            assert _live_splits(nonempty, n) == [
+                m for m in range(1, n) if layers[m] and layers[n - m]
+            ]
+
+    @pytest.mark.parametrize("top, witness", [(False, None), (True, (1, 19_999))])
+    def test_ten_thousand_nonempty_layers(self, top, witness):
+        # Over one symbol, the odd lengths below 20,000: product-free, as two
+        # odd lengths add up to an even one, but each of its 10,000 layers
+        # has its live splits found; with top, layer 20,000 is a product.
+        # Its word list would be some 100 MB, so the set is built directly.
+        horizon = 20_000
+        layers = [n % 2 for n in range(horizon + 1)]
+        layers[horizon] = int(top)
+        w = check_explicit(LayeredSet(A, horizon, tuple(layers)))
+        assert (w and (len(w.x), len(w.y))) == witness
+
     def test_witness_soundness(self):
         s = explicit_full(AB, 3)
         w = check_explicit(s)

@@ -16,6 +16,7 @@ from prodfree.sets import (
     LayeredSet,
     StateBudgetError,
     _iter_bits,
+    _trans_run,
     dfa_complement,
     dfa_concat,
     dfa_layer_counts,
@@ -37,9 +38,10 @@ from prodfree.words import (
 
 from conftest import (
     A_ONLY, DFA_ALPHABETS, Unsteppable, complete_dfas, dfa_difference, dfa_empty, dfa_full,
-    dfa_intersect, dfa_is_empty, dfa_union, explicit_empty, explicit_full, layer_words,
-    minkowski_product, moore_blocks_by_state, random_dfa, rank, read_by_line,
-    refined_counts_by_word, set_contains, set_words, write_by_member, write_word_list,
+    dfa_intersect, dfa_is_empty, dfa_union, explicit_empty, explicit_full, explore_by_state,
+    layer_words, minkowski_product, moore_blocks_by_state, random_dfa, rank, read_by_line,
+    read_dfa_by_line, refined_counts_by_word, set_contains, set_words, write_by_member,
+    write_word_list,
 )
 
 AB = Alphabet("ab")
@@ -164,6 +166,23 @@ class TestDfaConcat:
         assert dfa_union(ODD_A, ODD_LEN).num_states == 4
         assert dfa_complement(ODD_A).num_states == 3
         assert odd_occurrence(AB, "ab") == ODD_LEN
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_cap_is_the_most_states(self, width):
+        # The start and four levels of width states, state s going on to
+        # s + width on every symbol: a cap of all 1 + 4 * width states
+        # explores them, one fewer raises.
+        total = 1 + 4 * width
+
+        def step(s: int) -> list[int]:
+            if s == 0:
+                return list(range(1, width + 1))
+            return [s + width if s + width < total else s] * width
+
+        alphabet = Alphabet("abc"[:width])
+        assert sets._explore(alphabet, 0, step, bool, total).num_states == total
+        with pytest.raises(StateBudgetError, match=f"state cap {total - 1}"):
+            sets._explore(alphabet, 0, step, bool, total - 1)
 
 
 class TestDfaSliceAndCounts:
@@ -381,11 +400,28 @@ class TestMinimized:
     def test_unreachable_states_do_not_change_the_minimal_dfa(self, d):
         # The oracle minimises the reachable part, built with the explorer.
         reachable = sets._explore(
-            d.alphabet, d.start, lambda s, c: d.delta[s][c], d.accepting.__contains__
+            d.alphabet, d.start, d.delta.__getitem__, d.accepting.__contains__
         )
         m = sets._minimized(d)
         assert m == sets._minimized(reachable)
         assert sets._minimized(m) == m
+
+    @settings(deadline=None)
+    @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)),
+           batch=st.sampled_from([1, 2, 3, 64]))
+    def test_explore_matches_the_by_state_oracle(self, d, batch):
+        args = (d.alphabet, d.start, d.delta.__getitem__, d.accepting.__contains__)
+        with patch.object(sets, "_EXPLORE_BATCH", batch):
+            assert sets._explore(*args) == explore_by_state(*args)
+
+    @pytest.mark.parametrize("symbols", ["ab", "abc"])
+    def test_explore_over_many_batches(self, symbols):
+        # 200-state automata take several batches of _EXPLORE_BATCH states.
+        rng = random.Random(29)
+        for accept in (1 / 2, 1 / 20):
+            d = random_dfa(rng, Alphabet(symbols), 200, accept)
+            args = (d.alphabet, d.start, d.delta.__getitem__, d.accepting.__contains__)
+            assert sets._explore(*args) == explore_by_state(*args)
 
     @settings(deadline=None)
     @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
@@ -608,6 +644,133 @@ class TestDfaFormat:
         lines.insert(at + 1, lines[at])
         with pytest.raises(FormatError, match=f"line {at + 2}: duplicate {key} header"):
             read_dfa("\n".join(lines))
+
+
+@st.composite
+def dfa_texts(draw) -> str:
+    """write_dfa text of a random complete DFA over 1-4 symbols, with up to
+    four edits: comments, blank lines, extra or missing spaces (a number
+    glued to 'trans:'), a header moved after a transition, a transition line
+    dropped, repeated or cut short, or given an unknown symbol, a non-ASCII
+    digit, leading zeros or an out-of-range state or target; with '\n' or
+    CRLF line ends, with or without a final one."""
+    alphabet = draw(st.sampled_from(DFA_ALPHABETS + [Alphabet("abcd")]))
+    d = draw(complete_dfas(alphabet, 6))
+    lines = write_dfa(d).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from([
+            "comment", "blank", "note", "glue", "spaces", "header", "drop", "repeat", "short",
+            "symbol", "digit", "zeros", "range",
+        ]))
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        if edit in ("comment", "blank"):
+            lines.insert(at, "# comment" if edit == "comment" else "")
+        elif edit == "note":
+            lines[at] = line + draw(st.sampled_from(["  # note", "#", " #x"]))
+        elif edit == "glue":
+            # 'trans:0 a 1' is well formed; 'trans:0 0 a 1' is not.
+            lines[at] = line.replace(": ", draw(st.sampled_from([":", ":0 "])), 1)
+        elif edit == "spaces":
+            lines[at] = draw(st.sampled_from(["  ", "\t", ""])) + line.replace(
+                " ", draw(st.sampled_from(["  ", " \t", "\u3000"]))
+            ).replace(":", draw(st.sampled_from([":", " :"])), 1)
+        elif edit == "header":
+            header = lines.pop(draw(st.integers(0, min(3, len(lines) - 1))))
+            lines.insert(draw(st.integers(0, len(lines))), header)
+        elif edit == "drop" and len(lines) > 1:
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif edit == "short":
+            lines[at] = line.rsplit(" ", 1)[0]
+        elif line.startswith("trans: ") and len(line.split()) == 4:
+            state, symbol, target = line.split()[1:]
+            if edit == "symbol":
+                symbol = draw(st.sampled_from(["z", "ab", "\u0101"]))
+            elif edit == "digit":
+                state = draw(st.sampled_from(["\u0661", "\u00b2", "-1", "+0"]))
+            elif edit == "zeros":
+                target = "00" + target
+            elif draw(st.booleans()):
+                target = str(d.num_states + draw(st.integers(0, 2)))
+            else:
+                state = str(d.num_states + draw(st.integers(0, 2)))
+            lines[at] = f"trans: {state} {symbol} {target}"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def run_spy():
+    """sets._trans_run, recording (lines in the run, taken) per call."""
+    def spy(run, *args):
+        spy.calls.append((len(run), _trans_run(run, *args)))
+        return spy.calls[-1][1]
+    spy.calls = []
+    return spy
+
+
+@pytest.mark.ci_profile
+class TestDfaText:
+    @settings(deadline=None)
+    @given(text=dfa_texts(), most=st.sampled_from([1, 2, 5, sets._TRANS_RUN]))
+    def test_read_matches_the_line_by_line_reader(self, text, most):
+        # Runs are also read in parts of at most 1, 2 or 5 lines.
+        with patch.object(sets, "_TRANS_RUN", most):
+            assert outcome(read_dfa, text) == outcome(read_dfa_by_line, text)
+
+    @settings(deadline=None)
+    @given(d=st.sampled_from(DFA_ALPHABETS).flatmap(lambda a: complete_dfas(a, 8)))
+    def test_round_trip_in_one_step(self, d):
+        taken = run_spy()
+        with patch.object(sets, "_trans_run", taken):
+            assert read_dfa(write_dfa(d)) == d
+        assert taken.calls == [(d.num_states * d.alphabet.q, True)]
+
+    def test_a_run_with_a_note_goes_line_by_line(self):
+        # Two runs: the first has a note, so it is read a line at a time;
+        # the second, past the comment, is still read in one step.
+        lines = write_dfa(ODD_A).splitlines()
+        lines[4] += "  # note"
+        lines.insert(6, "# comment")
+        taken = run_spy()
+        with patch.object(sets, "_trans_run", taken):
+            assert read_dfa("\n".join(lines)) == ODD_A
+        assert taken.calls == [(2, False), (2, True)]
+
+    def test_a_long_run_is_read_in_parts(self):
+        d = dfa_union(ODD_A, ODD_LEN)
+        taken = run_spy()
+        with patch.object(sets, "_TRANS_RUN", 3), patch.object(sets, "_trans_run", taken):
+            assert read_dfa(write_dfa(d)) == d
+        assert taken.calls == [(3, True), (3, True), (2, True)]
+
+
+@pytest.mark.parametrize("rows", [
+    # A number past int()'s 4,300-digit limit, alone and after a duplicate.
+    [f"trans: {'1' * 5000} a 0"], [f"trans: 0 a {'1' * 5000}"],
+    ["trans: 0 b 0", "trans: 0 b 1", f"trans: {'1' * 5000} a 0"],
+    ["trans: 0 b 0", f"trans: 0 b {'1' * 5000}"],
+], ids=["long-state", "long-target", "duplicate-then-long", "duplicate-long-target"])
+def test_past_the_int_digit_limit(rows):
+    text = "alphabet: ab\nstates: 1\nstart: 0\naccept:\n" + "\n".join(rows) + "\n"
+    got = outcome(read_dfa, text)
+    assert got == outcome(read_dfa_by_line, text)
+    assert got[0] is (FormatError if "duplicate" in str(got[1]) else ValueError)
+
+
+@pytest.mark.parametrize("delta, accepting, message", [
+    (((0, 1), (1,)), {1}, "delta rows must cover every symbol"),
+    (((0, 1), (1, 0, 1)), {1}, "delta rows must cover every symbol"),
+    (((0, -1), (1, 0)), {1}, "transition target out of range"),
+    (((0, 1), (2, 0)), {1}, "transition target out of range"),
+    (((0, 1), (1, 0)), {2}, "accepting state out of range"),
+    (((0, 1), (1, 0)), {-1, 1}, "accepting state out of range"),
+], ids=["short-row", "long-row", "negative-target", "target-past-end", "accept-past-end",
+        "negative-accept"])
+def test_dfa_validation(delta, accepting, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(AB, 2, 0, frozenset(accepting), delta)
 
 
 # Word lists at rank level: read_explicit and write_explicit against the
